@@ -23,9 +23,8 @@ def cyclic(n: int) -> PermGroup:
         raise ValueError("cyclic group order must be positive")
     if n == 1:
         return PermGroup(1, [Permutation.identity(1)], [Permutation.identity(1)])
-    p = object.__new__(Permutation)
-    p.images = tuple((i + 1) % n for i in range(n))
-    return PermGroup.generate([p])
+    return PermGroup.generate([Permutation.trusted(
+        tuple((i + 1) % n for i in range(n)))])
 
 
 def symmetric3() -> PermGroup:

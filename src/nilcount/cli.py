@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -31,9 +32,13 @@ SCHEMA = "nilcount-report-1"
 
 def _env_default(name: str, fallback):
     raw = os.environ.get(f"NILCOUNT_{name}")
-    if raw is None:
-        return fallback
-    return type(fallback)(raw) if fallback is not None else raw
+    if raw is None or fallback is None:
+        return fallback if raw is None else raw
+    try:
+        return type(fallback)(raw)
+    except ValueError:
+        raise ValueError(f"NILCOUNT_{name}={raw!r} is not a valid "
+                         f"{type(fallback).__name__}") from None
 
 
 def _field_data(arg: str) -> BaseFieldData:
@@ -176,11 +181,17 @@ def cmd_count(args) -> int:
                 idx += 1
             counts.append((cp, idx))
         summary["counts"] = counts
-        summary["ratio_x_alpha"] = len(records) / x ** (1.0 / (ell - 1))
-        rows = [(rec.group, rec.discriminant, rec.discriminant,
-                 "|".join(map(str, rec.ramified_tuple))) for rec in records]
+        try:
+            scale = x ** (1.0 / (ell - 1))
+        except OverflowError:  # x beyond the float range
+            scale = math.exp(math.log(x) / (ell - 1))
+        summary["ratio_x_alpha"] = len(records) / scale
+        if args.out:
+            rows = [(rec.group, rec.discriminant, rec.discriminant,
+                     "|".join(map(str, rec.ramified_tuple))) for rec in records]
     elif kind == "v4":
-        rep = v4_fiber_check(x)
+        fields = enumerate_v4(x)
+        rep = v4_fiber_check(x, fields=fields)
         summary.update({
             "fields": rep.field_count,
             "max_fiber": rep.max_fiber,
@@ -188,9 +199,9 @@ def cmd_count(args) -> int:
             "valuation_failures": rep.valuation_failures,
             "passed": rep.passed,
         })
-        rows = [("C2xC2", f.discriminant, "|".join(map(str, f.triple)),
-                 "|".join(map(str, f.ramified_tuple)))
-                for f in enumerate_v4(x)]
+        if args.out:
+            rows = [("C2xC2", f.discriminant, "|".join(map(str, f.triple)),
+                     "|".join(map(str, f.ramified_tuple))) for f in fields]
         if not rep.passed:
             print(json.dumps(summary, indent=2))
             return 1
@@ -273,8 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        # NILCOUNT_* defaults are parsed here, inside the error report
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (NilcountError, ValueError) as e:
         print(json.dumps({"schema": SCHEMA,

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .malle import BaseFieldData
-from .permcore import is_prime
 from .dirichlet import prime_sieve, squarefree_sieve
+from .intmath import iroot, is_prime
 
 V4_BUDGET = 1_000_000
 
@@ -188,7 +188,7 @@ def enumerate_cyclic_ell(ell: int, x: int) -> list[FieldRecord]:
     """
     if ell == 2 or not is_prime(ell):
         raise ValueError("need an odd prime")
-    f_max = _int_root(x, ell - 1)
+    f_max = iroot(x, ell - 1)
     if f_max < 1:
         return []
     isp = prime_sieve(f_max)
@@ -226,19 +226,6 @@ def enumerate_cyclic_ell(ell: int, x: int) -> list[FieldRecord]:
 
 def count_cyclic_ell(ell: int, x: int) -> int:
     return len(enumerate_cyclic_ell(ell, x))
-
-
-def _int_root(x: int, d: int) -> int:
-    if d == 1:
-        return x
-    if x < 1:
-        return 0
-    r = int(round(x ** (1.0 / d)))
-    while r ** d > x:
-        r -= 1
-    while (r + 1) ** d <= x:
-        r += 1
-    return r
 
 
 # biquadratic fields and the fiber bound
@@ -332,14 +319,17 @@ def enumerate_v4(x: int) -> list[V4Field]:
     return fields
 
 
-def v4_fiber_check(x: int, tame_index: int = 2) -> V4FiberReport:
+def v4_fiber_check(x: int, tame_index: int = 2,
+                   fields: list[V4Field] | None = None) -> V4FiberReport:
     """Group the enumerated V4 fields by their ramification tuple and check
     every fiber against the bound 2^(b1 + b2), with b_i the prime count of
     the earlier layers plus the wild constant of the exact-ramification
     bound.  Also check the tame discriminant valuations: every odd ramified
     prime must divide the discriminant exactly `tame_index` times, matching
-    the index of an involution in the regular four-point action."""
-    fields = enumerate_v4(x)
+    the index of an involution in the regular four-point action.
+    `fields`, when given, is `enumerate_v4(x)` already computed."""
+    if fields is None:
+        fields = enumerate_v4(x)
     fibers: dict[tuple[int, int], int] = {}
     val_fail = 0
     for f in fields:

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, InsufficientData
-from .permcore import is_prime
+from .intmath import iroot, is_prime
 
 SIEVE_BUDGET = 1 << 27  # largest coefficient array materialized in one piece
 SEGMENT = 1 << 23
@@ -77,6 +77,8 @@ class SlopeReport:
 
 def prime_sieve(limit: int) -> np.ndarray:
     """Boolean primality array of length limit + 1."""
+    if limit > SIEVE_BUDGET:
+        raise BudgetExceeded(f"prime sieve to {limit} exceeds in-memory budget")
     isp = np.ones(limit + 1, dtype=bool)
     isp[:2] = False
     for p in range(2, isqrt(limit) + 1):
@@ -87,6 +89,9 @@ def prime_sieve(limit: int) -> np.ndarray:
 
 def squarefree_sieve(limit: int) -> np.ndarray:
     """Boolean squarefree array of length limit + 1 (index 0 is False)."""
+    if limit > SIEVE_BUDGET:
+        raise BudgetExceeded(f"squarefree sieve to {limit} exceeds in-memory "
+                             "budget")
     sf = np.ones(limit + 1, dtype=bool)
     sf[0] = False
     for k in range(2, isqrt(limit) + 1):
@@ -99,20 +104,6 @@ def _predicted(specs: Sequence[FactorSpec]) -> tuple[Fraction, Fraction]:
     d = min(s.d for s in specs)
     e = sum(Fraction(s.m, s.ell - 1) for s in specs if s.d == d)
     return Fraction(1, d), e - 1
-
-
-def _int_root(x: int, d: int) -> int:
-    """Exact floor of x^(1/d)."""
-    if d == 1:
-        return x
-    if x < 1:
-        return 0
-    r = int(round(x ** (1.0 / d)))
-    while r ** d > x:
-        r -= 1
-    while (r + 1) ** d <= x:
-        r += 1
-    return r
 
 
 def coefficient_sieve(spec: FactorSpec, limit: int) -> np.ndarray:
@@ -242,7 +233,7 @@ def multi_factor_sum(specs: Sequence[FactorSpec], limit: int,
     # weighted support of the non-pivot factors: P = prod n_i^{d_i} -> weight
     support: dict[int, int] = {1: 1}
     for sp in others:
-        reach = _int_root(limit, sp.d)
+        reach = iroot(limit, sp.d)
         if reach > SIEVE_BUDGET:
             raise BudgetExceeded("non-pivot factor support is too large")
         coeffs = coefficient_sieve(sp, reach)
@@ -258,7 +249,7 @@ def multi_factor_sum(specs: Sequence[FactorSpec], limit: int,
                     raise BudgetExceeded("tuple expansion exceeds budget")
         support = new
 
-    queries = {_int_root(x // p_val, pivot.d)
+    queries = {iroot(x // p_val, pivot.d)
                for x in checkpoints for p_val in support if p_val <= x}
     prefix = _prefix_sums_at(pivot, queries)
 
@@ -267,7 +258,7 @@ def multi_factor_sum(specs: Sequence[FactorSpec], limit: int,
         s = 0
         for p_val, w in support.items():
             if p_val <= x:
-                s += w * prefix[_int_root(x // p_val, pivot.d)]
+                s += w * prefix[iroot(x // p_val, pivot.d)]
         values.append(s)
 
     alpha, beta = _predicted(specs)
@@ -382,14 +373,14 @@ def euler_factorization_check(spec: FactorSpec, n_terms: int = 10_000) -> bool:
     """
     ell, d, m = spec.ell, spec.d, spec.m
     lhs = [0] * (n_terms + 1)
-    base = coefficient_sieve(spec, _int_root(n_terms, d))
+    base = coefficient_sieve(spec, iroot(n_terms, d))
     for n in range(1, len(base)):
         if base[n]:
             lhs[n ** d] = int(base[n])
 
     rhs = [0] * (n_terms + 1)
     rhs[1] = 1
-    isp = prime_sieve(_int_root(n_terms, d))
+    isp = prime_sieve(iroot(n_terms, d))
     primes = [int(p) for p in np.nonzero(isp)[0]]
 
     # w(t) = (1 + m t)(1 - t)^m as exact integer coefficients

@@ -1,9 +1,10 @@
 """Group extensions, fiber products, and embedding-problem verification.
 
 Constructions with no natural permutation action (fiber products, semidirect
-products, direct products with a cyclic factor) are built on explicit element
-tuples and realized as permutation groups through the regular action, keeping
-a map from tuples to permutations so kernels and quotient maps stay explicit.
+products, direct products with a cyclic factor) are built on pairs of
+element indices, multiplied through the factors' Cayley tables, and realized
+as permutation groups through the regular action, keeping a map from
+element pairs to permutations so kernels and quotient maps stay explicit.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from typing import Callable, Hashable, Mapping
 
 from .errors import (CapExceeded, NotAction, PropertyViolated,
                      QuotientMismatch, VerificationFailed)
-from .permcore import (PermGroup, Permutation, abelianization_rank, center,
-                       commutator_subgroup, conjugacy_classes, is_normal,
-                       is_prime, mulclose, quotient, quotient_with_map,
-                       small_generating_set)
+from .intmath import is_prime
+from .permcore import (GroupTable, PermGroup, Permutation,
+                       abelianization_rank, center, quotient, quotient_with_map)
 
 ISO_CAP = 512
 
@@ -31,11 +31,9 @@ def regular_permutation_group(items: list, mul: Callable
     """
     items = sorted(items)
     index = {x: i for i, x in enumerate(items)}
-    to_perm: dict[Hashable, Permutation] = {}
-    for x in items:
-        p = object.__new__(Permutation)
-        p.images = tuple(index[mul(x, y)] for y in items)
-        to_perm[x] = p
+    to_perm: dict[Hashable, Permutation] = {
+        x: Permutation.trusted(tuple(index[mul(x, y)] for y in items))
+        for x in items}
     group = PermGroup.from_elements(to_perm.values())
     if group.order != len(items):
         raise PropertyViolated("left translation action is not regular")
@@ -64,42 +62,51 @@ class ExtensionData:
 
 
 @dataclass(frozen=True)
-class FiberProduct:
-    """Pairs with matching images in H, with a regular permutation realization."""
+class PairProduct:
+    """A fiber or semidirect product on element pairs, with its regular
+    permutation realization."""
 
     pairs: tuple[tuple[Permutation, Permutation], ...]
     group: PermGroup
     to_perm: Mapping[tuple[Permutation, Permutation], Permutation]
 
 
-@dataclass(frozen=True)
-class SemidirectProduct:
-    pairs: tuple[tuple[Permutation, Permutation], ...]
-    group: PermGroup
-    to_perm: Mapping[tuple[Permutation, Permutation], Permutation]
+FiberProduct = SemidirectProduct = PairProduct
 
 
-def _same_quotient(H1: PermGroup, H2: PermGroup) -> bool:
-    return H1.degree == H2.degree and H1._elemset == H2._elemset
+def _pair_product(X: PermGroup, Y: PermGroup, pairs: list[tuple[int, int]],
+                  mul: Callable) -> PairProduct:
+    """Realize index pairs (x, y) of X and Y under `mul` as a pair product."""
+    group, to_perm = regular_permutation_group(pairs, mul)
+    ex, ey = X.elements, Y.elements
+    return PairProduct(tuple((ex[i], ey[j]) for i, j in sorted(pairs)), group,
+                       {(ex[i], ey[j]): p for (i, j), p in to_perm.items()})
+
+
+def _fiber_pairs(G1: PermGroup, kappa1: Mapping, G2: PermGroup,
+                 kappa2: Mapping) -> list[tuple[int, int]]:
+    """Index pairs (g1, g2) with kappa1[g1] == kappa2[g2], in canonical order."""
+    fiber: dict[Permutation, list[int]] = {}
+    for j, g2 in enumerate(G2.elements):
+        fiber.setdefault(kappa2[g2], []).append(j)
+    return [(i, j) for i, g1 in enumerate(G1.elements)
+            for j in fiber.get(kappa1[g1], ())]
 
 
 def fiber_product_maps(G1: PermGroup, kappa1: Mapping, G2: PermGroup,
-                       kappa2: Mapping, H: PermGroup) -> FiberProduct:
-    pairs = [(g1, g2) for g1 in G1.elements for g2 in G2.elements
-             if kappa1[g1] == kappa2[g2]]
+                       kappa2: Mapping, H: PermGroup) -> PairProduct:
+    pairs = _fiber_pairs(G1, kappa1, G2, kappa2)
     if len(pairs) * H.order != G1.order * G2.order:
         raise PropertyViolated("fiber product order is off; maps not onto H?")
-
-    def mul(p, q):
-        return (p[0] * q[0], p[1] * q[1])
-
-    group, to_perm = regular_permutation_group(pairs, mul)
-    return FiberProduct(tuple(sorted(pairs)), group, to_perm)
+    m1, m2 = G1.table.mul, G2.table.mul
+    return _pair_product(G1, G2, pairs,
+                         lambda p, q: (m1[p[0]][q[0]], m2[p[1]][q[1]]))
 
 
-def fiber_product(E1: ExtensionData, E2: ExtensionData) -> FiberProduct:
+def fiber_product(E1: ExtensionData, E2: ExtensionData) -> PairProduct:
     """Subdirect product over the shared quotient; order |G1||G2|/|H|."""
-    if not _same_quotient(E1.quotient, E2.quotient):
+    H1, H2 = E1.quotient, E2.quotient
+    if H1.degree != H2.degree or H1._elemset != H2._elemset:
         raise QuotientMismatch("extensions do not share the same quotient group")
     return fiber_product_maps(E1.group, E1.kappa, E2.group, E2.kappa, E1.quotient)
 
@@ -110,77 +117,67 @@ def conjugation_action(E: ExtensionData) -> dict[Permutation, dict[Permutation, 
     Well-definedness over the choice of preimage is checked (it holds exactly
     because the kernel is abelian).
     """
-    fibers: dict[Permutation, list[Permutation]] = {}
-    for g in E.group.elements:
-        fibers.setdefault(E.kappa[g], []).append(g)
+    T = E.group.table
+    kernel = [T.idx[a] for a in E.kernel]
+    fibers: dict[Permutation, list[int]] = {}
+    for g, x in enumerate(T.elements):
+        fibers.setdefault(E.kappa[x], []).append(g)
     psi: dict[Permutation, dict[Permutation, Permutation]] = {}
     for h, fiber in fibers.items():
-        g0 = min(fiber)
-        action = {a: g0 * a * g0.inverse() for a in E.kernel}
-        for g in fiber:
-            for a in E.kernel:
-                if g * a * g.inverse() != action[a]:
-                    raise NotAction(
-                        "conjugation depends on the preimage; kernel not abelian?")
-        psi[h] = action
+        action = [T.conj(fiber[0], a) for a in kernel]
+        if any(T.conj(g, a) != b for g in fiber[1:]
+               for a, b in zip(kernel, action)):
+            raise NotAction(
+                "conjugation depends on the preimage; kernel not abelian?")
+        psi[h] = {T.elements[a]: T.elements[b] for a, b in zip(kernel, action)}
     return psi
 
 
 def semidirect(A: PermGroup, H: PermGroup,
                psi: Mapping[Permutation, Mapping[Permutation, Permutation]]
-               ) -> SemidirectProduct:
+               ) -> PairProduct:
     """Semidirect product A x| H with multiplication
     (a1, h1)(a2, h2) = (a1 * psi[h1](a2), h1 * h2).
 
     `psi` must send each h to an automorphism of A, multiplicatively in h
     (NotAction otherwise).  A must be abelian.
     """
-    for a in A.generators:
-        for b in A.generators:
-            if a * b != b * a:
-                raise NotAction("kernel of a semidirect product must be abelian here")
-    aset = set(A.elements)
+    TA, mA, mH = A.table, A.table.mul, H.table.mul
+    if any(mA[a][b] != mA[b][a] for a in TA.gens for b in TA.gens):
+        raise NotAction("kernel of a semidirect product must be abelian here")
+    aset, n = set(A.elements), A.order
+    act = []  # act[h][a]: index of psi[h](a)
     for h in H.elements:
         if h not in psi:
             raise NotAction(f"no action for {h!r}")
-        act = psi[h]
-        if set(act.keys()) != aset or set(act.values()) != aset:
+        if set(psi[h].keys()) != aset or set(psi[h].values()) != aset:
             raise NotAction("psi[h] is not a bijection of A")
-        for a in A.elements:
-            for b in A.elements:
-                if act[a * b] != act[a] * act[b]:
-                    raise NotAction("psi[h] is not an automorphism")
-    for h1 in H.elements:
-        for h2 in H.elements:
-            comp = psi[h1 * h2]
-            for a in A.elements:
-                if comp[a] != psi[h1][psi[h2][a]]:
-                    raise NotAction("psi is not multiplicative in h")
+        f = [TA.idx[psi[h][a]] for a in A.elements]
+        if any(f[mA[a][b]] != mA[f[a]][f[b]] for a in range(n) for b in range(n)):
+            raise NotAction("psi[h] is not an automorphism")
+        act.append(f)
+    if any(act[mH[h1][h2]][a] != act[h1][act[h2][a]]
+           for h1 in range(H.order) for h2 in range(H.order) for a in range(n)):
+        raise NotAction("psi is not multiplicative in h")
 
-    pairs = [(a, h) for a in A.elements for h in H.elements]
-
-    def mul(p, q):
-        return (p[0] * psi[p[1]][q[0]], p[1] * q[1])
-
-    group, to_perm = regular_permutation_group(pairs, mul)
-    return SemidirectProduct(tuple(sorted(pairs)), group, to_perm)
-
-
-def _element_invariants(G: PermGroup) -> dict[Permutation, tuple[int, int]]:
-    out: dict[Permutation, tuple[int, int]] = {}
-    for c in conjugacy_classes(G):
-        for g in c.members:
-            out[g] = (c.element_order, c.size)
-    return out
+    pairs = [(a, h) for a in range(n) for h in range(H.order)]
+    return _pair_product(A, H, pairs, lambda p, q: (mA[p[0]][act[p[1]][q[0]]],
+                                                    mH[p[1]][q[1]]))
 
 
 def fingerprint(G: PermGroup) -> tuple:
     """Cheap isomorphism invariants: order, order profile, center size,
     class-size profile, abelianization order."""
-    orders = tuple(sorted(Counter(g.order() for g in G.elements).items()))
-    classes = tuple(sorted(c.size for c in conjugacy_classes(G)))
-    ab_order = G.order // len(commutator_subgroup(G))
-    return (G.order, orders, len(center(G)), classes, ab_order)
+    T = G.table
+    return (G.order, tuple(sorted(Counter(T.order).items())), len(T.center()),
+            tuple(sorted(len(c) for c in T.classes)),
+            G.order // len(T.commutator()))
+
+
+def _element_invariants(T: GroupTable) -> list[tuple[int, int]]:
+    """(element order, class size) per element index."""
+    size = {i: len(c) for c in T.classes for i in c}
+    return [(o, size[i]) for i, o in enumerate(T.order)]
 
 
 def find_isomorphism(G1: PermGroup, G2: PermGroup,
@@ -189,7 +186,9 @@ def find_isomorphism(G1: PermGroup, G2: PermGroup,
 
     Search: invariant fingerprints first, then backtracking over images of a
     greedy generating sequence; the first witness in canonical order is
-    returned, so the result is deterministic.
+    returned, so the result is deterministic.  Each chosen image extends the
+    partial map from <g_1..g_i-1> to <g_1..g_i> along the Cayley graph, and
+    the extension is undone on backtracking.
     """
     if G1.order != G2.order:
         return None
@@ -197,57 +196,55 @@ def find_isomorphism(G1: PermGroup, G2: PermGroup,
         raise CapExceeded(f"isomorphism search capped at order {cap}")
     if fingerprint(G1) != fingerprint(G2):
         return None
-    gens = small_generating_set(G1.elements)
-    inv1 = _element_invariants(G1)
-    inv2 = _element_invariants(G2)
-    buckets: dict[tuple[int, int], list[Permutation]] = {}
-    for g in G2.elements:
-        buckets.setdefault(inv2[g], []).append(g)
-    prefix_sizes = []
-    for i in range(len(gens)):
-        prefix_sizes.append(len(mulclose(gens[:i + 1])))
+    m1, m2 = G1.table.mul, G2.table.mul
+    gens = G1.table.generating_set()
+    inv1 = _element_invariants(G1.table)
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for g, key in enumerate(_element_invariants(G2.table)):
+        buckets.setdefault(key, []).append(g)
+    phi = [0] + [-1] * (G1.order - 1)
+    used = [True] + [False] * (G2.order - 1)
+    domain = [0]  # the subgroup generated so far, where phi is defined
+    chosen: list[int] = []
 
-    def build(prefix: list[Permutation], images: list[Permutation]
-              ) -> dict[Permutation, Permutation] | None:
-        phi = {G1.identity: G2.identity}
-        frontier = [G1.identity]
-        while frontier:
-            new = []
-            for x in frontier:
-                fx = phi[x]
-                for a, b in zip(prefix, images):
-                    xa, fxb = x * a, fx * b
-                    known = phi.get(xa)
-                    if known is None:
-                        phi[xa] = fxb
-                        new.append(xa)
-                    elif known != fxb:
-                        return None
-            frontier = new
-        if len(set(phi.values())) != len(phi):
-            return None
-        return phi
+    def extend(i: int) -> bool:
+        """Extend phi by gens[i] -> chosen[i]; on a clash, undo and fail."""
+        size, new, pairs = len(domain), [(gens[i], chosen[i])], list(zip(gens, chosen))
+        for k, x in enumerate(domain):  # grows while it is scanned
+            # edges by earlier generators stay inside the old domain
+            for a, b in (new if k < size else pairs):
+                y, fy = m1[x][a], m2[phi[x]][b]
+                if phi[y] < 0 and not used[fy]:
+                    phi[y], used[fy] = fy, True
+                    domain.append(y)
+                elif phi[y] != fy:
+                    retract(size)
+                    return False
+        return True
 
-    def dfs(i: int) -> dict[Permutation, Permutation] | None:
+    def retract(size: int) -> None:
+        for y in domain[size:]:
+            used[phi[y]], phi[y] = False, -1
+        del domain[size:]
+
+    def dfs(i: int) -> bool:
         if i == len(gens):
-            return build(gens, chosen)
+            return True
         for b in buckets.get(inv1[gens[i]], ()):
             chosen.append(b)
-            phi = build(gens[:i + 1], chosen)
-            if phi is not None and len(phi) == prefix_sizes[i]:
-                result = dfs(i + 1)
-                if result is not None:
-                    return result
+            size = len(domain)
+            if extend(i):
+                if dfs(i + 1):
+                    return True
+                retract(size)
             chosen.pop()
-        return None
+        return False
 
-    chosen: list[Permutation] = []
-    phi = dfs(0)
-    if phi is None:
+    if not dfs(0):
         return None
-    if len(phi) != G1.order:
+    if len(domain) != G1.order:
         raise PropertyViolated("witness map does not cover the group")
-    return phi
+    return {g: G2.elements[f] for g, f in zip(G1.elements, phi)}
 
 
 def is_isomorphic(G1: PermGroup, G2: PermGroup, cap: int = ISO_CAP) -> bool:
@@ -262,27 +259,21 @@ def verify_semidirect_decomposition(E: ExtensionData) -> bool:
     pointwise.
     """
     G = E.group
-    items = [(u, g) for u in sorted(E.kernel) for g in G.elements]
-
-    def mul_sd(p, q):
-        # (u1, g1)(u2, g2) = (u1 * g1 u2 g1^-1, g1 g2)
-        return (p[0] * (p[1] * q[0] * p[1].inverse()), p[1] * q[1])
-
-    fp = fiber_product(E, E)
-    pair_set = set(fp.pairs)
-
-    def phi(p):
-        return (p[1], p[0] * p[1])
-
-    images = {phi(p) for p in items}
-    if images != pair_set or len(images) != len(items):
+    T, mul = G.table, G.table.mul
+    items = [(u, g) for u in sorted(T.idx[u] for u in E.kernel)
+             for g in range(G.order)]
+    images = {(g, mul[u][g]) for u, g in items}
+    if (images != set(_fiber_pairs(G, E.kappa, G, E.kappa))
+            or len(images) != len(items)):
         raise VerificationFailed("(u,g) -> (g,ug) is not a bijection onto the pairs")
-    for p in items:
-        for q in items:
-            r = mul_sd(p, q)
-            lhs = phi(r)
-            rhs = (phi(p)[0] * phi(q)[0], phi(p)[1] * phi(q)[1])
-            if lhs != rhs:
+    for u1, g1 in items:
+        for u2, g2 in items:
+            # (u1, g1)(u2, g2) = (u1 * g1 u2 g1^-1, g1 g2) must map to the
+            # componentwise product (g1 g2, u1 g1 * u2 g2) of the images
+            if (mul[mul[u1][T.conj(g1, u2)]][mul[g1][g2]]
+                    != mul[mul[u1][g1]][mul[u2][g2]]):
+                p = (T.elements[u1], T.elements[g1])
+                q = (T.elements[u2], T.elements[g2])
                 raise VerificationFailed(
                     f"homomorphism law fails at {p!r} * {q!r}")
     return True
@@ -319,12 +310,11 @@ class DoubleQuotientReport:
 
 def _cyclic_product(ell: int, K: PermGroup
                     ) -> tuple[PermGroup, dict[tuple[int, Permutation], Permutation]]:
-    items = [(i, g) for i in range(ell) for g in K.elements]
-
-    def mul(p, q):
-        return ((p[0] + q[0]) % ell, p[1] * q[1])
-
-    return regular_permutation_group(items, mul)
+    mul = K.table.mul
+    items = [(i, g) for i in range(ell) for g in range(K.order)]
+    group, to_perm = regular_permutation_group(
+        items, lambda p, q: ((p[0] + q[0]) % ell, mul[p[1]][q[1]]))
+    return group, {(i, K.elements[g]): p for (i, g), p in to_perm.items()}
 
 
 def central_double_quotients(E: ExtensionData) -> DoubleQuotientReport:
@@ -337,18 +327,15 @@ def central_double_quotients(E: ExtensionData) -> DoubleQuotientReport:
         raise ValueError("needs a central extension with kernel of prime order")
     G = E.group
     big, to_perm = _cyclic_product(ell, G)
+    T = big.table
 
-    d_set = {to_perm[(i, a)] for i in range(ell) for a in E.kernel}
-    zed = center(big)
-    if not d_set <= zed:
+    d_set = {T.idx[to_perm[(i, a)]] for i in range(ell) for a in E.kernel}
+    if not d_set <= set(T.center()):
         raise VerificationFailed("kernel square is not central in C_ell x G")
-    if len(d_set) != ell * ell or any(p.order() not in (1, ell) for p in d_set):
+    if len(d_set) != ell * ell or any(T.order[x] not in (1, ell) for x in d_set):
         raise VerificationFailed("kernel square is not elementary abelian of rank 2")
 
-    subgroups: set[frozenset[Permutation]] = set()
-    for x in d_set:
-        if x.order() == ell:
-            subgroups.add(frozenset(x ** j for j in range(ell)))
+    subgroups = {frozenset(T.cyclic(x)) for x in d_set if T.order[x] == ell}
     if len(subgroups) != ell + 1:
         raise VerificationFailed(
             f"expected {ell + 1} order-{ell} subgroups, found {len(subgroups)}")
@@ -356,10 +343,10 @@ def central_double_quotients(E: ExtensionData) -> DoubleQuotientReport:
     split, _ = _cyclic_product(ell, E.quotient)
     group_is_split = is_isomorphic(G, split)
     pattern = []
-    for U in sorted(subgroups, key=lambda s: tuple(sorted(p.images for p in s))):
-        if not is_normal(big, U):
+    for U in sorted(subgroups, key=sorted):
+        if not T.is_normal(U):
             raise VerificationFailed("order-ell subgroup is not normal")
-        Q = quotient(big, U)
+        Q = quotient(big, T.subset(U))
         if is_isomorphic(Q, G):
             pattern.append("G")
         elif is_isomorphic(Q, split):
@@ -396,36 +383,25 @@ def solution_class_counts(G: PermGroup, ell: int) -> SolutionClassCounts:
     r = abelianization_rank(G, ell)
     hyperplanes = (ell ** r - 1) // (ell - 1)
 
-    seeds = set(commutator_subgroup(G)) | {g ** ell for g in G.elements}
-    K = mulclose(seeds)
-    Q = quotient(G, K)
+    T = G.table
+    K = T.closure(T.commutator() | {T.power(g, ell) for g in range(G.order)})
+    Q = quotient(G, T.subset(K))
     if Q.order != ell ** r:
         raise PropertyViolated("mod-ell abelianization has the wrong order")
 
-    basis = [g for g in small_generating_set(Q.elements) if not g.is_identity()]
+    TQ = Q.table
+    basis = [g for g in TQ.generating_set() if g]
     if len(basis) != r:
         raise PropertyViolated("elementary abelian quotient has the wrong rank")
-    coords: dict[Permutation, tuple[int, ...]] = {}
-
-    def fill(i: int, elem: Permutation, vec: tuple[int, ...]):
-        if i == r:
-            coords[elem] = vec
-            return
-        cur = elem
-        for c in range(ell):
-            fill(i + 1, cur, vec + (c,))
-            cur = cur * basis[i]
-
-    fill(0, Q.identity, ())
+    coords: dict[int, tuple[int, ...]] = {0: ()}
+    for b in basis:  # coordinates of the products of powers of the basis
+        coords = {TQ.mul[e][TQ.power(b, c)]: v + (c,)
+                  for e, v in coords.items() for c in range(ell)}
     if len(coords) != ell ** r:
         raise PropertyViolated("basis of the mod-ell quotient is not independent")
-    kernels: set[frozenset[Permutation]] = set()
+    kernels: set[frozenset[int]] = set()
     for f in range(1, ell ** r):
-        fv = []
-        x = f
-        for _ in range(r):
-            fv.append(x % ell)
-            x //= ell
+        fv = [f // ell ** i % ell for i in range(r)]  # base-ell digits of f
         kernels.add(frozenset(e for e, v in coords.items()
                               if sum(fi * vi for fi, vi in zip(fv, v)) % ell == 0))
     if len(kernels) != hyperplanes:

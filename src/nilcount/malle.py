@@ -137,21 +137,26 @@ def min_index(G: PermGroup) -> tuple[int, Fraction]:
     """(ind(G), a(G)) with a(G) = 1/ind(G) as an exact rational."""
     if G.order == 1:
         raise TrivialGroup("ind(G) needs a non-identity element")
-    ind_G = min(ind(g) for g in G.elements if not g.is_identity())
+    ind_G = min(G.table.ind[1:])
     return ind_G, Fraction(1, ind_G)
 
 
 def k_classes(G: PermGroup, k: BaseFieldData) -> list[KClass]:
     """Orbits of the conjugacy classes under C -> C^m, m in the cyclotomic image."""
     classes = conjugacy_classes(G)
-    class_of = {g: i for i, c in enumerate(classes) for g in c.members}
+    T = G.table
+    class_of = [0] * G.order
+    for i, c in enumerate(T.classes):
+        for g in c:
+            class_of[g] = i
     powers = sorted(k.cyclo_subgroup(exponent(G)))
     seen: set[int] = set()
     out: list[KClass] = []
-    for i, c in enumerate(classes):
+    for i, c in enumerate(T.classes):
         if i in seen:
             continue
-        orbit = {class_of[c.representative ** m] for m in powers}
+        cyc = T.cyclic(c[0])
+        orbit = {class_of[cyc[m % len(cyc)]] for m in powers}
         seen |= orbit
         members = tuple(sorted((classes[j] for j in orbit),
                                key=lambda cl: cl.representative))

@@ -14,20 +14,8 @@ from math import gcd
 
 from .errors import NotNilpotent, NotTransitive, PropertyViolated, TrivialGroup
 from .malle import ind, min_index
-from .permcore import PermGroup, Permutation, is_prime
-
-
-def _prime_factors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+from .intmath import is_prime, prime_factors
+from .permcore import PermGroup, Permutation
 
 
 def natural_product(G1: PermGroup, G2: PermGroup) -> PermGroup:
@@ -41,10 +29,8 @@ def natural_product(G1: PermGroup, G2: PermGroup) -> PermGroup:
     n1, n2 = G1.degree, G2.degree
 
     def pair_perm(g1: Permutation, g2: Permutation) -> Permutation:
-        p = object.__new__(Permutation)
-        p.images = tuple(g1.images[i] * n2 + g2.images[j]
-                         for i in range(n1) for j in range(n2))
-        return p
+        return Permutation.trusted(tuple(g1.images[i] * n2 + g2.images[j]
+                                         for i in range(n1) for j in range(n2)))
 
     id1, id2 = G1.identity, G2.identity
     gens = ([pair_perm(g, id2) for g in G1.generators]
@@ -59,24 +45,22 @@ def sylow_subgroup_sets(G: PermGroup) -> dict[int, frozenset[Permutation]]:
     In a nilpotent group these sets are the (normal, unique) Sylow subgroups;
     the check is that each has full Sylow size and is multiplicatively closed.
     """
-    order = G.order
+    order, T = G.order, G.table
     out: dict[int, frozenset[Permutation]] = {}
-    for ell in _prime_factors(order):
+    for ell in prime_factors(order):
         size = 1
         m = order
         while m % ell == 0:
             size *= ell
             m //= ell
-        part = frozenset(g for g in G.elements
-                         if all(p == ell for p in _prime_factors(g.order())))
+        part = {i for i, o in enumerate(T.order)
+                if all(p == ell for p in prime_factors(o))}
         if len(part) != size:
             raise NotNilpotent(
                 f"{ell}-elements form {len(part)} of {size} required")
-        for a in part:
-            for b in part:
-                if a * b not in part:
-                    raise NotNilpotent(f"{ell}-elements are not closed")
-        out[ell] = part
+        if any(T.mul[a][b] not in part for a in part for b in part):
+            raise NotNilpotent(f"{ell}-elements are not closed")
+        out[ell] = T.subset(part)
     return out
 
 
@@ -130,9 +114,7 @@ def sylow_decompose(G: PermGroup) -> SylowDecomposition:
             img = [None] * n_blocks
             for x in range(n):
                 img[orbit_of[x]] = orbit_of[g(x)]
-            p = object.__new__(Permutation)
-            p.images = tuple(img)
-            images.add(p)
+            images.add(Permutation.trusted(tuple(img)))
         if len(images) != len(sylows[ell]):
             raise NotNilpotent(f"block action of the {ell}-Sylow is not faithful")
         factors.append((ell, PermGroup.from_elements(images)))

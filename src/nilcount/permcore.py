@@ -1,38 +1,31 @@
-"""Exact permutation and small finite-group arithmetic.
+"""Exact permutation arithmetic, and finite groups on one cached Cayley table.
 
-Groups are stored by full element enumeration (default cap 20000), which is
-ample for catalog-scale verification work and keeps every operation a pure
-function over immutable values.  Elements are ordered lexicographically by
-image table; that ordering is the tie-breaker used everywhere downstream.
+A `PermGroup` keeps its full element list (default cap 20000) sorted by
+image table, identity first; that canonical order breaks every tie
+downstream.  Every group algorithm (classes, centers, normal closures,
+quotients, and elsewhere isomorphism search, pair products and refinement
+search) runs on the group's `GroupTable`: the same elements in the same
+order with integer multiplication and inverse tables, built on first use
+and cached on the group instance, so it dies with its group.  The table is
+filled from a base (one point for a regular group) in O(|G|^2 |base|)
+lookups; full-degree products are formed only to close generators
+(`mulclose`) and to check a claimed element set (`from_elements`).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (CapExceeded, DegreeMismatch, NotNormal, NotPrime,
                      PropertyViolated)
+from .intmath import is_prime
 
 DEFAULT_CAP = 20_000
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 class Permutation:
@@ -47,10 +40,15 @@ class Permutation:
         self.images = images
 
     @staticmethod
-    def identity(degree: int) -> "Permutation":
+    def trusted(images: tuple[int, ...]) -> "Permutation":
+        """Wrap an image tuple already known to be a bijection, unchecked."""
         p = object.__new__(Permutation)
-        p.images = tuple(range(degree))
+        p.images = images
         return p
+
+    @staticmethod
+    def identity(degree: int) -> "Permutation":
+        return Permutation.trusted(tuple(range(degree)))
 
     @property
     def degree(self) -> int:
@@ -72,9 +70,7 @@ class Permutation:
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
-        p = object.__new__(Permutation)
-        p.images = tuple(inv)
-        return p
+        return Permutation.trusted(tuple(inv))
 
     def __pow__(self, k: int) -> "Permutation":
         base = self if k >= 0 else self.inverse()
@@ -119,9 +115,6 @@ class Permutation:
     def __lt__(self, other: "Permutation") -> bool:
         return self.images < other.images
 
-    def __le__(self, other: "Permutation") -> bool:
-        return self.images <= other.images
-
     def __hash__(self) -> int:
         return hash(self.images)
 
@@ -151,30 +144,143 @@ def mulclose(gens: Iterable[Permutation], cap: int | None = None) -> set[Permuta
     return els
 
 
-def small_generating_set(elements: Iterable[Permutation]) -> list[Permutation]:
-    """Greedy generating subset, scanning elements in canonical order."""
-    elems = sorted(set(elements))
-    if not elems:
-        raise ValueError("empty element collection")
-    gens: list[Permutation] = []
-    have: set[Permutation] = {Permutation.identity(elems[0].degree)}
-    for e in elems:
-        if e not in have:
-            gens.append(e)
-            have = mulclose(gens)
-    if not gens:  # trivial group
-        gens = [elems[0]]
-    return gens
+def _base(elements: Sequence[Permutation]) -> list[int]:
+    """Points, taken in order, whose images separate the elements."""
+    base, keys = [], [()] * len(elements)
+    for p in range(elements[0].degree):
+        trial = [k + (g.images[p],) for k, g in zip(keys, elements)]
+        if len(set(trial)) > len(set(keys)):
+            base.append(p)
+            keys = trial
+            if len(set(keys)) == len(elements):
+                break
+    return base or [0]
+
+
+class GroupTable:
+    """Cayley table of a group: the elements in canonical order (identity at
+    0), `idx`, `mul[i][j]` = index of elements[i] * elements[j], `inv`, and
+    per element `order` and `ind` (degree minus orbit count); `gens` are the
+    generator indices.  `mul` is filled from a base, so each product is one
+    lookup of the base images of b under a; a product outside the element
+    set raises KeyError.
+    """
+
+    def __init__(self, elements: Sequence[Permutation],
+                 generators: Sequence[Permutation] | None = None):
+        self.elements = elements = tuple(elements)
+        self.idx = {g: i for i, g in enumerate(elements)}
+        base = _base(elements)
+        cols = [itemgetter(*base)(g.images) for g in elements]
+        at = {c: i for i, c in enumerate(cols)}
+        getters = [itemgetter(*c) if len(base) > 1 else itemgetter(c) for c in cols]
+        self.mul = mul = [[at[get(a.images)] for get in getters] for a in elements]
+        self.inv = [row.index(0) for row in mul]
+        self.order = [len(self.cyclic(i)) for i in range(len(elements))]
+        self.gens = (self.generating_set() if generators is None
+                     else [self.idx[g] for g in generators])
+
+    @cached_property
+    def ind(self) -> list[int]:
+        return [g.degree - len(g.orbits()) for g in self.elements]
+
+    @cached_property
+    def classes(self) -> list[list[int]]:
+        """Conjugacy classes as index lists, ordered by their least member
+        (listed first): orbits under conjugation by the generators."""
+        seen = [False] * len(self.elements)
+        classes = []
+        for i in range(len(self.elements)):
+            if not seen[i]:
+                seen[i] = True
+                classes.append([i])
+                for x in classes[-1]:  # grows while it is scanned
+                    for h in self.gens:
+                        y = self.conj(h, x)
+                        if not seen[y]:
+                            seen[y] = True
+                            classes[-1].append(y)
+        return classes
+
+    def closure(self, gens: Iterable[int], start: Iterable[int] = (0,)
+                ) -> set[int]:
+        """Smallest superset of `start` closed under right multiplication by
+        `gens`: the subgroup <start, gens> when start is a subgroup."""
+        mul, gens = self.mul, list(gens)
+        els = set(start)
+        frontier = list(els)
+        for x in frontier:  # grows while it is scanned
+            for y in map(mul[x].__getitem__, gens):
+                if y not in els:
+                    els.add(y)
+                    frontier.append(y)
+        return els
+
+    def generating_set(self) -> list[int]:
+        """Greedy generators: each element, in canonical order, that the
+        ones before it do not generate (the identity for the trivial group)."""
+        gens, have = [], {0}
+        for i in range(len(self.elements)):
+            if i not in have:
+                gens.append(i)
+                have = self.closure(gens, have)
+        return gens or [0]
+
+    def cyclic(self, i: int) -> list[int]:
+        """The powers 1, g, g^2, ... of element i, up to its order."""
+        out = [i]
+        while out[-1]:
+            out.append(self.mul[out[-1]][i])
+            if len(out) > len(self.mul):
+                raise ValueError("not a group: no power reaches 1")
+        return out[-1:] + out[:-1]
+
+    def power(self, i: int, k: int) -> int:
+        return self.cyclic(i)[k % self.order[i]]
+
+    def conj(self, h: int, x: int) -> int:
+        """h x h^-1."""
+        return self.mul[self.mul[h][x]][self.inv[h]]
+
+    def center(self) -> list[int]:
+        # commuting with every generator is commuting with everything
+        mul = self.mul
+        return [i for i, row in enumerate(mul)
+                if all(row[g] == mul[g][i] for g in self.gens)]
+
+    def is_normal(self, sub: Iterable[int]) -> bool:
+        sub = set(sub)
+        return all(self.conj(g, x) in sub for g in self.gens for x in sub)
+
+    def normal_closure(self, seeds: Iterable[int]) -> set[int]:
+        """Smallest normal subgroup containing the seeds."""
+        gens = sorted(set(seeds))
+        H = self.closure(gens)
+        # H is normal once the conjugates of its generators stay inside
+        while extra := {self.conj(g, s) for g in self.gens for s in gens} - H:
+            gens += sorted(extra)
+            H = self.closure(gens, H)
+        return H
+
+    def commutator(self) -> set[int]:
+        mul, inv = self.mul, self.inv
+        return self.normal_closure(mul[mul[inv[a]][inv[b]]][mul[a][b]]
+                                   for a in self.gens for b in self.gens)
+
+    def subset(self, idx: Iterable[int]) -> frozenset[Permutation]:
+        return frozenset(self.elements[i] for i in idx)
 
 
 class PermGroup:
     """A finite permutation group with its full element list.
 
     `elements` is sorted lexicographically by image table, so the identity is
-    always `elements[0]` and iteration order is canonical.
+    always `elements[0]` and iteration order is canonical.  `table` is the
+    group's `GroupTable`, built on first use and cached on the instance.
     """
 
-    __slots__ = ("degree", "generators", "elements", "_elemset", "_transitive")
+    __slots__ = ("degree", "generators", "elements", "_elemset", "_transitive",
+                 "_table")
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
                  elements: Iterable[Permutation]):
@@ -183,6 +289,7 @@ class PermGroup:
         self.elements = tuple(sorted(elements))
         self._elemset = frozenset(self.elements)
         self._transitive: bool | None = None
+        self._table: GroupTable | None = None
         if not self.elements or not self.elements[0].is_identity():
             raise ValueError("element list must contain the identity")
 
@@ -201,14 +308,31 @@ class PermGroup:
     def from_elements(cls, elements: Iterable[Permutation]) -> "PermGroup":
         """Build a group from a set already closed under composition.
 
-        Closure is verified by regenerating from a greedy generating subset.
+        The table is filled assuming closure, then checked in the columns of
+        the greedy generators, which reach every element: a set closed under
+        right multiplication by them is the group they generate.
         """
         elems = sorted(set(elements))
-        gens = small_generating_set(elems)
-        regen = mulclose(gens, cap=len(elems))
-        if len(regen) != len(elems) or not regen.issuperset(elems):
+        if not elems:
+            raise ValueError("empty element collection")
+        if len({g.degree for g in elems}) > 1:
+            raise DegreeMismatch("elements of different degrees")
+        try:
+            table = GroupTable(elems) if elems[0].is_identity() else None
+        except (KeyError, ValueError):
+            table = None
+        if table is None or any(x * elems[g] != elems[table.mul[j][g]]
+                                for g in table.gens for j, x in enumerate(elems)):
             raise ValueError("element collection is not multiplicatively closed")
-        return cls(elems[0].degree, gens, elems)
+        group = cls(elems[0].degree, [elems[g] for g in table.gens], elems)
+        group._table = table
+        return group
+
+    @property
+    def table(self) -> GroupTable:
+        if self._table is None:
+            self._table = GroupTable(self.elements, self.generators)
+        return self._table
 
     @property
     def order(self) -> int:
@@ -261,44 +385,28 @@ class ConjClass:
 
 def conjugacy_classes(G: PermGroup) -> list[ConjClass]:
     """Conjugacy classes sorted by canonical representative."""
-    seen: set[Permutation] = set()
-    classes = []
-    for g in G.elements:
-        if g in seen:
-            continue
-        members = frozenset(h * g * h.inverse() for h in G.elements)
-        seen |= members
-        classes.append(ConjClass(min(members), members, g.order()))
-    return classes
+    T = G.table
+    return [ConjClass(T.elements[c[0]], T.subset(c), T.order[c[0]])
+            for c in T.classes]
 
 
 def center(G: PermGroup) -> frozenset[Permutation]:
-    # commuting with every generator is commuting with everything
-    return frozenset(g for g in G.elements
-                     if all(g * h == h * g for h in G.generators))
+    return G.table.subset(G.table.center())
+
+
+def _indices(T: GroupTable, elements: Iterable[Permutation]) -> set[int] | None:
+    """Indices of the given elements, or None when one lies outside T."""
+    idx = {T.idx.get(g) for g in elements}
+    return None if None in idx else idx
 
 
 def is_normal(G: PermGroup, N: Iterable[Permutation]) -> bool:
-    nset = set(N)
-    return all(g * n * g.inverse() in nset for g in G.generators for n in nset)
-
-
-def normal_closure(G: PermGroup, seeds: Iterable[Permutation]) -> frozenset[Permutation]:
-    """Smallest normal subgroup of G containing the seeds."""
-    seeds = set(seeds)
-    seeds.add(G.identity)
-    H = mulclose(seeds)
-    while True:
-        extra = {g * h * g.inverse() for g in G.generators for h in H} - H
-        if not extra:
-            return frozenset(H)
-        H = mulclose(H | extra)
+    nidx = _indices(G.table, N)
+    return nidx is not None and G.table.is_normal(nidx)
 
 
 def commutator_subgroup(G: PermGroup) -> frozenset[Permutation]:
-    comms = {a.inverse() * b.inverse() * a * b
-             for a in G.generators for b in G.generators}
-    return normal_closure(G, comms)
+    return G.table.subset(G.table.commutator())
 
 
 def quotient_with_map(G: PermGroup, N: Iterable[Permutation]
@@ -308,34 +416,28 @@ def quotient_with_map(G: PermGroup, N: Iterable[Permutation]
     Cosets are ordered by their minimal member, and the quotient acts on
     them by left translation (the regular action of G/N).
     """
+    T = G.table
     nset = frozenset(N)
     if G.identity not in nset:
         raise NotNormal("kernel does not contain the identity")
-    try:
-        closure = mulclose(small_generating_set(nset), cap=len(nset))
-    except CapExceeded:
-        raise NotNormal("kernel is not a subgroup") from None
-    if closure != set(nset):
+    nidx = _indices(T, nset)
+    if nidx is None or T.closure(nidx) != nidx:
         raise NotNormal("kernel is not a subgroup")
-    if not is_normal(G, nset):
+    if not T.is_normal(nidx):
         raise NotNormal("kernel is not normal")
 
-    coset_of: dict[Permutation, int] = {}
-    reps: list[Permutation] = []
-    for g in G.elements:
-        if g in coset_of:
-            continue
-        idx = len(reps)
-        reps.append(g)
-        for n in nset:
-            coset_of[g * n] = idx
-    m = len(reps)
-    kappa: dict[Permutation, Permutation] = {}
-    for g in G.elements:
-        img = object.__new__(Permutation)
-        img.images = tuple(coset_of[g * reps[j]] for j in range(m))
-        kappa[g] = img
-    Q = PermGroup(m, [kappa[g] for g in G.generators], set(kappa.values()))
+    coset = [-1] * len(T.elements)
+    reps: list[int] = []
+    for g, row in enumerate(T.mul):
+        if coset[g] < 0:
+            for k in nidx:
+                coset[row[k]] = len(reps)
+            reps.append(g)
+    # g acts on the cosets as any member of its coset does
+    images = [Permutation.trusted(tuple(coset[T.mul[r][s]] for s in reps))
+              for r in reps]
+    kappa = {g: images[c] for g, c in zip(T.elements, coset)}
+    Q = PermGroup(len(reps), [kappa[g] for g in G.generators], images)
     return Q, kappa
 
 
@@ -348,7 +450,7 @@ def element_order(g: Permutation) -> int:
 
 
 def exponent(G: PermGroup) -> int:
-    return reduce(lcm, (g.order() for g in G.elements), 1)
+    return reduce(lcm, G.table.order, 1)
 
 
 def abelianization_rank(G: PermGroup, ell: int) -> int:
@@ -356,7 +458,7 @@ def abelianization_rank(G: PermGroup, ell: int) -> int:
     if not is_prime(ell):
         raise NotPrime(f"{ell} is not prime")
     Q = quotient(G, commutator_subgroup(G))
-    powers = {q ** ell for q in Q.elements}
+    powers = {Q.table.power(q, ell) for q in range(Q.order)}
     index, rank = Q.order // len(powers), 0
     while index % ell == 0:
         index //= ell

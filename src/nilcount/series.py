@@ -24,9 +24,10 @@ from typing import Iterable, Sequence
 
 from .errors import (CapExceeded, InvalidChain, NotNilpotent, PropertyViolated,
                      TrivialGroup)
-from .malle import BaseFieldData, ind, min_index
+from .malle import BaseFieldData, ind
 from .nilpotent import is_nilpotent
-from .permcore import PermGroup, Permutation, center, is_prime, mulclose
+from .intmath import is_prime
+from .permcore import GroupTable, PermGroup, Permutation
 
 EXHAUSTIVE_CAP = 128
 
@@ -67,70 +68,49 @@ class OptimizeResult:
     heuristic_only: bool
 
 
-class _IndexedGroup:
-    """Table form of a small group: canonical element indices, full
-    multiplication table, and bitmask subgroup arithmetic."""
+def _successors(T: GroupTable, mask: int) -> list[int]:
+    """Masks N' > N reachable by one central prime step.
 
-    def __init__(self, G: PermGroup):
-        self.G = G
-        self.elems = list(G.elements)  # canonical order, identity first
-        self.n = len(self.elems)
-        idx = {g: i for i, g in enumerate(self.elems)}
-        self.idx = idx
-        self.mul = [[idx[a * b] for b in self.elems] for a in self.elems]
-        self.inv = [idx[g.inverse()] for g in self.elems]
-        self.gens = sorted({idx[g] for g in G.generators})
-        self.ind = [ind(g) for g in self.elems]
-        self.full_mask = (1 << self.n) - 1
-        self.ind_G = min(v for i, v in enumerate(self.ind) if i != 0)
+    N' = <N, g> for g whose class mod N is central in G/N and has prime
+    order; such N' is automatically normal in G.
+    """
+    mul, inv = T.mul, T.inv
+    out: dict[int, None] = {}
+    for g in range(len(mul)):
+        if (mask >> g) & 1:
+            continue
+        gi = inv[g]
+        central = True
+        for h in T.gens:
+            if not (mask >> mul[gi][mul[inv[h]][mul[g][h]]]) & 1:
+                central = False
+                break
+        if not central:
+            continue
+        x, j = g, 1
+        while not (mask >> x) & 1:
+            x = mul[x][g]
+            j += 1
+        if not is_prime(j):
+            continue
+        new = mask
+        coset_rep = g
+        for _ in range(j - 1):
+            rest = mask
+            while rest:
+                low = rest & -rest
+                new |= 1 << mul[coset_rep][low.bit_length() - 1]
+                rest ^= low
+            coset_rep = mul[coset_rep][g]
+        out[new] = None
+    return sorted(out)
 
-    def successors(self, mask: int) -> list[int]:
-        """Masks N' > N reachable by one central prime step.
 
-        N' = <N, g> for g whose class mod N is central in G/N and has prime
-        order; such N' is automatically normal in G.
-        """
-        out: dict[int, None] = {}
-        for g in range(self.n):
-            if (mask >> g) & 1:
-                continue
-            gi = self.inv[g]
-            central = True
-            for h in self.gens:
-                t = self.mul[self.inv[h]][self.mul[g][h]]
-                if not (mask >> self.mul[gi][t]) & 1:
-                    central = False
-                    break
-            if not central:
-                continue
-            x, j = g, 1
-            while not (mask >> x) & 1:
-                x = self.mul[x][g]
-                j += 1
-            if not is_prime(j):
-                continue
-            new = mask
-            coset_rep = g
-            for _ in range(j - 1):
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    new |= 1 << self.mul[coset_rep][low.bit_length() - 1]
-                    rest ^= low
-                coset_rep = self.mul[coset_rep][g]
-            out[new] = None
-        return sorted(out)
-
-    def layer_stats(self, lower: int, upper: int) -> tuple[int, int, int]:
-        """(prime, weight, min index) of the layer between two masks."""
-        diff = upper & ~lower
-        weight = diff.bit_count()
-        a = min(self.ind[i] for i in _bits(diff))
-        prime = upper.bit_count() // lower.bit_count()
-        return prime, weight, a
-
-    def mask_to_set(self, mask: int) -> frozenset[Permutation]:
-        return frozenset(self.elems[i] for i in _bits(mask))
+def _layer_stats(T: GroupTable, lower: int, upper: int) -> tuple[int, int, int]:
+    """(prime, weight, min index) of the layer between two masks."""
+    diff = upper & ~lower
+    a = min(T.ind[i] for i in _bits(diff))
+    return upper.bit_count() // lower.bit_count(), diff.bit_count(), a
 
 
 def _bits(mask: int):
@@ -140,6 +120,10 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _mask(indices) -> int:
+    return sum(1 << i for i in indices)
+
+
 def _require_nilpotent_nontrivial(G: PermGroup) -> None:
     if G.order == 1:
         raise TrivialGroup("refinements need a nontrivial group")
@@ -147,20 +131,15 @@ def _require_nilpotent_nontrivial(G: PermGroup) -> None:
         raise NotNilpotent("central prime refinements need a nilpotent group")
 
 
-def _refinement_from_masks(ig: _IndexedGroup, masks_ascending: Sequence[int]) -> Refinement:
+def _refinement_from_masks(T: GroupTable, masks_ascending: Sequence[int]) -> Refinement:
     """Build a Refinement from an ascending mask chain known to be valid."""
-    subgroups = tuple(ig.mask_to_set(m) for m in reversed(masks_ascending))
-    primes, weights, mins, layers = [], [], [], []
-    for lower, upper in zip(masks_ascending, masks_ascending[1:]):
-        p, w, a = ig.layer_stats(lower, upper)
-        primes.append(p)
-        weights.append(w)
-        mins.append(a)
-        layers.append(ig.mask_to_set(upper & ~lower))
     # layer 1 is the top step, so reverse the ascending order
-    return Refinement(subgroups, tuple(reversed(primes)),
-                      tuple(reversed(layers)), tuple(reversed(mins)),
-                      tuple(reversed(weights)))
+    steps = list(zip(masks_ascending, masks_ascending[1:]))[::-1]
+    stats = [_layer_stats(T, lower, upper) for lower, upper in steps]
+    return Refinement(tuple(T.subset(_bits(m)) for m in reversed(masks_ascending)),
+                      tuple(p for p, _, _ in stats),
+                      tuple(T.subset(_bits(upper & ~lower)) for lower, upper in steps),
+                      tuple(a for _, _, a in stats), tuple(w for _, w, _ in stats))
 
 
 def enumerate_refinements(G: PermGroup, cap: int = EXHAUSTIVE_CAP) -> list[Refinement]:
@@ -172,22 +151,22 @@ def enumerate_refinements(G: PermGroup, cap: int = EXHAUSTIVE_CAP) -> list[Refin
     _require_nilpotent_nontrivial(G)
     if G.order > cap:
         raise CapExceeded(f"group order {G.order} exceeds enumeration cap {cap}")
-    ig = _IndexedGroup(G)
+    T = G.table
     chains: list[list[int]] = []
     stack: list[int] = [1]  # the identity alone
 
     def dfs() -> None:
         mask = stack[-1]
-        if mask == ig.full_mask:
+        if mask == (1 << G.order) - 1:
             chains.append(list(stack))
             return
-        for nxt in ig.successors(mask):
+        for nxt in _successors(T, mask):
             stack.append(nxt)
             dfs()
             stack.pop()
 
     dfs()
-    return [_refinement_from_masks(ig, ch) for ch in chains]
+    return [_refinement_from_masks(T, ch) for ch in chains]
 
 
 def refinement_data(G: PermGroup, chain: Sequence[Iterable[Permutation]]) -> Refinement:
@@ -207,28 +186,18 @@ def refinement_data(G: PermGroup, chain: Sequence[Iterable[Permutation]]) -> Ref
             raise InvalidChain("subgroup orders do not divide")
         if not is_prime(len(upper) // len(lower)):
             raise InvalidChain("quotient is not of prime order")
-    for sub in subgroups[1:-1]:
-        try:
-            if mulclose(list(sub), cap=len(sub)) != set(sub):
-                raise InvalidChain("chain member is not a subgroup")
-        except CapExceeded:
-            raise InvalidChain("chain member is not a subgroup") from None
-    for upper, lower in zip(subgroups, subgroups[1:]):
-        for g in upper:
-            gi = g.inverse()
-            for h in G.generators:
-                if gi * h.inverse() * g * h not in lower:
-                    raise InvalidChain(
-                        "quotient layer is not central in the ambient quotient")
-    primes, weights, mins, layers = [], [], [], []
-    for upper, lower in zip(subgroups, subgroups[1:]):
-        diff = upper - lower
-        primes.append(len(upper) // len(lower))
-        weights.append(len(diff))
-        mins.append(min(ind(g) for g in diff))
-        layers.append(frozenset(diff))
-    return Refinement(tuple(subgroups), tuple(primes), tuple(layers),
-                      tuple(mins), tuple(weights))
+    T = G.table
+    mul, inv = T.mul, T.inv
+    members = [{T.idx[g] for g in sub} for sub in subgroups]
+    for sub in members[1:-1]:
+        if T.closure(sub) != sub:
+            raise InvalidChain("chain member is not a subgroup")
+    for upper, lower in zip(members, members[1:]):
+        if any(mul[mul[inv[g]][inv[h]]][mul[g][h]] not in lower
+               for g in upper for h in T.gens):
+            raise InvalidChain(
+                "quotient layer is not central in the ambient quotient")
+    return _refinement_from_masks(T, [_mask(m) for m in reversed(members)])
 
 
 def critical_prime_of(refinement: Refinement) -> int:
@@ -261,11 +230,12 @@ def all_min_index_central(G: PermGroup) -> bool:
     abelian subgroup of order ell^s, which is asserted.
     """
     _require_nilpotent_nontrivial(G)
-    ind_G, _ = min_index(G)
-    minimal = {g for g in G.elements if not g.is_identity() and ind(g) == ind_G}
-    if not minimal <= center(G):
+    T = G.table
+    ind_G = min(T.ind[1:])
+    minimal = {i for i in range(1, G.order) if T.ind[i] == ind_G}
+    if not minimal <= set(T.center()):
         return False
-    orders = {g.order() for g in minimal}
+    orders = {T.order[i] for i in minimal}
     if len(orders) != 1:
         raise PropertyViolated("central minimal-index elements of mixed order")
     ell = orders.pop()
@@ -275,11 +245,9 @@ def all_min_index_central(G: PermGroup) -> bool:
     if count != 1 or not is_prime(ell):
         raise PropertyViolated(
             f"{len(minimal)} minimal-index elements do not form C_ell^s minus 1")
-    sub = minimal | {G.identity}
-    for a in sub:
-        for b in sub:
-            if a * b not in sub:
-                raise PropertyViolated("minimal-index elements are not closed")
+    sub = minimal | {0}
+    if any(T.mul[a][b] not in sub for a in sub for b in sub):
+        raise PropertyViolated("minimal-index elements are not closed")
     return True
 
 
@@ -304,13 +272,15 @@ def optimize_d(G: PermGroup, k: BaseFieldData,
     return OptimizeResult(refinement, d_group, d_field, heuristic)
 
 
-def _path_key(ig: _IndexedGroup, path: tuple[int, ...]) -> tuple:
+def _path_key(path: tuple[int, ...]) -> tuple:
     orders_from_top = tuple(m.bit_count() for m in reversed(path))
     return (orders_from_top, tuple(reversed(path)))
 
 
 def _optimal_refinement_exact(G: PermGroup) -> Refinement:
-    ig = _IndexedGroup(G)
+    T = G.table
+    ind_G = min(T.ind[1:])
+    full_mask = (1 << G.order) - 1
     start = 1
     best: dict[int, tuple[int, tuple[int, ...]]] = {start: (0, (start,))}
     frontier = [start]
@@ -320,20 +290,20 @@ def _optimal_refinement_exact(G: PermGroup) -> Refinement:
         nxt_frontier: dict[int, None] = {}
         for mask in frontier:
             cost, path = best[mask]
-            for nxt in ig.successors(mask):
-                _, w, a = ig.layer_stats(mask, nxt)
-                step = w if a == ig.ind_G else 0
+            for nxt in _successors(T, mask):
+                _, w, a = _layer_stats(T, mask, nxt)
+                step = w if a == ind_G else 0
                 cand = (cost + step, path + (nxt,))
                 cur = best.get(nxt)
                 if (cur is None or cand[0] < cur[0]
                         or (cand[0] == cur[0]
-                            and _path_key(ig, cand[1]) < _path_key(ig, cur[1]))):
+                            and _path_key(cand[1]) < _path_key(cur[1]))):
                     best[nxt] = cand
                     nxt_frontier[nxt] = None
         frontier = list(nxt_frontier)
-    if ig.full_mask not in best:
+    if full_mask not in best:
         raise NotNilpotent("no central prime chain reaches the whole group")
-    return _refinement_from_masks(ig, best[ig.full_mask][1])
+    return _refinement_from_masks(T, best[full_mask][1])
 
 
 def _heuristic_refinement(G: PermGroup) -> Refinement:
@@ -345,59 +315,29 @@ def _heuristic_refinement(G: PermGroup) -> Refinement:
     of the element count, hence is optimal.  Otherwise capture minimal-index
     elements as deep (early, low-weight) as possible, greedily.
     """
-    ind_G, _ = min_index(G)
-    elemset = set(G.elements)
-    chain_up: list[frozenset[Permutation]] = [frozenset({G.identity})]
-    via_center = all_min_index_central(G)
-    target_v = (frozenset(g for g in G.elements
-                          if g.is_identity() or ind(g) == ind_G)
-                if via_center else None)
-
-    def successors(cur: frozenset[Permutation]) -> list[frozenset[Permutation]]:
-        out: dict[frozenset[Permutation], None] = {}
-        for g in sorted(elemset - cur):
-            gi = g.inverse()
-            if any(gi * h.inverse() * g * h not in cur for h in G.generators):
-                continue
-            x, j = g, 1
-            while x not in cur:
-                x = x * g
-                j += 1
-            if not is_prime(j):
-                continue
-            new = set(cur)
-            rep = g
-            for _ in range(j - 1):
-                new.update(rep * n for n in cur)
-                rep = rep * g
-            out[frozenset(new)] = None
-        return sorted(out, key=lambda s: tuple(sorted(p.images for p in s)))
-
-    while len(chain_up[-1]) < G.order:
-        cur = chain_up[-1]
-        cands = successors(cur)
+    T = G.table
+    ind_G = min(T.ind[1:])
+    minimal = _mask(i for i in range(1, G.order) if T.ind[i] == ind_G)
+    target_v = minimal | 1 if all_min_index_central(G) else None
+    chain = [1]
+    while chain[-1] != (1 << G.order) - 1:
+        cur = chain[-1]
+        cands = _successors(T, cur)
         if not cands:
             raise NotNilpotent("no central prime chain reaches the whole group")
 
-        def priority(nxt: frozenset[Permutation]) -> tuple:
-            layer = nxt - cur
-            n_min = sum(1 for g in layer if ind(g) == ind_G)
-            if target_v is not None and cur < target_v:
+        def priority(nxt: int) -> tuple:
+            layer = nxt & ~cur
+            n_min = (layer & minimal).bit_count()
+            if target_v is not None and cur != target_v and not cur & ~target_v:
                 # grow inside V first
-                inside = 0 if nxt <= target_v else 1
-                return (inside,)
-            if n_min == len(layer):
-                bucket = 0  # pure minimal-index layer, cheapest now
-            elif n_min == 0:
-                bucket = 1
-            else:
-                bucket = 2
-            return (bucket, len(layer) if n_min else 0)
+                return (0 if not nxt & ~target_v else 1,)
+            # a pure minimal-index layer is cheapest now, a mixed one dearest
+            bucket = 0 if n_min == layer.bit_count() else 1 if n_min == 0 else 2
+            return (bucket, layer.bit_count() if n_min else 0)
 
-        chain_up.append(min(cands, key=lambda s: (priority(s),
-                                                  tuple(sorted(p.images for p in s)))))
-    chain = list(reversed(chain_up))
-    return refinement_data(G, chain)
+        chain.append(min(cands, key=lambda m: (priority(m), tuple(_bits(m)))))
+    return _refinement_from_masks(T, chain)
 
 
 def refinement_to_json(refinement: Refinement,

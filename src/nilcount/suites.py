@@ -25,7 +25,8 @@ from .extension import (ExtensionData, central_double_quotients,
 from .malle import BaseFieldData, b_constant, ind, min_index
 from .nilpotent import (critical_prime_check, natural_product,
                         sylow_decompose, sylow_subgroup_sets)
-from .permcore import PermGroup, center, is_prime
+from .intmath import is_prime
+from .permcore import PermGroup, center
 from .series import (all_min_index_central, d_constant, enumerate_refinements,
                      optimize_d)
 

@@ -142,3 +142,41 @@ def test_catalog_lists_groups(capsys):
 def test_error_reporting_returns_code_2(capsys):
     code, rep = run_cli(capsys, "invariants", "--group", "NoSuchGroup")
     assert code == 2 or "error" in rep
+
+
+def test_bad_environment_default_is_error_report(capsys, monkeypatch):
+    monkeypatch.setenv("NILCOUNT_MAX_X", "1e6")
+    code, rep = run_cli(capsys, "dseries", "--specs", "3:1:4")
+    assert code == 2
+    assert "NILCOUNT_MAX_X" in rep["error"]
+
+
+def test_count_v4_enumerates_once(tmp_path, capsys, monkeypatch):
+    from nilcount import cli, counting
+    calls = []
+    enumerate_v4 = counting.enumerate_v4
+
+    def counted(x):
+        calls.append(x)
+        return enumerate_v4(x)
+    monkeypatch.setattr(cli, "enumerate_v4", counted)
+    monkeypatch.setattr(counting, "enumerate_v4", counted)
+    out = tmp_path / "v4.csv"
+    for extra in ([], ["--out", str(out)]):
+        calls.clear()
+        code, rep = run_cli(capsys, "count", "--kind", "v4",
+                            "--max-x", "10000", *extra)
+        assert code == 0 and calls == [10000]
+    assert len(out.read_text().splitlines()) - 1 == rep["fields"]
+
+
+def test_huge_max_x_is_typed_error(capsys):
+    huge = str(10 ** 320)
+    for argv in (["dseries", "--specs", "3:1:4,5:2:3", "--max-x", huge],
+                 ["dseries", "--specs", "3:1:4", "--max-x", huge],
+                 ["count", "--kind", "cyclic3", "--max-x", huge]):
+        code, rep = run_cli(capsys, *argv)
+        assert code == 2 and rep["error"].startswith("BudgetExceeded"), argv
+    # conductors stay small at degree 101, but x itself exceeds the floats
+    code, rep = run_cli(capsys, "count", "--kind", "cyclic101", "--max-x", huge)
+    assert code == 0 and 0 < rep["ratio_x_alpha"] < 1

@@ -227,3 +227,70 @@ def test_regular_realization_faithful():
     group, to_perm = regular_permutation_group(items, lambda a, b: (a + b) % 5)
     assert group.order == 5
     assert to_perm[0].is_identity()
+
+
+def reference_find_isomorphism(G1, G2):
+    """The earlier permutation-product search, kept as an oracle: greedy
+    generators of G1, candidate images bucketed by (order, class size), and
+    the map rebuilt by BFS over the Cayley graph for every candidate."""
+    from nilcount.permcore import conjugacy_classes, mulclose
+
+    def invariants(G):
+        return {g: (c.element_order, c.size)
+                for c in conjugacy_classes(G) for g in c.members}
+
+    gens, have = [], {G1.identity}
+    for e in G1.elements:
+        if e not in have:
+            gens.append(e)
+            have = mulclose(gens)
+    inv1, inv2 = invariants(G1), invariants(G2)
+
+    def build(prefix, images):
+        phi = {G1.identity: G2.identity}
+        frontier = [G1.identity]
+        while frontier:
+            new = []
+            for x in frontier:
+                for a, b in zip(prefix, images):
+                    xa, fxb = x * a, phi[x] * b
+                    known = phi.get(xa)
+                    if known is None:
+                        phi[xa] = fxb
+                        new.append(xa)
+                    elif known != fxb:
+                        return None
+            frontier = new
+        return phi if len(set(phi.values())) == len(phi) else None
+
+    def dfs(i, chosen):
+        if i == len(gens):
+            return build(gens, chosen)
+        for b in G2.elements:
+            if inv2[b] == inv1[gens[i]] and build(gens[:i + 1], chosen + [b]):
+                found = dfs(i + 1, chosen + [b])
+                if found is not None:
+                    return found
+        return None
+
+    return dfs(0, [])
+
+
+def test_find_isomorphism_pinned_witnesses():
+    pairs = [(dihedral4_s4(), dihedral4_regular()),
+             (abelian(2, 3), cyclic(6)),
+             (generalized_quaternion(4), generalized_quaternion(4))]
+    for G1, G2 in pairs:
+        phi = find_isomorphism(G1, G2)
+        assert phi == reference_find_isomorphism(G1, G2)
+        for a in G1.elements:
+            for b in G1.elements:
+                assert phi[a * b] == phi[a] * phi[b]
+
+
+def test_pair_product_classes_are_one():
+    from nilcount.extension import FiberProduct, PairProduct, SemidirectProduct
+    assert FiberProduct is SemidirectProduct is PairProduct
+    A, H = cyclic(3), cyclic(2)
+    sd = semidirect(A, H, {h: {a: a for a in A.elements} for h in H.elements})
+    assert isinstance(sd, FiberProduct) and len(sd.pairs) == 6

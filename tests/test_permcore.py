@@ -179,3 +179,50 @@ def test_canonical_ordering_and_transitivity():
     assert G.is_transitive
     intrans = PermGroup.generate([parse_permutation("(1,2)", degree=3)])
     assert not intrans.is_transitive
+
+
+def _catalog_groups():
+    from nilcount.catalog import CATALOG, nilpotent_catalog
+    groups = dict(nilpotent_catalog())
+    groups.update((name, entry.group()) for name, entry in CATALOG.items())
+    return sorted(groups.items())
+
+
+def test_group_table_agrees_with_permutation_products():
+    for name, G in _catalog_groups():
+        T = G.table
+        els = G.elements
+        assert T.elements == els and els[0].is_identity(), name
+        for i, a in enumerate(els):
+            assert els[T.inv[i]] == a.inverse(), name
+            assert T.order[i] == a.order(), name
+            for j, b in enumerate(els):
+                assert els[T.mul[i][j]] == a * b, (name, i, j)
+        assert [els[g] for g in T.gens] == list(G.generators), name
+
+
+def test_group_table_is_cached_on_the_group():
+    G = generalized_quaternion(4)
+    assert G.table is G.table
+    # from_elements fills the table while it checks closure
+    H = PermGroup.from_elements(G.elements)
+    assert H._table is not None and H.table.mul == G.table.mul
+
+
+def test_from_elements_rejects_unclosed_sets():
+    d4 = PermGroup.generate(parse_generators("(1,2,3,4);(1,3)"))
+    r = parse_permutation("(1,2,3,4)")
+    with pytest.raises(ValueError):
+        PermGroup.from_elements([d4.identity, r])  # missing r^2, r^3
+    with pytest.raises(ValueError):
+        PermGroup.from_elements([r, r * r])  # no identity
+
+
+def test_catalog_invariants_against_sympy():
+    from sympy.combinatorics import Permutation as SymPerm
+    from sympy.combinatorics import PermutationGroup
+    for name, G in _catalog_groups():
+        P = PermutationGroup([SymPerm(list(g.images)) for g in G.generators])
+        assert G.order == P.order(), name
+        assert len(conjugacy_classes(G)) == len(P.conjugacy_classes()), name
+        assert len(center(G)) == P.center().order(), name
