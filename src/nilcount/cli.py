@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .catalog import CATALOG, get_group, resolve
-from .counting import (count_quadratic, enumerate_cyclic_ell,
+from .counting import (count_quadratic_at, enumerate_cyclic_ell,
                        enumerate_quadratic, enumerate_v4, v4_fiber_check)
 from .dirichlet import (FactorSpec, default_checkpoints, multi_factor_sum,
                         series_csv_rows, slope_estimate)
@@ -163,7 +163,7 @@ def cmd_count(args) -> int:
     rows: list[tuple] = []
     summary: dict = {"schema": SCHEMA, "kind": kind, "max_x": x}
     if kind == "quadratic":
-        counts = [(cp, count_quadratic(cp)) for cp in checkpoints]
+        counts = list(zip(checkpoints, count_quadratic_at(checkpoints)))
         summary["counts"] = counts
         summary["density_x"] = counts[-1][1] / x
         if args.out:

@@ -13,14 +13,14 @@ degree, biquadratic) back everything with explicit discriminant lists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceeded
 from .malle import BaseFieldData
 from .dirichlet import prime_sieve, squarefree_sieve
-from .intmath import iroot, is_prime
+from .intmath import iroot, is_prime, omega, prime_factors, radical, valuation
 
 V4_BUDGET = 1_000_000
 
@@ -123,18 +123,23 @@ def exact_ramified_bounds(ell: int, S: Iterable[int], T: Iterable[int],
 
 def count_quadratic(x: int) -> int:
     """Z(Q, C2; x): fundamental discriminants d with |d| <= x, both signs."""
-    if x < 3:
-        return 0
-    sf = squarefree_sieve(x)
-    total = int(np.count_nonzero(sf[1::4])) - 1  # positive d = m = 1 mod 4, drop d = 1
-    total += int(np.count_nonzero(sf[3::4]))     # d = -m with m = 3 mod 4
-    y = x // 4
-    if y >= 1:
-        sf4 = sf[:y + 1]
-        total += int(np.count_nonzero(sf4[1::4]))      # d = -4m, m = 1 mod 4
-        total += 2 * int(np.count_nonzero(sf4[2::4]))  # d = +-4m, m = 2 mod 4
-        total += int(np.count_nonzero(sf4[3::4]))      # d = +4m, m = 3 mod 4
-    return total
+    return count_quadratic_at([x])[0]
+
+
+def count_quadratic_at(xs: Sequence[int]) -> list[int]:
+    """count_quadratic(x) for every x in xs, from one sieve to max(xs)."""
+    sf = squarefree_sieve(max(xs, default=0))
+
+    def count(x: int) -> int:
+        if x < 3:
+            return 0
+        sfx, sf4 = sf[:x + 1], sf[:x // 4 + 1]
+        return (int(np.count_nonzero(sfx[1::4])) - 1  # d = m = 1 mod 4, not 1
+                + int(np.count_nonzero(sfx[3::4]))    # d = -m, m = 3 mod 4
+                + int(np.count_nonzero(sf4[1::4]))    # d = -4m, m = 1 mod 4
+                + 2 * int(np.count_nonzero(sf4[2::4]))  # d = +-4m, m = 2 mod 4
+                + int(np.count_nonzero(sf4[3::4])))   # d = +4m, m = 3 mod 4
+    return [count(x) for x in xs]
 
 
 def fundamental_discriminants(x: int) -> list[int]:
@@ -159,20 +164,8 @@ def fundamental_discriminants(x: int) -> list[int]:
     return out
 
 
-def _radical(n: int) -> int:
-    n = abs(n)
-    rad, d = 1, 2
-    while d * d <= n:
-        if n % d == 0:
-            rad *= d
-            while n % d == 0:
-                n //= d
-        d += 1
-    return rad * (n if n > 1 else 1)
-
-
 def enumerate_quadratic(x: int) -> list[FieldRecord]:
-    return [FieldRecord("C2", abs(d), (_radical(d),))
+    return [FieldRecord("C2", abs(d), (radical(d),))
             for d in fundamental_discriminants(x)]
 
 
@@ -206,19 +199,12 @@ def enumerate_cyclic_ell(ell: int, x: int) -> list[FieldRecord]:
 
     extend(0, 1, 0, 0)
     if ell * ell <= f_max:
-        base = ell * ell
-        def extend_wild(i: int, f: int, omega1: int) -> None:
-            conductors.append((f, omega1, 1))
-            for j in range(i, len(split)):
-                if f * split[j] > f_max:
-                    break
-                extend_wild(j + 1, f * split[j], omega1 + 1)
-        extend_wild(0, base, 0)
+        extend(0, ell * ell, 0, 1)
 
     records: list[FieldRecord] = []
     for f, omega1, wild in sorted(conductors):
         count = (ell - 1) ** (omega1 + wild - 1)
-        rec = FieldRecord(f"C{ell}", f ** (ell - 1), (_radical(f),))
+        rec = FieldRecord(f"C{ell}", f ** (ell - 1), (radical(f),))
         records.extend([rec] * count)
     records.sort(key=lambda r: r.discriminant)
     return records
@@ -231,25 +217,15 @@ def count_cyclic_ell(ell: int, x: int) -> int:
 # biquadratic fields and the fiber bound
 
 
-def _squarefree_kernel(n: int, spf: np.ndarray) -> int:
-    """Signed squarefree part of n, using a smallest-prime-factor table."""
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    while n > 1:
-        p = int(spf[n])
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e % 2:
-            out *= p
-    return sign * out
-
-
-def _fundamental_of(m: int) -> int:
-    """Fundamental discriminant of Q(sqrt(m)) for signed squarefree m != 1."""
-    return m if m % 4 == 1 else 4 * m
+def _third_discriminants(d1: int, d2s: np.ndarray) -> np.ndarray:
+    """For each fundamental d2, the fundamental discriminant of
+    Q(sqrt(d1 d2)).  With c the squarefree core of d (d = c or d = 4c), the
+    squarefree kernel of d1 d2 is (c1/g)(c2/g) for g = gcd(c1, c2)."""
+    c1 = d1 if d1 % 4 == 1 else d1 // 4
+    c2s = np.where(d2s % 4 == 1, d2s, d2s // 4)
+    g = np.gcd(c1, c2s)
+    m = (c1 // g) * (c2s // g)
+    return np.where(m % 4 == 1, m, 4 * m)
 
 
 @dataclass(frozen=True)
@@ -282,39 +258,26 @@ def enumerate_v4(x: int) -> list[V4Field]:
     """
     if x > V4_BUDGET:
         raise BudgetExceeded(f"biquadratic enumeration capped at {V4_BUDGET}")
-    # |d1| <= |d2| and |d3| >= 3 force |d2| <= x/9; kernels need spf to x/3
-    discs = fundamental_discriminants(max(8, x // 9))
-    lim = max(8, x // 3)
-    spf = np.zeros(lim + 1, dtype=np.int64)
-    spf[1] = 1
-    for p in range(2, lim + 1):
-        if spf[p] == 0:
-            view = spf[p::p]
-            view[view == 0] = p
+    # |d1| <= |d2| and |d3| >= 3 force |d2| <= x/9
+    discs = np.array(fundamental_discriminants(max(8, x // 9)))
+    sizes = np.abs(discs)  # ascending
     seen: set[tuple[int, int, int]] = set()
     fields: list[V4Field] = []
     key = lambda d: (abs(d), d)
-    discs_sorted = sorted(discs, key=key)
-    for i, d1 in enumerate(discs_sorted):
-        if abs(d1) * abs(d1) * 3 > x:  # |d2| >= |d1|, |d3| >= 3
+    for i, d1 in enumerate(discs.tolist()):
+        if d1 * d1 * 3 > x:  # |d2| >= |d1|, |d3| >= 3
             break
-        for d2 in discs_sorted[i + 1:]:
-            if abs(d1) * abs(d2) * 3 > x:
-                break
-            m = _squarefree_kernel(d1 * d2, spf)
-            d3 = _fundamental_of(m)
+        d2s = discs[i + 1:np.searchsorted(sizes, x // (3 * abs(d1)), "right")]
+        d3s = _third_discriminants(d1, d2s)
+        hits = np.abs(d1 * d2s * d3s) <= x
+        for d2, d3 in zip(d2s[hits].tolist(), d3s[hits].tolist()):
             disc = abs(d1 * d2 * d3)
-            if disc > x:
-                continue
             triple = tuple(sorted((d1, d2, d3), key=key))
             if triple in seen:
                 continue
             seen.add(triple)
-            dist = triple[0]
-            rad_all = _radical(d1 * d2 * d3)
-            a1 = _radical(dist)
-            a2 = rad_all // a1
-            fields.append(V4Field(triple, disc, (a1, a2)))
+            a1 = radical(triple[0])
+            fields.append(V4Field(triple, disc, (a1, radical(d1 * d2) // a1)))
     fields.sort(key=lambda f: (f.discriminant, f.triple))
     return fields
 
@@ -334,27 +297,14 @@ def v4_fiber_check(x: int, tame_index: int = 2,
     val_fail = 0
     for f in fields:
         fibers[f.ramified_tuple] = fibers.get(f.ramified_tuple, 0) + 1
-        dd = f.discriminant
-        while dd % 2 == 0:
-            dd //= 2
-        p = 3
-        while p * p <= dd:
-            if dd % p == 0:
-                v = 0
-                while dd % p == 0:
-                    dd //= p
-                    v += 1
-                if v != tame_index:
-                    val_fail += 1
-            p += 2
-        if dd > 1:  # a leftover prime has valuation 1, never the tame index
-            val_fail += 1
+        val_fail += sum(valuation(f.discriminant, p)[0] != tame_index
+                        for p in prime_factors(f.discriminant) if p != 2)
     violations = 0
     max_fiber = 0
     k = BaseFieldData.rationals()
     for (a1, a2), size in fibers.items():
         max_fiber = max(max_fiber, size)
-        omega_a1 = _omega(a1)
+        omega_a1 = omega(a1)
         s0_step2 = 1 if a1 % 2 == 0 else 0
         b1 = 0 + (k.rk(2) + k.degree + 0 + k.real_places)
         b2 = omega_a1 + (k.rk(2) + k.degree + s0_step2 + k.real_places)
@@ -362,15 +312,3 @@ def v4_fiber_check(x: int, tame_index: int = 2,
         if size > bound:
             violations += 1
     return V4FiberReport(x, len(fields), fibers, max_fiber, violations, val_fail)
-
-
-def _omega(n: int) -> int:
-    n = abs(n)
-    count, d = 0, 2
-    while d * d <= n:
-        if n % d == 0:
-            count += 1
-            while n % d == 0:
-                n //= d
-        d += 1
-    return count + (1 if n > 1 else 0)

@@ -4,10 +4,10 @@ Everything is specialized to the rationals: the prime-ideal condition
 "norm congruent to 0 or 1 mod ell" becomes the set B = {ell} u {p = 1 mod ell}
 of rational primes.  A factor (ell, d, m) stands for the Euler product
 prod_{p in B} (1 + m p^{-d s}); its coefficient at n = u^d is m^omega(u) for
-squarefree B-supported u and 0 otherwise.  Partial sums of multi-factor
-products are exact integers throughout (numpy carries int64 segments, the
-accumulators are Python ints), so the asymptotic-slope diagnostics sit on top
-of exact data.
+squarefree B-supported u and 0 otherwise.  The sieves carry only omega(u)
+(numpy int8 segments); every weight m^omega and every sum of weights is a
+Python int, so partial sums of multi-factor products are exact for any m and
+the asymptotic-slope diagnostics sit on top of exact data.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from .intmath import iroot, is_prime
 
 SIEVE_BUDGET = 1 << 27  # largest coefficient array materialized in one piece
 SEGMENT = 1 << 23
+OMEGA_MAX = 15  # omega(n) for n < 2^63, as 2*3*5*...*53 > 2^63
+_POISON = -64  # below -OMEGA_MAX: stays negative whatever is added to it
 TUPLE_BUDGET = 2_000_000
 CHECKPOINT_START = 1000
 
@@ -109,90 +111,95 @@ def _predicted(specs: Sequence[FactorSpec]) -> tuple[Fraction, Fraction]:
 def coefficient_sieve(spec: FactorSpec, limit: int) -> np.ndarray:
     """c[n] = m^omega(n) for squarefree n supported on B, else 0, n <= limit.
 
-    Multiplicative fill: squarefree mask by p^2 strides, support mask by
-    striking multiples of primes outside B, and one weight factor m per
-    B-prime divisor.
+    An int64 array while m^omega fits, else an array of Python ints.
     """
+    omega = _omega_sieve(spec, limit)
+    # index -1 (not counted) picks the trailing 0
+    weights = [spec.m ** k for k in range(int(omega.max()) + 1)] + [0]
+    return np.array(weights)[omega]
+
+
+def _omega_sieve(spec: FactorSpec, limit: int) -> np.ndarray:
+    """w[n] = omega(n) for squarefree n <= limit supported on B, else -1."""
     if limit > SIEVE_BUDGET:
         raise BudgetExceeded(f"limit {limit} exceeds in-memory budget; "
                              "use multi_factor_sum for partial sums")
-    out = np.zeros(limit + 1, dtype=np.int64)
-    for lo, hi, seg in _segments(spec, limit):
-        out[lo:hi + 1] = seg
-    return out
+    return np.concatenate([w for _, _, w in _segments(spec, limit)])
 
 
 def _segments(spec: FactorSpec, limit: int):
-    """Yield (lo, hi, values) coefficient segments of c for n in [lo, hi]."""
-    ell, m = spec.ell, spec.m
-    root = isqrt(limit)
-    isp = prime_sieve(max(root, ell))
-    small_primes = np.nonzero(isp)[0]
-    small_primes = small_primes[small_primes <= root]
+    """Yield (lo, hi, w) with w[n - lo] = omega(n) for the squarefree
+    B-supported n in [lo, hi], else -1 (int8).
 
+    Per segment, each prime p <= sqrt(limit) adds 1 at its multiples when in
+    B and poisons them when not, p^2 poisons its multiples, and `prod`
+    collects the B-primes found.  A surviving n then has n // prod equal to 1
+    or to one prime above sqrt(limit), which must itself lie in B.
+    """
+    ell = spec.ell
+    primes = np.nonzero(prime_sieve(isqrt(limit)))[0].tolist()
     lo = 0
     while lo <= limit:
         hi = min(lo + SEGMENT - 1, limit)
-        size = hi - lo + 1
-        ok = np.ones(size, dtype=bool)
-        sq = np.ones(size, dtype=bool)
-        val = np.ones(size, dtype=np.int64)
-        res = np.arange(lo, hi + 1, dtype=np.int64)
-        if lo == 0:
-            ok[0] = False  # n = 0
-        for p in small_primes:
-            p = int(p)
-            start = ((lo + p - 1) // p) * p
-            p2 = p * p
-            start2 = ((lo + p2 - 1) // p2) * p2
-            if start2 <= hi:
-                sq[start2 - lo::p2] = False
-            in_b = (p == ell) or (p % ell == 1)
-            if in_b:
-                if start <= hi:
-                    val[start - lo::p] *= m
-                    res[start - lo::p] //= p
+        w = np.zeros(hi - lo + 1, dtype=np.int8)
+        prod = np.ones(hi - lo + 1, dtype=np.int64)
+        for p in primes:
+            # offsets of the first multiples of p and p^2 in [max(lo, 1), hi]
+            a, a2 = ((-(-lo // k) * k or k) - lo for k in (p, p * p))
+            w[a2::p * p] = _POISON
+            if p == ell or p % ell == 1:
+                w[a::p] += 1
+                prod[a::p] *= p
             else:
-                if start <= hi:
-                    ok[start - lo::p] = False
-        # a surviving squarefree entry now has res = 1 or one prime > root
-        big = res > 1
-        good_big = big & ((res % ell == 1) | (res == ell))
-        ok &= ~(big & ~good_big)
-        val[good_big] *= m
-        val[~(ok & sq)] = 0
-        yield lo, hi, val
+                w[a::p] = _POISON
+        if lo == 0:
+            w[0] = -1
+        idx = np.flatnonzero(w >= 0)
+        q = (idx + lo) // prod[idx]
+        del prod  # freed before the caller works on the segment
+        big = q > 1
+        in_b = (q % ell == 1) | (q == ell)
+        w[idx[big & in_b]] += 1
+        w[idx[big & ~in_b]] = -1
+        np.maximum(w, -1, out=w)
+        yield lo, hi, w
         lo = hi + 1
 
 
 def _prefix_sums_at(spec: FactorSpec, queries: Sequence[int]) -> dict[int, int]:
     """Exact prefix sums sum_{n <= q} c[n] for every query point q.
 
-    One segmented sweep; per-segment sums use int64 (safe: coefficients are
-    tiny) and the running total is a Python int, so the results are exact.
+    One segmented sweep keeps N[k], the number of squarefree B-supported
+    n <= q with omega(n) = k, advanced by a tally of the omega values between
+    consecutive query points; each sum sum_k m^k N[k] is formed in Python
+    ints.
     """
     queries = sorted(set(int(q) for q in queries))
-    out: dict[int, int] = {}
-    pending = [q for q in queries if q >= 0]
-    for q in queries:
-        if q < 0:
-            out[q] = 0
+    out = {q: 0 for q in queries if q < 1}
+    pending = [q for q in queries if q >= 1]
     if not pending:
         return out
-    limit = pending[-1]
-    total = 0
+    weights = [spec.m ** k for k in range(OMEGA_MAX + 1)]
+    counts = np.zeros(OMEGA_MAX + 1, dtype=np.int64)
     qi = 0
-    while qi < len(pending) and pending[qi] < 1:
-        out[pending[qi]] = 0
-        qi += 1
-    for lo, hi, seg in _segments(spec, limit):
-        csum = np.cumsum(seg, dtype=np.int64)
+    for lo, hi, w in _segments(spec, pending[-1]):
+        pos = lo
         while qi < len(pending) and pending[qi] <= hi:
             q = pending[qi]
-            out[q] = total + int(csum[q - lo])
+            counts += _tally(w[pos - lo:q - lo + 1])
+            out[q] = sum(mk * n for mk, n in zip(weights, counts.tolist()))
+            pos = q + 1
             qi += 1
-        total += int(csum[-1])
+        counts += _tally(w[pos - lo:])
     return out
+
+
+def _tally(w: np.ndarray) -> np.ndarray:
+    """t[k] = #{i : w[i] = k} for k = 0 .. OMEGA_MAX."""
+    t = np.zeros(OMEGA_MAX + 1, dtype=np.int64)
+    for k in range(int(w.max(initial=-1)) + 1):
+        t[k] = np.count_nonzero(w == k)
+    return t
 
 
 def default_checkpoints(limit: int, start: int = CHECKPOINT_START) -> list[int]:
@@ -236,15 +243,18 @@ def multi_factor_sum(specs: Sequence[FactorSpec], limit: int,
         reach = iroot(limit, sp.d)
         if reach > SIEVE_BUDGET:
             raise BudgetExceeded("non-pivot factor support is too large")
-        coeffs = coefficient_sieve(sp, reach)
-        nz = np.nonzero(coeffs)[0]
+        omega = _omega_sieve(sp, reach)
+        # each term is one more support entry, so more than the budget fail
+        nz = np.flatnonzero(omega >= 0)[:TUPLE_BUDGET + 1]
+        terms = [(n ** sp.d, sp.m ** k)
+                 for n, k in zip(nz.tolist(), omega[nz].tolist())]
         new: dict[int, int] = {}
         for p_val, w in support.items():
-            for n in nz:
-                contrib = p_val * int(n) ** sp.d
+            for nd, c in terms:
+                contrib = p_val * nd
                 if contrib > limit:
                     break
-                new[contrib] = new.get(contrib, 0) + w * int(coeffs[n])
+                new[contrib] = new.get(contrib, 0) + w * c
                 if len(new) > TUPLE_BUDGET:
                     raise BudgetExceeded("tuple expansion exceeds budget")
         support = new
@@ -336,10 +346,7 @@ def factor_identity_check(m: int, n_terms: int = 64) -> bool:
     if m < 1:
         raise ValueError("m must be positive")
     binom = [comb(m, j) * (-1) ** j for j in range(m + 1)]  # (1 - t)^m
-    poly = [0] * (m + 2)
-    for j, c in enumerate(binom):
-        poly[j] += c
-        poly[j + 1] += m * c
+    poly = _local_factor(m)
 
     a = [1, m]  # 1 + m t
     upto = min(n_terms, m + 2)
@@ -354,6 +361,16 @@ def factor_identity_check(m: int, n_terms: int = 64) -> bool:
             and poly[1] == 0
             and poly[2] == -comb(m + 1, 2)
             and poly[m + 1] == (-1) ** m * m)
+
+
+def _local_factor(m: int) -> list[int]:
+    """The coefficients of (1 + m t)(1 - t)^m, constant term first."""
+    poly = [0] * (m + 2)
+    for j in range(m + 1):
+        c = comb(m, j) * (-1) ** j
+        poly[j] += c
+        poly[j + 1] += m * c
+    return poly
 
 
 def euler_factorization_check(spec: FactorSpec, n_terms: int = 10_000) -> bool:
@@ -372,23 +389,18 @@ def euler_factorization_check(spec: FactorSpec, n_terms: int = 10_000) -> bool:
     arithmetic and compared entrywise.
     """
     ell, d, m = spec.ell, spec.d, spec.m
+    reach = iroot(n_terms, d)
     lhs = [0] * (n_terms + 1)
-    base = coefficient_sieve(spec, iroot(n_terms, d))
-    for n in range(1, len(base)):
-        if base[n]:
-            lhs[n ** d] = int(base[n])
+    for n, k in enumerate(_omega_sieve(spec, reach).tolist()):
+        if k >= 0:
+            lhs[n ** d] = m ** k
 
     rhs = [0] * (n_terms + 1)
     rhs[1] = 1
-    isp = prime_sieve(iroot(n_terms, d))
-    primes = [int(p) for p in np.nonzero(isp)[0]]
-
-    # w(t) = (1 + m t)(1 - t)^m as exact integer coefficients
-    w = [0] * (m + 2)
-    for j in range(m + 1):
-        c = comb(m, j) * (-1) ** j
-        w[j] += c
-        w[j + 1] += m * c
+    w = _local_factor(m)
+    # (1 - t)^{-m}; p^d >= 2, so t^j with j > log2(n_terms) never reaches n_terms
+    neg_binom = [comb(j + m - 1, m - 1)
+                 for j in range(n_terms.bit_length() + 1)]
 
     def mul_local(coeffs: list[int], p: int, local: list[int]) -> list[int]:
         """Multiply a Dirichlet series by sum_j local[j] p^(-j d s)."""
@@ -406,33 +418,11 @@ def euler_factorization_check(spec: FactorSpec, n_terms: int = 10_000) -> bool:
             power *= pd
         return out
 
-    for p in primes:
-        in_b = (p == ell) or (p % ell == 1)
-        if not in_b:
-            continue
-        rhs = mul_local(rhs, p, w)  # g(s) factor at p
-    # g0: the factor at p = ell, expanded as a geometric-type series
-    if ell ** d <= n_terms:
-        depth = 0
-        power = 1
-        while power <= n_terms:
-            power *= ell ** d
-            depth += 1
-        neg_binom = [comb(j + m - 1, m - 1) for j in range(depth + 1)]
-        rhs = mul_local(rhs, ell, neg_binom)
-    # the split-prime zeta part (1 - p^{-ds})^{-m} for p = 1 mod ell
-    for p in primes:
-        if p % ell != 1:
-            continue
-        if p ** d > n_terms:
-            continue
-        depth = 0
-        power = 1
-        while power <= n_terms:
-            power *= p ** d
-            depth += 1
-        neg_binom = [comb(j + m - 1, m - 1) for j in range(depth + 1)]
-        rhs = mul_local(rhs, p, neg_binom)
+    # at every p in B the g factor, then g0 at p = ell and the split-prime
+    # zeta part (1 - p^{-ds})^{-m} at p = 1 mod ell: the same local factor
+    for p in np.nonzero(prime_sieve(reach))[0].tolist():
+        if p == ell or p % ell == 1:
+            rhs = mul_local(mul_local(rhs, p, w), p, neg_binom)
 
     return lhs[1:] == rhs[1:]
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from math import isqrt
+from math import isqrt, prod
 
 _FLOAT_EXACT = 1 << 52
 
@@ -22,18 +22,37 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def valuation(n: int, p: int) -> tuple[int, int]:
+    """(e, n // p**e) for n != 0 and p >= 2, with p**e the exact power of p
+    dividing n."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e, n
+
+
 def prime_factors(n: int) -> list[int]:
     """The distinct prime factors of n >= 1, ascending."""
     out, d = [], 2
     while d * d <= n:
         if n % d == 0:
             out.append(d)
-            while n % d == 0:
-                n //= d
+            n = valuation(n, d)[1]
         d += 1
     if n > 1:
         out.append(n)
     return out
+
+
+def radical(n: int) -> int:
+    """The product of the distinct primes dividing n != 0."""
+    return prod(prime_factors(abs(n)))
+
+
+def omega(n: int) -> int:
+    """The number of distinct primes dividing n != 0."""
+    return len(prime_factors(abs(n)))
 
 
 def iroot(x: int, d: int) -> int:

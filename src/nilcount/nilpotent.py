@@ -14,7 +14,7 @@ from math import gcd
 
 from .errors import NotNilpotent, NotTransitive, PropertyViolated, TrivialGroup
 from .malle import ind, min_index
-from .intmath import is_prime, prime_factors
+from .intmath import is_prime, prime_factors, valuation
 from .permcore import PermGroup, Permutation
 
 
@@ -48,11 +48,7 @@ def sylow_subgroup_sets(G: PermGroup) -> dict[int, frozenset[Permutation]]:
     order, T = G.order, G.table
     out: dict[int, frozenset[Permutation]] = {}
     for ell in prime_factors(order):
-        size = 1
-        m = order
-        while m % ell == 0:
-            size *= ell
-            m //= ell
+        size = ell ** valuation(order, ell)[0]
         part = {i for i, o in enumerate(T.order)
                 if all(p == ell for p in prime_factors(o))}
         if len(part) != size:
@@ -94,11 +90,7 @@ def sylow_decompose(G: PermGroup) -> SylowDecomposition:
     n = G.degree
     factors: list[tuple[int, PermGroup]] = []
     for ell in sorted(sylows):
-        n_ell = 1
-        m = n
-        while m % ell == 0:
-            n_ell *= ell
-            m //= ell
+        n_ell = ell ** valuation(n, ell)[0]
         if len(sylows) == 1:
             factors.append((ell, G))
             continue

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from .errors import (CapExceeded, DegreeMismatch, NotNormal, NotPrime,
                      PropertyViolated)
-from .intmath import is_prime
+from .intmath import is_prime, valuation
 
 DEFAULT_CAP = 20_000
 
@@ -459,12 +459,9 @@ def abelianization_rank(G: PermGroup, ell: int) -> int:
         raise NotPrime(f"{ell} is not prime")
     Q = quotient(G, commutator_subgroup(G))
     powers = {Q.table.power(q, ell) for q in range(Q.order)}
-    index, rank = Q.order // len(powers), 0
-    while index % ell == 0:
-        index //= ell
-        rank += 1
-    if index != 1:
-        raise PropertyViolated(f"ell-power index expected, got residue {index}")
+    rank, rest = valuation(Q.order // len(powers), ell)
+    if rest != 1:
+        raise PropertyViolated(f"ell-power index expected, got residue {rest}")
     return rank
 
 

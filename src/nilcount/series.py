@@ -26,7 +26,7 @@ from .errors import (CapExceeded, InvalidChain, NotNilpotent, PropertyViolated,
                      TrivialGroup)
 from .malle import BaseFieldData, ind
 from .nilpotent import is_nilpotent
-from .intmath import is_prime
+from .intmath import is_prime, valuation
 from .permcore import GroupTable, PermGroup, Permutation
 
 EXHAUSTIVE_CAP = 128
@@ -239,10 +239,7 @@ def all_min_index_central(G: PermGroup) -> bool:
     if len(orders) != 1:
         raise PropertyViolated("central minimal-index elements of mixed order")
     ell = orders.pop()
-    count = len(minimal) + 1
-    while count % ell == 0:
-        count //= ell
-    if count != 1 or not is_prime(ell):
+    if valuation(len(minimal) + 1, ell)[1] != 1 or not is_prime(ell):
         raise PropertyViolated(
             f"{len(minimal)} minimal-index elements do not form C_ell^s minus 1")
     sub = minimal | {0}

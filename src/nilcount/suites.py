@@ -22,11 +22,11 @@ from .errors import NilcountError, UnknownTheorem
 from .extension import (ExtensionData, central_double_quotients,
                         solution_class_counts, verify_pullback_identity,
                         verify_semidirect_decomposition)
-from .malle import BaseFieldData, b_constant, ind, min_index
+from .malle import BaseFieldData, b_constant, min_index
 from .nilpotent import (critical_prime_check, natural_product,
                         sylow_decompose, sylow_subgroup_sets)
-from .intmath import is_prime
-from .permcore import PermGroup, center
+from .intmath import is_prime, valuation
+from .permcore import PermGroup
 from .series import (all_min_index_central, d_constant, enumerate_refinements,
                      optimize_d)
 
@@ -44,12 +44,10 @@ class SuiteResult:
 
 
 def _central_prime_extensions(G: PermGroup) -> list[ExtensionData]:
-    subs = set()
-    for z in center(G):
-        if is_prime(z.order()):
-            subs.add(frozenset(z ** j for j in range(z.order())))
-    ordered = sorted(subs, key=lambda s: tuple(sorted(p.images for p in s)))
-    return [ExtensionData.from_kernel(G, s) for s in ordered]
+    T = G.table
+    subs = {frozenset(T.cyclic(z)) for z in T.center() if is_prime(T.order[z])}
+    ordered = sorted(subs, key=lambda s: sorted(T.elements[i].images for i in s))
+    return [ExtensionData.from_kernel(G, T.subset(s)) for s in ordered]
 
 
 def _extension_cases() -> list[tuple[str, ExtensionData]]:
@@ -226,10 +224,7 @@ def suite_sylow_a(seed: int = 42) -> SuiteResult:
                 return SuiteResult("5.2", "Sylow decomposition", False,
                                    {"case": name, "why": "factor not transitive"})
             for value in (G_ell.degree, G_ell.order):
-                v = value
-                while v % ell == 0:
-                    v //= ell
-                if v != 1:
+                if valuation(value, ell)[1] != 1:
                     return SuiteResult("5.2", "Sylow decomposition", False,
                                        {"case": name, "why": "not a prime power"})
         if prod_deg != G.degree or dec.a_value != min_index(G)[1]:
@@ -273,9 +268,8 @@ def suite_d_bounds(seed: int = 42) -> SuiteResult:
     k = BaseFieldData.rationals()
     cases = 0
     for name, G in nilpotent_catalog():
-        ind_G, _ = min_index(G)
-        n_min = sum(1 for g in G.elements if not g.is_identity()
-                    and ind(g) == ind_G)
+        n_min = G.table.ind.count(min_index(G)[0])
+        b = b_constant(G, k)
         for ref in enumerate_refinements(G):
             if sum(ref.weights) != G.order - 1:
                 return SuiteResult("5.11", "d bounds", False,
@@ -287,7 +281,7 @@ def suite_d_bounds(seed: int = 42) -> SuiteResult:
             if not (n_min <= d_group <= G.order - 1):
                 return SuiteResult("5.11", "d bounds", False,
                                    {"case": name, "d": d_group, "n_min": n_min})
-            if d_field < b_constant(G, k):
+            if d_field < b:
                 return SuiteResult("5.11", "d bounds", False,
                                    {"case": name, "why": "d(k,G) < b(k,G)"})
             cases += 1

@@ -180,3 +180,28 @@ def test_huge_max_x_is_typed_error(capsys):
     # conductors stay small at degree 101, but x itself exceeds the floats
     code, rep = run_cli(capsys, "count", "--kind", "cyclic101", "--max-x", huge)
     assert code == 0 and 0 < rep["ratio_x_alpha"] < 1
+
+
+def test_count_quadratic_sieves_once(capsys, monkeypatch):
+    from nilcount import counting
+    from nilcount.dirichlet import default_checkpoints
+    expected = [[cp, counting.count_quadratic(cp)]
+                for cp in default_checkpoints(100000)]
+    calls = []
+    squarefree_sieve = counting.squarefree_sieve
+
+    def counted(limit):
+        calls.append(limit)
+        return squarefree_sieve(limit)
+    monkeypatch.setattr(counting, "squarefree_sieve", counted)
+    code, rep = run_cli(capsys, "count", "--kind", "quadratic",
+                        "--max-x", "100000")
+    assert code == 0 and calls == [100000]
+    assert rep["counts"] == expected
+    # over budget: the one sieve call fails before any checkpoint is sieved
+    calls.clear()
+    huge = 10 ** 320
+    code, rep = run_cli(capsys, "count", "--kind", "quadratic",
+                        "--max-x", str(huge))
+    assert code == 2 and rep["error"].startswith("BudgetExceeded")
+    assert calls == [huge]

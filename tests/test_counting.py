@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -308,3 +308,19 @@ def test_v4_tuple_splits_by_first_discriminant():
         for p in _prime_factors(abs(d_star)):
             assert a1 % p == 0
         assert gcd(a1, a2) == 1
+
+
+def test_gcd_kernel_against_factorization():
+    from sympy import factorint
+    from nilcount.counting import _third_discriminants
+    discs = fundamental_discriminants(2000)
+    # the primes to an odd power, and the sign, fix the squarefree kernel
+    odd = {d: frozenset(p for p, e in factorint(abs(d)).items() if e % 2)
+           for d in discs}
+    fundamental = set(discs)
+    for i, d1 in enumerate(discs):
+        d3s = _third_discriminants(d1, np.array(discs[i + 1:], dtype=np.int64))
+        for d2, d3 in zip(discs[i + 1:], d3s.tolist()):
+            m = (-1 if d1 * d2 < 0 else 1) * prod(odd[d1] ^ odd[d2])
+            assert d3 == (m if m % 4 == 1 else 4 * m), (d1, d2, d3)
+            assert abs(d3) > 2000 or d3 in fundamental

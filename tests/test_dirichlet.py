@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 import pytest
@@ -220,3 +220,43 @@ def test_prime_and_squarefree_sieves():
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
     sf = squarefree_sieve(50)
     assert all(bool(sf[n]) == is_squarefree(n) for n in range(1, 51))
+
+
+def _coefficient_by_factorint(spec, n):
+    from sympy import factorint
+    f = factorint(n)
+    if any(e > 1 or (p != spec.ell and p % spec.ell != 1)
+           for p, e in f.items()):
+        return 0
+    return spec.m ** len(f)
+
+
+@pytest.mark.parametrize("m", [10 ** 5, 10 ** 12])
+def test_multi_factor_huge_weights_against_factorint(m):
+    # weights m^omega far beyond int64: the sums must stay exact
+    X = 20_000
+    specs = [FactorSpec(3, 1, m), FactorSpec(5, 2, m + 1)]
+    c1 = [_coefficient_by_factorint(specs[0], n) for n in range(1, X + 1)]
+    c2 = [_coefficient_by_factorint(specs[1], n)
+          for n in range(1, isqrt(X) + 1)]
+    points = default_checkpoints(X)
+    single = multi_factor_sum(specs[:1], X, checkpoints=points)
+    assert single.values == tuple(sum(c1[:x]) for x in points)
+    double = multi_factor_sum(specs, X, checkpoints=points)
+    assert double.values == tuple(
+        sum(w * sum(c1[:x // (a * a)]) for a, w in enumerate(c2, 1)
+            if a * a <= x)
+        for x in points)
+    assert max(double.values) > 2 ** 63
+
+
+def test_multi_factor_overflow_case():
+    series = multi_factor_sum([FactorSpec(3, 1, 10 ** 5)], 3 * 10 ** 5)
+    assert series.values[-1] == 30047804819143611297100001
+
+
+def test_coefficient_sieve_exact_for_huge_m():
+    spec = FactorSpec(3, 1, 10 ** 12)
+    c = coefficient_sieve(spec, 3000)
+    assert [int(v) for v in c[1:]] == [_coefficient_by_factorint(spec, n)
+                                       for n in range(1, 3001)]

@@ -1,8 +1,10 @@
 import random
+from math import prod
 
 import pytest
 
-from nilcount.intmath import iroot, is_prime, prime_factors
+from nilcount.intmath import (iroot, is_prime, omega, prime_factors, radical,
+                              valuation)
 
 
 def check_root(x, d):
@@ -38,3 +40,18 @@ def test_is_prime_and_prime_factors():
                                                      19, 23, 29]
     assert prime_factors(1) == [] and prime_factors(360) == [2, 3, 5]
     assert prime_factors(97) == [97]
+
+
+def test_valuation_radical_omega_against_sympy():
+    from sympy import factorint
+    rng = random.Random(20201110)
+    for _ in range(40):
+        n = rng.randrange(1, 10 ** rng.randint(1, 12))
+        f = factorint(n)
+        assert prime_factors(n) == sorted(f)
+        assert radical(n) == radical(-n) == prod(f)
+        assert omega(n) == omega(-n) == len(f)
+        for p in list(f) + [2, 3, 7, 1000003]:
+            e = f.get(p, 0)
+            assert valuation(n, p) == (e, n // p ** e)
+            assert valuation(-n * p ** 3, p) == (e + 3, -n // p ** e)
