@@ -158,6 +158,8 @@ def cmd_dseries(args) -> int:
 
 def cmd_count(args) -> int:
     x = args.max_x
+    if x < 1:
+        raise ValueError(f"--max-x must be at least 1, got {x}")
     checkpoints = default_checkpoints(x)
     kind = args.kind
     rows: list[tuple] = []

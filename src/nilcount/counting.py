@@ -143,25 +143,23 @@ def count_quadratic_at(xs: Sequence[int]) -> list[int]:
 
 
 def fundamental_discriminants(x: int) -> list[int]:
-    """All fundamental discriminants with |d| <= x, sorted by (|d|, d)."""
+    """All fundamental discriminants with |d| <= x, sorted by (|d|, d).
+
+    Row n of `fund` marks -n in column 0 and +n in column 1, so the flat
+    index 2|d| + (d > 0) of each mark already runs in (|d|, d) order.
+    For squarefree m, d is m when m = 1 mod 4 (m > 1), -m when m = 3 mod 4,
+    and -4m, +-4m or 4m when m = 1, 2 or 3 mod 4.
+    """
     sf = squarefree_sieve(x)
-    out: list[int] = []
-    for m in np.nonzero(sf)[0]:
-        m = int(m)
-        if m % 4 == 1 and m != 1:
-            out.append(m)
-        elif m % 4 == 3:
-            out.append(-m)
-        if 4 * m <= x:
-            if m % 4 == 1:
-                out.append(-4 * m)
-            elif m % 4 == 2:
-                out.append(4 * m)
-                out.append(-4 * m)
-            elif m % 4 == 3:
-                out.append(4 * m)
-    out.sort(key=lambda d: (abs(d), d))
-    return out
+    fund = np.zeros((x + 1, 2), dtype=bool)
+    fund[5::4, 1] = sf[5::4]
+    fund[3::4, 0] = sf[3::4]
+    quarter = sf[:x // 4 + 1]  # n = 4m with m squarefree
+    fund[4::16, 0] = quarter[1::4]
+    fund[8::16] = quarter[2::4, None]
+    fund[12::16, 1] = quarter[3::4]
+    k = np.flatnonzero(fund)
+    return ((k >> 1) * (2 * (k & 1) - 1)).tolist()
 
 
 def enumerate_quadratic(x: int) -> list[FieldRecord]:

@@ -202,6 +202,15 @@ class GroupTable:
                             classes[-1].append(y)
         return classes
 
+    @cached_property
+    def commutators(self) -> list[int]:
+        """Per element g, the bitmask of its commutators g^-1 h^-1 g h with
+        the generators h: gN is central in G/N, for N normal, exactly when
+        this mask lies inside the mask of N."""
+        mul, inv = self.mul, self.inv
+        return [sum({1 << mul[inv[g]][mul[inv[h]][row[h]]] for h in self.gens})
+                for g, row in enumerate(mul)]
+
     def closure(self, gens: Iterable[int], start: Iterable[int] = (0,)
                 ) -> set[int]:
         """Smallest superset of `start` closed under right multiplication by

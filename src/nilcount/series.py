@@ -12,6 +12,11 @@ depends on the chosen chain.  `optimize_d` minimizes d over all valid chains;
 for groups within the exhaustive cap this is done exactly by a shortest-path
 search on the lattice of admissible normal subgroups (equivalent to scanning
 every chain, without enumerating them one by one).
+
+Subgroups are bitmasks over `GroupTable` indices.  Whether gN is central in
+G/N, its order and the step <N, g> depend only on the coset gN, so the
+successors of N cost O(|G|) lookups; a layer carries weight exactly when it
+meets the mask of the minimal-index elements.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (CapExceeded, InvalidChain, NotNilpotent, PropertyViolated,
@@ -69,40 +75,42 @@ class OptimizeResult:
 
 
 def _successors(T: GroupTable, mask: int) -> list[int]:
-    """Masks N' > N reachable by one central prime step.
+    """Masks N' > N reachable by one central prime step, ascending.
 
     N' = <N, g> for g whose class mod N is central in G/N and has prime
-    order; such N' is automatically normal in G.
+    order; such N' is automatically normal in G.  Both tests and N' itself
+    depend only on the coset gN, so one element of each coset is tested and
+    gN is then marked seen; once N' is built all of it is marked, since
+    every element of N' \\ N gives the same N'.  That is O(|G|) table
+    lookups for one N.
     """
-    mul, inv = T.mul, T.inv
-    out: dict[int, None] = {}
-    for g in range(len(mul)):
-        if (mask >> g) & 1:
-            continue
-        gi = inv[g]
-        central = True
-        for h in T.gens:
-            if not (mask >> mul[gi][mul[inv[h]][mul[g][h]]]) & 1:
-                central = False
-                break
-        if not central:
-            continue
-        x, j = g, 1
-        while not (mask >> x) & 1:
-            x = mul[x][g]
-            j += 1
-        if not is_prime(j):
-            continue
-        new = mask
-        coset_rep = g
-        for _ in range(j - 1):
-            rest = mask
-            while rest:
-                low = rest & -rest
-                new |= 1 << mul[coset_rep][low.bit_length() - 1]
-                rest ^= low
-            coset_rep = mul[coset_rep][g]
-        out[new] = None
+    mul, commutators = T.mul, T.commutators
+    members = list(_bits(mask))
+    if len(members) == 1:
+        def coset(row: list[int]) -> int:
+            return 1 << row[0]
+    else:
+        pick = itemgetter(*members)
+
+        def coset(row: list[int]) -> int:
+            return sum(map((1).__lshift__, pick(row)))
+    out = []
+    unseen = ((1 << len(mul)) - 1) & ~mask
+    while unseen:
+        g = (unseen & -unseen).bit_length() - 1
+        row = mul[g]
+        if not commutators[g] & ~mask:
+            powers = [g]
+            while not mask >> powers[-1] & 1:
+                powers.append(row[powers[-1]])
+            if is_prime(len(powers)):
+                new = mask
+                for x in powers[:-1]:
+                    new |= coset(mul[x])
+                out.append(new)
+                unseen &= ~new
+                continue
+        unseen &= ~coset(row)
     return sorted(out)
 
 
@@ -187,17 +195,16 @@ def refinement_data(G: PermGroup, chain: Sequence[Iterable[Permutation]]) -> Ref
         if not is_prime(len(upper) // len(lower)):
             raise InvalidChain("quotient is not of prime order")
     T = G.table
-    mul, inv = T.mul, T.inv
     members = [{T.idx[g] for g in sub} for sub in subgroups]
     for sub in members[1:-1]:
         if T.closure(sub) != sub:
             raise InvalidChain("chain member is not a subgroup")
-    for upper, lower in zip(members, members[1:]):
-        if any(mul[mul[inv[g]][inv[h]]][mul[g][h]] not in lower
-               for g in upper for h in T.gens):
+    masks = [_mask(m) for m in members]
+    for upper, lower in zip(members, masks[1:]):
+        if any(T.commutators[g] & ~lower for g in upper):
             raise InvalidChain(
                 "quotient layer is not central in the ambient quotient")
-    return _refinement_from_masks(T, [_mask(m) for m in reversed(members)])
+    return _refinement_from_masks(T, masks[::-1])
 
 
 def critical_prime_of(refinement: Refinement) -> int:
@@ -269,38 +276,48 @@ def optimize_d(G: PermGroup, k: BaseFieldData,
     return OptimizeResult(refinement, d_group, d_field, heuristic)
 
 
-def _path_key(path: tuple[int, ...]) -> tuple:
-    orders_from_top = tuple(m.bit_count() for m in reversed(path))
-    return (orders_from_top, tuple(reversed(path)))
-
-
 def _optimal_refinement_exact(G: PermGroup) -> Refinement:
+    """Cheapest chain from the trivial group up to G, built one level at a
+    time: every step multiplies the order by a prime, so all paths to one
+    subgroup have the same length.
+
+    A step costs its weight when its layer meets `minimal`, the mask of the
+    minimal-index elements, and nothing otherwise.  Ties go to the least
+    subgroup orders, then the least masks, both read from the top.  Two
+    paths into the same N differ only below N, so they compare as their
+    predecessors' best paths do: first by subgroup orders, which `rank`
+    numbers in ascending order within a level, then by the predecessor's
+    mask.  So a state keeps its cost, its rank and its predecessor, not its
+    path.
+    """
     T = G.table
     ind_G = min(T.ind[1:])
+    minimal = _mask(i for i in range(1, G.order) if T.ind[i] == ind_G)
     full_mask = (1 << G.order) - 1
-    start = 1
-    best: dict[int, tuple[int, tuple[int, ...]]] = {start: (0, (start,))}
-    frontier = [start]
-    while frontier:
-        # expand in ascending (popcount, mask) order; steps only grow masks
-        frontier.sort(key=lambda m: (m.bit_count(), m))
-        nxt_frontier: dict[int, None] = {}
-        for mask in frontier:
-            cost, path = best[mask]
+    below: dict[int, int] = {}
+    level = {1: (0, 0)}  # state -> (cost, rank)
+    while full_mask not in level:
+        reached: dict[int, tuple[int, int, int]] = {}
+        for mask, (cost, rank) in level.items():
             for nxt in _successors(T, mask):
-                _, w, a = _layer_stats(T, mask, nxt)
-                step = w if a == ind_G else 0
-                cand = (cost + step, path + (nxt,))
-                cur = best.get(nxt)
-                if (cur is None or cand[0] < cur[0]
-                        or (cand[0] == cur[0]
-                            and _path_key(cand[1]) < _path_key(cur[1]))):
-                    best[nxt] = cand
-                    nxt_frontier[nxt] = None
-        frontier = list(nxt_frontier)
-    if full_mask not in best:
-        raise NotNilpotent("no central prime chain reaches the whole group")
-    return _refinement_from_masks(T, best[full_mask][1])
+                diff = nxt & ~mask
+                step = diff.bit_count() if diff & minimal else 0
+                cand = (cost + step, rank, mask)
+                cur = reached.get(nxt)
+                if cur is None or cand < cur:
+                    reached[nxt] = cand
+        if not reached:
+            raise NotNilpotent("no central prime chain reaches the whole group")
+        keys = sorted({(m.bit_count(), r) for m, (_, r, _) in reached.items()})
+        rank_of = {key: i for i, key in enumerate(keys)}
+        level = {}
+        for m, (cost, r, low) in reached.items():
+            below[m] = low
+            level[m] = (cost, rank_of[m.bit_count(), r])
+    chain = [full_mask]
+    while chain[-1] != 1:
+        chain.append(below[chain[-1]])
+    return _refinement_from_masks(T, chain[::-1])
 
 
 def _heuristic_refinement(G: PermGroup) -> Refinement:

@@ -130,6 +130,14 @@ def test_count_unknown_kind(capsys):
     assert code == 2
 
 
+def test_count_max_x_below_one_is_typed_error(capsys):
+    for kind in ("quadratic", "cyclic3", "cyclic5", "v4"):
+        for bad in ("0", "-3"):
+            code, rep = run_cli(capsys, "count", "--kind", kind, "--max-x", bad)
+            assert code == 2
+            assert rep["error"].startswith("ValueError: --max-x must be")
+
+
 def test_catalog_lists_groups(capsys):
     code, rep = run_cli(capsys, "catalog")
     assert code == 0

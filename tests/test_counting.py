@@ -70,6 +70,35 @@ def test_fundamental_discriminants_against_definition():
     assert discs == want
 
 
+def _fundamental_discriminants_loop(x):
+    """The per-m loop the vectorized version replaced."""
+    from nilcount.dirichlet import squarefree_sieve
+    out = []
+    for m in np.nonzero(squarefree_sieve(x))[0]:
+        m = int(m)
+        if m % 4 == 1 and m != 1:
+            out.append(m)
+        elif m % 4 == 3:
+            out.append(-m)
+        if 4 * m <= x:
+            if m % 4 == 1:
+                out.append(-4 * m)
+            elif m % 4 == 2:
+                out.append(4 * m)
+                out.append(-4 * m)
+            elif m % 4 == 3:
+                out.append(4 * m)
+    out.sort(key=lambda d: (abs(d), d))
+    return out
+
+
+def test_fundamental_discriminants_match_loop():
+    for x in (0, 1, 2, 3, 4, 5, 7, 8, 12, 99, 1000, 12345, 10 ** 5):
+        got = fundamental_discriminants(x)
+        assert got == _fundamental_discriminants_loop(x)
+        assert all(type(d) is int for d in got)
+
+
 def test_count_quadratic_examples():
     assert count_quadratic(2) == 0
     assert count_quadratic(10) == 6

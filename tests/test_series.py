@@ -1,15 +1,18 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from nilcount.catalog import (abelian, cyclic, dihedral4_regular,
-                              dihedral4_s4, generalized_quaternion, resolve)
+                              dihedral4_s4, generalized_quaternion,
+                              nilpotent_catalog, resolve)
 from nilcount.errors import (CapExceeded, InvalidChain, NotNilpotent,
                              TrivialGroup)
 from nilcount.malle import BaseFieldData, b_constant, ind, min_index
 from nilcount.permcore import PermGroup, mulclose
-from nilcount.series import (Refinement, all_min_index_central, d_constant,
-                             enumerate_refinements, optimize_d,
+from nilcount.intmath import is_prime, prime_factors, valuation
+from nilcount.series import (Refinement, _successors, all_min_index_central,
+                             d_constant, enumerate_refinements, optimize_d,
                              refinement_data, refinement_to_json)
 
 Q = BaseFieldData.rationals()
@@ -233,3 +236,88 @@ def test_refinement_json():
     assert blob["subgroup_orders"] == [8, 4, 2, 1]
     assert blob["d_group"] == 1
     assert blob["d_field"] == "1"
+
+
+def _successors_per_element(T, mask):
+    """Reference: test every g outside N on its own and OR its cosets."""
+    mul, inv = T.mul, T.inv
+    out = set()
+    for g in range(len(mul)):
+        if (mask >> g) & 1:
+            continue
+        if not all((mask >> mul[inv[g]][mul[inv[h]][mul[g][h]]]) & 1
+                   for h in T.gens):
+            continue
+        x, j = g, 1
+        while not (mask >> x) & 1:
+            x = mul[x][g]
+            j += 1
+        if not is_prime(j):
+            continue
+        new, rep = mask, g
+        for _ in range(j - 1):
+            new |= sum(1 << mul[rep][n] for n in range(len(mul)) if (mask >> n) & 1)
+            rep = mul[rep][g]
+        out.add(new)
+    return sorted(out)
+
+
+def test_successors_match_per_element_reference():
+    for name in ("Q8xC3_S24", "D4xC3_S12", "Heis27", "C4xC4", "C3xC3xC3"):
+        T = resolve(name).group().table
+        states, todo = {1}, [1]
+        while todo:
+            mask = todo.pop()
+            got = _successors(T, mask)
+            assert got == _successors_per_element(T, mask), (name, mask)
+            for nxt in got:
+                if nxt not in states:
+                    states.add(nxt)
+                    todo.append(nxt)
+        assert (1 << len(T.mul)) - 1 in states
+
+
+def _abelian_types(n):
+    """Every abelian group of order n as a tuple of prime-power orders."""
+    def partitions(e, most):
+        if e == 0:
+            yield ()
+        for k in range(min(e, most), 0, -1):
+            for rest in partitions(e - k, k):
+                yield (k,) + rest
+    types = [()]
+    for p in prime_factors(n):
+        e = valuation(n, p)[0]
+        types = [t + tuple(p ** k for k in part)
+                 for t in types for part in partitions(e, e)]
+    return types
+
+
+def _chain_key(G, ref):
+    """(d_group, orders from the top, masks from the top)."""
+    a = min(ref.layer_min_index)
+    d_group = sum(m for m, ai in zip(ref.weights, ref.layer_min_index) if ai == a)
+    masks = tuple(sum(1 << G.table.idx[g] for g in sub) for sub in ref.subgroups)
+    return d_group, ref.subgroup_orders, masks
+
+
+def test_optimize_is_minimum_over_all_chains():
+    groups = [G for _, G in nilpotent_catalog()]
+    groups += [abelian(*t) for n in range(2, 33) for t in _abelian_types(n)]
+    assert len(groups) > 60
+    for G in groups:
+        best = min(_chain_key(G, r) for r in enumerate_refinements(G))
+        opt = optimize_d(G, Q)
+        assert _chain_key(G, opt.refinement) == best
+        assert opt.d_group == best[0]
+
+
+def test_optimize_c2_7_chain_pinned():
+    # d_group and the subgroup masks (top first) as optimize_d gave them
+    # when ties were broken by comparing whole path tuples
+    G = abelian(2, 2, 2, 2, 2, 2, 2)
+    d_group, orders, masks = _chain_key(G, optimize_d(G, Q).refinement)
+    assert d_group == 127
+    assert orders == (128, 64, 32, 16, 8, 4, 2, 1)
+    assert hashlib.sha256(",".join(map(str, masks)).encode()).hexdigest() == \
+        "6c5367c6fddcf932039a005b04ffe1e20dcd06f00c2259e9108b1c6c4b4a252c"
