@@ -251,7 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--field", default=_env_default("FIELD", "Q"),
                        help="'Q' or a path to base-field JSON")
     p_inv.add_argument("--exhaustive-cap", type=int,
-                       default=_env_default("EXHAUSTIVE_CAP", 128))
+                       default=_env_default("EXHAUSTIVE_CAP", 128),
+                       help="accepted and ignored: optimize_d is exact at "
+                            "every order")
     p_inv.set_defaults(func=cmd_invariants)
 
     p_ver = sub.add_parser("verify", help="run falsifier suites")

@@ -21,11 +21,12 @@ from math import lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .errors import (CapExceeded, DegreeMismatch, NotNormal, NotPrime,
-                     PropertyViolated)
+from .errors import (BudgetExceeded, CapExceeded, DegreeMismatch, NotNormal,
+                     NotPrime, PropertyViolated)
 from .intmath import is_prime, valuation
 
 DEFAULT_CAP = 20_000
+TABLE_BUDGET = 1 << 24  # Cayley table entries, |G|^2: order 4096 still builds
 
 
 class Permutation:
@@ -163,11 +164,15 @@ class GroupTable:
     per element `order` and `ind` (degree minus orbit count); `gens` are the
     generator indices.  `mul` is filled from a base, so each product is one
     lookup of the base images of b under a; a product outside the element
-    set raises KeyError.
+    set raises KeyError.  A group with more than TABLE_BUDGET entries raises
+    BudgetExceeded before anything is allocated.
     """
 
     def __init__(self, elements: Sequence[Permutation],
                  generators: Sequence[Permutation] | None = None):
+        if len(elements) ** 2 > TABLE_BUDGET:
+            raise BudgetExceeded(f"Cayley table of order {len(elements)} "
+                                 f"exceeds {TABLE_BUDGET} entries")
         self.elements = elements = tuple(elements)
         self.idx = {g: i for i, g in enumerate(elements)}
         base = _base(elements)

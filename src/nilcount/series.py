@@ -8,34 +8,34 @@ weight m_i = |A_i| and minimal index a_i; the upper-bound exponent
     d(G) = sum of m_i over the layers with a_i equal to the global minimum,
     d(k,G) = d(G) / [k(zeta_ell):k]   (ell the order of minimal-index elements)
 
-depends on the chosen chain.  `optimize_d` minimizes d over all valid chains;
-for groups within the exhaustive cap this is done exactly by a shortest-path
-search on the lattice of admissible normal subgroups (equivalent to scanning
-every chain, without enumerating them one by one).
+depends on the chosen chain.  `optimize_d` minimizes d over all valid chains,
+exactly at every order, by a branch and bound from G downwards: the steps
+below a normal N are the hyperplanes of the F_p-spaces N/([G,N] N^p), and
+the minimal-index elements left inside a subgroup bound the cost below it.
 
-Subgroups are bitmasks over `GroupTable` indices.  Whether gN is central in
-G/N, its order and the step <N, g> depend only on the coset gN, so the
-successors of N cost O(|G|) lookups; a layer carries weight exactly when it
-meets the mask of the minimal-index elements.
+Subgroups are bitmasks over `GroupTable` indices.  A layer carries weight
+exactly when it meets the mask of the minimal-index elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
+from itertools import count
 from math import lcm
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Iterable, Sequence
 
-from .errors import (CapExceeded, InvalidChain, NotNilpotent, PropertyViolated,
-                     TrivialGroup)
+from .errors import (BudgetExceeded, CapExceeded, InvalidChain, NotNilpotent,
+                     PropertyViolated, TrivialGroup)
 from .malle import BaseFieldData, ind
 from .nilpotent import is_nilpotent
-from .intmath import is_prime, valuation
+from .intmath import is_prime, prime_factors, valuation
 from .permcore import GroupTable, PermGroup, Permutation
 
 EXHAUSTIVE_CAP = 128
+NODE_BUDGET = 1 << 16  # subgroup expansions the optimal-chain search may make
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,8 @@ class Refinement:
 
 @dataclass(frozen=True)
 class OptimizeResult:
+    """`heuristic_only` is always False, kept for the report schema."""
+
     refinement: Refinement
     d_group: int
     d_field: Fraction
@@ -85,15 +87,7 @@ def _successors(T: GroupTable, mask: int) -> list[int]:
     lookups for one N.
     """
     mul, commutators = T.mul, T.commutators
-    members = list(_bits(mask))
-    if len(members) == 1:
-        def coset(row: list[int]) -> int:
-            return 1 << row[0]
-    else:
-        pick = itemgetter(*members)
-
-        def coset(row: list[int]) -> int:
-            return sum(map((1).__lshift__, pick(row)))
+    coset = _coset_of(T, mask)
     out = []
     unseen = ((1 << len(mul)) - 1) & ~mask
     while unseen:
@@ -106,19 +100,62 @@ def _successors(T: GroupTable, mask: int) -> list[int]:
             if is_prime(len(powers)):
                 new = mask
                 for x in powers[:-1]:
-                    new |= coset(mul[x])
+                    new |= coset(x)
                 out.append(new)
                 unseen &= ~new
                 continue
-        unseen &= ~coset(row)
+        unseen &= ~coset(g)
     return sorted(out)
 
 
-def _layer_stats(T: GroupTable, lower: int, upper: int) -> tuple[int, int, int]:
-    """(prime, weight, min index) of the layer between two masks."""
-    diff = upper & ~lower
-    a = min(T.ind[i] for i in _bits(diff))
-    return upper.bit_count() // lower.bit_count(), diff.bit_count(), a
+def _coset_of(T: GroupTable, mask: int):
+    """x -> the mask of x*S, for the subgroup S given by `mask`."""
+    mul, members = T.mul, list(_bits(mask))
+    if len(members) == 1:  # itemgetter of one index returns a bare int
+        return lambda x: 1 << mul[x][members[0]]
+    pick = itemgetter(*members)
+    return lambda x: sum(map((1).__lshift__, pick(mul[x])))
+
+
+def _children(T: GroupTable, mask: int) -> list[int]:
+    """Masks M < N one central prime step below N, by ascending (|M|, M).
+
+    The M of index p are the subgroups of index p above K = [G,N] N^p, that
+    is the hyperplanes of the F_p-space N/K; [G,N] is the normal closure of
+    the commutators of N with the generators.  The cosets of K get
+    coordinates on a greedy basis.  Each functional whose first nonzero
+    coefficient is 1 is built one coordinate at a time, as the p masks on
+    which it takes each value, and its kernel is one M.
+    """
+    mul = T.mul
+    seeds = reduce(or_, map(T.commutators.__getitem__, _bits(mask)))
+    comm = _mask(T.normal_closure(_bits(seeds)))
+    out = []
+    for p in prime_factors(mask.bit_count() // comm.bit_count()):
+        coset, K = _coset_of(T, comm), comm
+        for x in _bits(mask):  # x -> x^p is a homomorphism of N/[G,N]
+            y = x
+            for _ in range(p - 1):
+                y = mul[y][x]
+            if not K >> y & 1:
+                K |= coset(y)
+        coset, span, reps = _coset_of(T, K), K, [(0, ())]
+        for x in _bits(mask):  # reps: one element per coset of K in span
+            if not span >> x & 1:
+                reps = [(mul[r][y], v + (t,))
+                        for t, y in enumerate(T.cyclic(x)[:p]) for r, v in reps]
+                span = reduce(or_, (coset(r) for r, _ in reps))
+        reps = [(coset(r), v) for r, v in reps]
+        cols = [[reduce(or_, (c for c, v in reps if v[i] == t), 0)  # x_i = t
+                 for t in range(p)] for i in range(len(reps[0][1]))]
+        for j, parts in enumerate(cols):  # x_j + sum of a_i x_i, i > j
+            states = [parts]
+            for col in cols[j + 1:]:
+                states = [[reduce(or_, (parts[(c - a * t) % p] & col[t]
+                                        for t in range(p))) for c in range(p)]
+                          for parts in states for a in range(p)]
+            out += [parts[0] for parts in states]
+    return sorted(out, key=lambda m: (m.bit_count(), m))
 
 
 def _bits(mask: int):
@@ -139,15 +176,18 @@ def _require_nilpotent_nontrivial(G: PermGroup) -> None:
         raise NotNilpotent("central prime refinements need a nilpotent group")
 
 
-def _refinement_from_masks(T: GroupTable, masks_ascending: Sequence[int]) -> Refinement:
+def _refinement_from_masks(T: GroupTable, masks_ascending: Sequence[int],
+                           subset=None) -> Refinement:
     """Build a Refinement from an ascending mask chain known to be valid."""
-    # layer 1 is the top step, so reverse the ascending order
-    steps = list(zip(masks_ascending, masks_ascending[1:]))[::-1]
-    stats = [_layer_stats(T, lower, upper) for lower, upper in steps]
-    return Refinement(tuple(T.subset(_bits(m)) for m in reversed(masks_ascending)),
-                      tuple(p for p, _, _ in stats),
-                      tuple(T.subset(_bits(upper & ~lower)) for lower, upper in steps),
-                      tuple(a for _, _, a in stats), tuple(w for _, w, _ in stats))
+    subset = subset or (lambda m: T.subset(_bits(m)))  # mask -> frozenset
+    top = masks_ascending[::-1]  # layer 1 is the top step
+    steps = list(zip(top, top[1:]))
+    layers = [upper & ~lower for upper, lower in steps]
+    return Refinement(tuple(map(subset, top)),
+                      tuple(u.bit_count() // l.bit_count() for u, l in steps),
+                      tuple(map(subset, layers)),
+                      tuple(min(map(T.ind.__getitem__, _bits(d))) for d in layers),
+                      tuple(d.bit_count() for d in layers))
 
 
 def enumerate_refinements(G: PermGroup, cap: int = EXHAUSTIVE_CAP) -> list[Refinement]:
@@ -160,6 +200,7 @@ def enumerate_refinements(G: PermGroup, cap: int = EXHAUSTIVE_CAP) -> list[Refin
     if G.order > cap:
         raise CapExceeded(f"group order {G.order} exceeds enumeration cap {cap}")
     T = G.table
+    successors = cache(lambda mask: _successors(T, mask))  # chains share states
     chains: list[list[int]] = []
     stack: list[int] = [1]  # the identity alone
 
@@ -168,13 +209,14 @@ def enumerate_refinements(G: PermGroup, cap: int = EXHAUSTIVE_CAP) -> list[Refin
         if mask == (1 << G.order) - 1:
             chains.append(list(stack))
             return
-        for nxt in _successors(T, mask):
+        for nxt in successors(mask):
             stack.append(nxt)
             dfs()
             stack.pop()
 
     dfs()
-    return [_refinement_from_masks(T, ch) for ch in chains]
+    subset = cache(lambda m: T.subset(_bits(m)))  # chains share their sets
+    return [_refinement_from_masks(T, ch, subset) for ch in chains]
 
 
 def refinement_data(G: PermGroup, chain: Sequence[Iterable[Permutation]]) -> Refinement:
@@ -257,101 +299,58 @@ def all_min_index_central(G: PermGroup) -> bool:
 
 def optimize_d(G: PermGroup, k: BaseFieldData,
                exhaustive_cap: int = EXHAUSTIVE_CAP) -> OptimizeResult:
-    """Minimal d(k,G) over refinements.
+    """Minimal d(k,G) over refinements, exact at every order.
 
-    Exhaustive (exact) for |G| <= exhaustive_cap via shortest path over the
-    lattice of admissible normal subgroups; above the cap a heuristic chain is
-    built instead and flagged.  Ties between minimal chains are broken by the
-    subgroup-order sequence and then by the canonical element order, read from
-    the top of the chain.
+    A branch and bound from G downwards (see `_optimal_refinement`) expands
+    at most NODE_BUDGET subgroups and raises BudgetExceeded beyond that.
+    Ties between minimal chains are broken by the subgroup-order sequence and
+    then by the masks, both read from the top of the chain.
+    `exhaustive_cap` is accepted for compatibility and changes nothing.
     """
     _require_nilpotent_nontrivial(G)
-    if G.order <= exhaustive_cap:
-        refinement = _optimal_refinement_exact(G)
-        heuristic = False
-    else:
-        refinement = _heuristic_refinement(G)
-        heuristic = True
+    refinement = _optimal_refinement(G)
     d_group, d_field = d_constant(refinement, k)
-    return OptimizeResult(refinement, d_group, d_field, heuristic)
+    return OptimizeResult(refinement, d_group, d_field, False)
 
 
-def _optimal_refinement_exact(G: PermGroup) -> Refinement:
-    """Cheapest chain from the trivial group up to G, built one level at a
-    time: every step multiplies the order by a prime, so all paths to one
-    subgroup have the same length.
+def _optimal_refinement(G: PermGroup) -> Refinement:
+    """Depth-first from G through `_children`, keeping the least key
+    (cost, orders from the top, masks from the top) found at a leaf.
 
-    A step costs its weight when its layer meets `minimal`, the mask of the
-    minimal-index elements, and nothing otherwise.  Ties go to the least
-    subgroup orders, then the least masks, both read from the top.  Two
-    paths into the same N differ only below N, so they compare as their
-    predecessors' best paths do: first by subgroup orders, which `rank`
-    numbers in ascending order within a level, then by the predecessor's
-    mask.  So a state keeps its cost, its rank and its predecessor, not its
-    path.
+    A step costs its weight when its layer meets `minimal`, and each
+    minimal-index element of M lies in a layer below M, so cost so far plus
+    |M & minimal| bounds every chain through M.  A child goes when that
+    bound and its orders exceed the best key's, or tie with it while |M| is
+    a prime power: the orders below M are then forced, and the best chain
+    came first.  A subgroup reached again by no better a path (cost and
+    orders) is not expanded twice.
     """
     T = G.table
     ind_G = min(T.ind[1:])
     minimal = _mask(i for i in range(1, G.order) if T.ind[i] == ind_G)
-    full_mask = (1 << G.order) - 1
-    below: dict[int, int] = {}
-    level = {1: (0, 0)}  # state -> (cost, rank)
-    while full_mask not in level:
-        reached: dict[int, tuple[int, int, int]] = {}
-        for mask, (cost, rank) in level.items():
-            for nxt in _successors(T, mask):
-                diff = nxt & ~mask
-                step = diff.bit_count() if diff & minimal else 0
-                cand = (cost + step, rank, mask)
-                cur = reached.get(nxt)
-                if cur is None or cand < cur:
-                    reached[nxt] = cand
-        if not reached:
-            raise NotNilpotent("no central prime chain reaches the whole group")
-        keys = sorted({(m.bit_count(), r) for m, (_, r, _) in reached.items()})
-        rank_of = {key: i for i, key in enumerate(keys)}
-        level = {}
-        for m, (cost, r, low) in reached.items():
-            below[m] = low
-            level[m] = (cost, rank_of[m.bit_count(), r])
-    chain = [full_mask]
-    while chain[-1] != 1:
-        chain.append(below[chain[-1]])
-    return _refinement_from_masks(T, chain[::-1])
+    best, seen, expanded = (G.order, (), ()), {}, count(1)
 
+    def visit(mask: int, cost: int, orders: tuple, masks: tuple) -> None:
+        nonlocal best
+        if mask == 1:
+            best = min(best, (cost, orders, masks))
+            return
+        if seen.get(mask, (G.order,)) <= (cost, orders):
+            return
+        seen[mask] = (cost, orders)
+        if next(expanded) > NODE_BUDGET:
+            raise BudgetExceeded(f"refinement search exceeds {NODE_BUDGET} nodes")
+        for m in _children(T, mask):
+            diff = mask & ~m
+            step = cost + (diff.bit_count() if diff & minimal else 0)
+            key = (step + (m & minimal).bit_count(), orders + (m.bit_count(),))
+            bar = (best[0], best[1][:len(key[1])])
+            if key < bar or key == bar and len(prime_factors(key[1][-1])) > 1:
+                visit(m, step, key[1], masks + (m,))
 
-def _heuristic_refinement(G: PermGroup) -> Refinement:
-    """Greedy chain for groups above the exhaustive cap.
-
-    When the minimal-index elements are central (so they form an elementary
-    abelian subgroup V), route the chain through V; the layers inside V then
-    carry all the minimal-index weight and the result meets the lower bound
-    of the element count, hence is optimal.  Otherwise capture minimal-index
-    elements as deep (early, low-weight) as possible, greedily.
-    """
-    T = G.table
-    ind_G = min(T.ind[1:])
-    minimal = _mask(i for i in range(1, G.order) if T.ind[i] == ind_G)
-    target_v = minimal | 1 if all_min_index_central(G) else None
-    chain = [1]
-    while chain[-1] != (1 << G.order) - 1:
-        cur = chain[-1]
-        cands = _successors(T, cur)
-        if not cands:
-            raise NotNilpotent("no central prime chain reaches the whole group")
-
-        def priority(nxt: int) -> tuple:
-            layer = nxt & ~cur
-            n_min = (layer & minimal).bit_count()
-            if target_v is not None and cur != target_v and not cur & ~target_v:
-                # grow inside V first
-                return (0 if not nxt & ~target_v else 1,)
-            # a pure minimal-index layer is cheapest now, a mixed one dearest
-            bucket = 0 if n_min == layer.bit_count() else 1 if n_min == 0 else 2
-            return (bucket, layer.bit_count() if n_min else 0)
-
-        chain.append(min(cands, key=lambda m: (priority(m), tuple(_bits(m)))))
-    return _refinement_from_masks(T, chain)
+    full = (1 << G.order) - 1
+    visit(full, 0, (G.order,), (full,))
+    return _refinement_from_masks(T, best[2][::-1])
 
 
 def refinement_to_json(refinement: Refinement,

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 from nilcount.cli import main
 
@@ -213,3 +214,29 @@ def test_count_quadratic_sieves_once(capsys, monkeypatch):
                         "--max-x", str(huge))
     assert code == 2 and rep["error"].startswith("BudgetExceeded")
     assert calls == [huge]
+
+
+def test_refinement_node_budget_is_typed_error(capsys, monkeypatch):
+    from nilcount import series
+    monkeypatch.setattr(series, "NODE_BUDGET", 1)
+    code, rep = run_cli(capsys, "invariants", "--group", "D4_S8")
+    assert code == 2 and rep["error"].startswith("BudgetExceeded")
+
+
+def test_table_budget_is_typed_error_before_allocating(capsys):
+    from nilcount.permcore import PermGroup, parse_generators
+    # C2^13 is transitive only on its own 8192 points, where its elements
+    # alone take gigabytes; (C2 wr C4) wr C2 has order 2^13 on 16 points
+    group = ("(1,2);(1,3,5,7)(2,4,6,8);"
+             "(1,9)(2,10)(3,11)(4,12)(5,13)(6,14)(7,15)(8,16)")
+    G = PermGroup.generate(parse_generators(group))
+    assert (G.order, G.is_transitive) == (8192, True)
+    del G
+    tracemalloc.start()
+    try:
+        code, rep = run_cli(capsys, "invariants", "--group", group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and rep["error"].startswith("BudgetExceeded")
+    assert peak < 32 << 20  # the table alone would hold 2^26 entries

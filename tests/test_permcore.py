@@ -1,7 +1,9 @@
 import pytest
 
-from nilcount.errors import CapExceeded, DegreeMismatch, NotNormal, NotPrime
-from nilcount.permcore import (PermGroup, Permutation, abelianization_rank,
+from nilcount.errors import (BudgetExceeded, CapExceeded, DegreeMismatch,
+                             NotNormal, NotPrime)
+from nilcount.permcore import (TABLE_BUDGET, PermGroup, Permutation,
+                               abelianization_rank,
                                center, conjugacy_classes, cycle_string,
                                element_order, exponent, parse_generators,
                                parse_permutation, quotient, quotient_with_map)
@@ -226,3 +228,14 @@ def test_catalog_invariants_against_sympy():
         assert G.order == P.order(), name
         assert len(conjugacy_classes(G)) == len(P.conjugacy_classes()), name
         assert len(center(G)) == P.center().order(), name
+
+
+def test_table_budget_guards_before_building():
+    assert 4096 ** 2 <= TABLE_BUDGET < 4097 ** 2
+    # C2^13 on 26 points: 8192 elements, a table of 2^26 entries
+    G = PermGroup.generate(parse_generators(
+        ";".join(f"({2 * i + 1},{2 * i + 2})" for i in range(13))))
+    assert G.order == 8192
+    with pytest.raises(BudgetExceeded):
+        G.table
+    assert G._table is None

@@ -1,18 +1,23 @@
 import hashlib
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from nilcount import series
 from nilcount.catalog import (abelian, cyclic, dihedral4_regular,
-                              dihedral4_s4, generalized_quaternion,
+                              dihedral4_s4, generalized_quaternion, get_group,
                               nilpotent_catalog, resolve)
-from nilcount.errors import (CapExceeded, InvalidChain, NotNilpotent,
-                             TrivialGroup)
+from nilcount.errors import (BudgetExceeded, CapExceeded, InvalidChain,
+                             NotNilpotent, TrivialGroup)
 from nilcount.malle import BaseFieldData, b_constant, ind, min_index
 from nilcount.permcore import PermGroup, mulclose
 from nilcount.intmath import is_prime, prime_factors, valuation
-from nilcount.series import (Refinement, _successors, all_min_index_central,
-                             d_constant, enumerate_refinements, optimize_d,
+from nilcount.series import (Refinement, _refinement_from_masks, _successors,
+                             all_min_index_central, d_constant,
+                             enumerate_refinements, optimize_d,
                              refinement_data, refinement_to_json)
 
 Q = BaseFieldData.rationals()
@@ -212,21 +217,38 @@ def test_equality_with_b_exactly_when_central():
         assert (opt.d_field == b) == all_min_index_central(G)
 
 
-def test_heuristic_path_larger_group():
-    # drop the cap so the heuristic runs; the minimal-index elements of
-    # C4 x C2 are central, so the routed chain is provably optimal
-    G = abelian(4, 2)
-    opt = optimize_d(G, Q, exhaustive_cap=4)
-    assert opt.heuristic_only
-    assert opt.d_group == 3
-    heis = resolve("Heis27").group()
-    opt = optimize_d(heis, Q, exhaustive_cap=4)
-    assert opt.heuristic_only
-    assert opt.d_group == 26  # every chain gives 26 for this group
-    d8 = dihedral4_regular()
-    opt = optimize_d(d8, Q, exhaustive_cap=4)
-    assert opt.heuristic_only
-    assert opt.d_group in (5, 7)  # best effort, flagged as heuristic
+def test_exhaustive_cap_is_inert():
+    # the cap once switched larger groups to a greedy chain (d = 7 on D4_S8,
+    # 12 on D4xC3_S12); the search is now exact at every order
+    for name, d in (("D4_S8", 5), ("D4xC3_S12", 2), ("Heis27", 26)):
+        G = resolve(name).group()
+        opt = optimize_d(G, Q, exhaustive_cap=4)
+        assert opt == optimize_d(G, Q), name
+        assert opt.d_group == d and not opt.heuristic_only, name
+
+
+def test_node_budget_raises(monkeypatch):
+    # the search makes 5 expansions on D4_S8 (one subgroup twice)
+    G = resolve("D4_S8").group()
+    monkeypatch.setattr(series, "NODE_BUDGET", 5)
+    assert optimize_d(G, Q).d_group == 5
+    monkeypatch.setattr(series, "NODE_BUDGET", 4)
+    with pytest.raises(BudgetExceeded):
+        optimize_d(G, Q)
+
+
+def test_enumeration_expands_each_state_once(monkeypatch):
+    calls = []
+
+    def counted(T, mask):
+        calls.append(mask)
+        return _successors(T, mask)
+    G = abelian(2, 2, 2, 2)
+    before = enumerate_refinements(G)
+    monkeypatch.setattr(series, "_successors", counted)
+    assert enumerate_refinements(G) == before
+    # one call per subgroup below the top: 1 + 15 + 35 + 15
+    assert len(calls) == len(set(calls)) == 66
 
 
 def test_refinement_json():
@@ -277,6 +299,23 @@ def test_successors_match_per_element_reference():
         assert (1 << len(T.mul)) - 1 in states
 
 
+def test_children_are_the_reversed_successors():
+    for name in ("Q8xC3_S24", "D4xC3_S12", "Heis27", "C4xC4", "C3xC3xC3",
+                 "D4_S8", "C12xC2"):
+        T = resolve(name).group().table
+        below, todo = {1: set()}, [1]
+        while todo:
+            mask = todo.pop()
+            for nxt in _successors(T, mask):
+                if nxt not in below:
+                    below[nxt] = set()
+                    todo.append(nxt)
+                below[nxt].add(mask)
+        for mask, subs in below.items():
+            assert series._children(T, mask) == sorted(
+                subs, key=lambda m: (m.bit_count(), m)), (name, mask)
+
+
 def _abelian_types(n):
     """Every abelian group of order n as a tuple of prime-power orders."""
     def partitions(e, most):
@@ -321,3 +360,81 @@ def test_optimize_c2_7_chain_pinned():
     assert orders == (128, 64, 32, 16, 8, 4, 2, 1)
     assert hashlib.sha256(",".join(map(str, masks)).encode()).hexdigest() == \
         "6c5367c6fddcf932039a005b04ffe1e20dcd06f00c2259e9108b1c6c4b4a252c"
+
+
+def _bottom_up_oracle(G):
+    """The former level search, kept as an independent oracle: cheapest
+    chain from the trivial group up to G, one level at a time, ties to the
+    least subgroup orders and then the least masks, both read from the top.
+    Two paths into one N differ only below N, so a state keeps its cost, the
+    rank of its path's orders within the level and its predecessor."""
+    T = G.table
+    ind_G = min(T.ind[1:])
+    minimal = sum(1 << i for i in range(1, G.order) if T.ind[i] == ind_G)
+    full_mask = (1 << G.order) - 1
+    below = {}
+    level = {1: (0, 0)}  # state -> (cost, rank)
+    while full_mask not in level:
+        reached = {}
+        for mask, (cost, rank) in level.items():
+            for nxt in _successors(T, mask):
+                diff = nxt & ~mask
+                step = diff.bit_count() if diff & minimal else 0
+                cand = (cost + step, rank, mask)
+                if nxt not in reached or cand < reached[nxt]:
+                    reached[nxt] = cand
+        keys = sorted({(m.bit_count(), r) for m, (_, r, _) in reached.items()})
+        rank_of = {key: i for i, key in enumerate(keys)}
+        level = {}
+        for m, (cost, r, low) in reached.items():
+            below[m] = low
+            level[m] = (cost, rank_of[m.bit_count(), r])
+    chain = [full_mask]
+    while chain[-1] != 1:
+        chain.append(below[chain[-1]])
+    return _refinement_from_masks(T, chain[::-1])
+
+
+def _workloads():
+    """The benchmark's job lists (the module imports nothing from nilcount)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _oracle_cases(family):
+    if family == "catalog":
+        return [G for _, G in nilpotent_catalog()]
+    if family == "abelian<=32":
+        return [abelian(*t) for n in range(2, 33) for t in _abelian_types(n)]
+    if family == "mixed":
+        return [abelian(*t) for t in ((6, 6, 2), (12, 6), (21, 7))]
+    wl = _workloads()
+    if family == "benchmark patterns":
+        return [resolve(n).group() for n in wl.ABELIAN_PATTERNS]
+    return [get_group(wl.natural_product(*f))[1] for f in wl.PRODUCTS.values()]
+
+
+@pytest.mark.parametrize("family,count", [
+    ("catalog", 23), ("abelian<=32", 54), ("benchmark patterns", 22),
+    ("benchmark products", 8), ("mixed", 3)])
+def test_optimize_matches_bottom_up_oracle(family, count):
+    groups = _oracle_cases(family)
+    assert len(groups) == count
+    for G in groups:
+        assert optimize_d(G, Q).refinement == _bottom_up_oracle(G), G
+
+
+def test_optimize_c2_8_chain_pinned():
+    # masks (top first) of the bottom-up oracle's chain, which takes about
+    # 40 s on C2^8 and so runs outside the test suite
+    G = abelian(*[2] * 8)
+    opt = optimize_d(G, Q)
+    d_group, orders, masks = _chain_key(G, opt.refinement)
+    assert (d_group, opt.heuristic_only) == (255, False)
+    assert orders == (256, 128, 64, 32, 16, 8, 4, 2, 1)
+    assert hashlib.sha256(",".join(map(str, masks)).encode()).hexdigest() == \
+        "9e80288ca6094c41c98c4b155e2d7fbfc139ff4b94363d0a9bc0724ba1bd6673"
