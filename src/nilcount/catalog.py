@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from math import prod
 from typing import Callable
 
 from .extension import regular_permutation_group
 from .nilpotent import natural_product
-from .permcore import PermGroup, Permutation, cycle_string, parse_generators
+from .permcore import (PermGroup, Permutation, cycle_string, parse_generators,
+                       require_table_budget)
 
 
 def cyclic(n: int) -> PermGroup:
@@ -153,16 +155,22 @@ _ABELIAN_RE = re.compile(r"^C(\d+(?:xC\d+)+)$")
 
 
 def resolve(name: str) -> CatalogEntry | None:
-    """Catalog entry for a name, including the Cn / CnxCm... patterns."""
+    """Catalog entry for a name, including the Cn / CnxCm... patterns.
+
+    A pattern whose Cayley table would exceed the table budget raises
+    BudgetExceeded here, before any of its permutations is built.
+    """
     if name in CATALOG:
         return CATALOG[name]
     m = _CYCLIC_RE.match(name)
     if m:
         n = int(m.group(1))
+        require_table_budget(n)
         return CatalogEntry(name, lambda: cyclic(n), f"cyclic group on {n} points")
     m = _ABELIAN_RE.match(name)
     if m:
         orders = tuple(int(x) for x in name[1:].split("xC"))
+        require_table_budget(prod(orders))
         return CatalogEntry(name, lambda: abelian(*orders),
                             "abelian group of type " + str(orders))
     return None

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping
 
-from .errors import PropertyViolated, TrivialGroup, UnsupportedModulus
+from .errors import PropertyViolated, UnsupportedModulus
 from .permcore import (ConjClass, PermGroup, Permutation, conjugacy_classes,
                        exponent)
 
@@ -135,9 +135,7 @@ def ind(g: Permutation) -> int:
 
 def min_index(G: PermGroup) -> tuple[int, Fraction]:
     """(ind(G), a(G)) with a(G) = 1/ind(G) as an exact rational."""
-    if G.order == 1:
-        raise TrivialGroup("ind(G) needs a non-identity element")
-    ind_G = min(G.table.ind[1:])
+    ind_G = G.table.ind[G.table.minimal.bit_length() - 1]
     return ind_G, Fraction(1, ind_G)
 
 
@@ -158,9 +156,8 @@ def k_classes(G: PermGroup, k: BaseFieldData) -> list[KClass]:
         cyc = T.cyclic(c[0])
         orbit = {class_of[cyc[m % len(cyc)]] for m in powers}
         seen |= orbit
-        members = tuple(sorted((classes[j] for j in orbit),
-                               key=lambda cl: cl.representative))
-        indices = {ind(cl.representative) for cl in members}
+        members = tuple(classes[j] for j in sorted(orbit))  # by representative
+        indices = {T.ind[T.classes[j][0]] for j in orbit}
         if len(indices) != 1:
             raise PropertyViolated("power maps changed the index of a class")
         out.append(KClass(members, indices.pop()))

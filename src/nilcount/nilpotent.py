@@ -13,8 +13,8 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import NotNilpotent, NotTransitive, PropertyViolated, TrivialGroup
-from .malle import ind, min_index
-from .intmath import is_prime, prime_factors, valuation
+from .malle import min_index
+from .intmath import prime_factors, valuation
 from .permcore import PermGroup, Permutation
 
 
@@ -43,7 +43,7 @@ def sylow_subgroup_sets(G: PermGroup) -> dict[int, frozenset[Permutation]]:
     """The elements of prime-power order, per prime, with nilpotency checks.
 
     In a nilpotent group these sets are the (normal, unique) Sylow subgroups;
-    the check is that each has full Sylow size and is multiplicatively closed.
+    the check is that each has full Sylow size and is a subgroup.
     """
     order, T = G.order, G.table
     out: dict[int, frozenset[Permutation]] = {}
@@ -54,7 +54,7 @@ def sylow_subgroup_sets(G: PermGroup) -> dict[int, frozenset[Permutation]]:
         if len(part) != size:
             raise NotNilpotent(
                 f"{ell}-elements form {len(part)} of {size} required")
-        if any(T.mul[a][b] not in part for a in part for b in part):
+        if not T.is_subgroup(part):
             raise NotNilpotent(f"{ell}-elements are not closed")
         out[ell] = T.subset(part)
     return out
@@ -94,10 +94,14 @@ def sylow_decompose(G: PermGroup) -> SylowDecomposition:
         if len(sylows) == 1:
             factors.append((ell, G))
             continue
-        complement = [g for g in G.elements
-                      if gcd(g.order(), ell) == 1]
-        orbit_of = _orbit_index(complement, n)
-        n_blocks = max(orbit_of) + 1
+        complement = [g for g, o in zip(G.elements, G.table.order)
+                      if gcd(o, ell) == 1]
+        orbit_of, n_blocks = [-1] * n, 0
+        for x in range(n):  # the complement is a subgroup: orbits are x^H
+            if orbit_of[x] < 0:
+                for g in complement:
+                    orbit_of[g(x)] = n_blocks
+                n_blocks += 1
         if n_blocks != n_ell:
             raise NotNilpotent(
                 f"{ell}-complement has {n_blocks} orbits, expected {n_ell}")
@@ -121,37 +125,9 @@ def sylow_decompose(G: PermGroup) -> SylowDecomposition:
     return SylowDecomposition(tuple(factors), best[1], best[0])
 
 
-def _orbit_index(elements: list[Permutation], degree: int) -> list[int]:
-    """Orbit number per point, orbits labeled by ascending minimal point."""
-    orbit_of = [-1] * degree
-    count = 0
-    for start in range(degree):
-        if orbit_of[start] >= 0:
-            continue
-        orbit_of[start] = count
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for g in elements:
-                y = g(x)
-                if orbit_of[y] < 0:
-                    orbit_of[y] = count
-                    frontier.append(y)
-        count += 1
-    return orbit_of
-
-
 def critical_prime_check(G: PermGroup) -> int:
     """The common (prime) order of all minimal-index elements."""
     if not G.is_transitive:
         raise NotTransitive("critical prime needs transitivity")
     sylow_subgroup_sets(G)  # raises NotNilpotent when it fails
-    ind_G, _ = min_index(G)
-    orders = {g.order() for g in G.elements
-              if not g.is_identity() and ind(g) == ind_G}
-    if len(orders) != 1:
-        raise PropertyViolated(f"minimal-index elements of orders {sorted(orders)}")
-    ell = orders.pop()
-    if not is_prime(ell):
-        raise PropertyViolated(f"minimal-index order {ell} is not prime")
-    return ell
+    return G.table.critical_prime()

@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (BudgetExceeded, CapExceeded, DegreeMismatch, NotNormal,
-                     NotPrime, PropertyViolated)
+                     NotPrime, PropertyViolated, TrivialGroup)
 from .intmath import is_prime, valuation
 
 DEFAULT_CAP = 20_000
@@ -158,6 +158,16 @@ def _base(elements: Sequence[Permutation]) -> list[int]:
     return base or [0]
 
 
+def bits(mask: int) -> list[int]:
+    """The indices of the set bits of `mask`, ascending."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+
+
+def require_table_budget(order: int) -> None:
+    if order ** 2 > TABLE_BUDGET:  # checked before anything is built
+        raise BudgetExceeded(f"Cayley table of order {order} exceeds {TABLE_BUDGET} entries")
+
+
 class GroupTable:
     """Cayley table of a group: the elements in canonical order (identity at
     0), `idx`, `mul[i][j]` = index of elements[i] * elements[j], `inv`, and
@@ -166,13 +176,15 @@ class GroupTable:
     lookup of the base images of b under a; a product outside the element
     set raises KeyError.  A group with more than TABLE_BUDGET entries raises
     BudgetExceeded before anything is allocated.
+
+    `minimal` is the bitmask of the minimal-index elements and
+    `critical_prime` their common prime order; `is_subgroup` is the one
+    closure test for an index set.
     """
 
     def __init__(self, elements: Sequence[Permutation],
                  generators: Sequence[Permutation] | None = None):
-        if len(elements) ** 2 > TABLE_BUDGET:
-            raise BudgetExceeded(f"Cayley table of order {len(elements)} "
-                                 f"exceeds {TABLE_BUDGET} entries")
+        require_table_budget(len(elements))
         self.elements = elements = tuple(elements)
         self.idx = {g: i for i, g in enumerate(elements)}
         base = _base(elements)
@@ -188,6 +200,25 @@ class GroupTable:
     @cached_property
     def ind(self) -> list[int]:
         return [g.degree - len(g.orbits()) for g in self.elements]
+
+    @cached_property
+    def minimal(self) -> int:
+        """Bitmask of the non-identity elements of least index."""
+        if len(self.ind) == 1:
+            raise TrivialGroup("ind(G) needs a non-identity element")
+        least = min(self.ind[1:])
+        return sum(1 << i for i, a in enumerate(self.ind) if a == least)
+
+    def critical_prime(self) -> int:
+        """The order all minimal-index elements share, which must be prime."""
+        orders = sorted({self.order[i] for i in bits(self.minimal)})
+        if len(orders) != 1 or not is_prime(orders[0]):
+            raise PropertyViolated(f"minimal-index elements have orders {orders}")
+        return orders[0]
+
+    @cached_property
+    def exponent(self) -> int:
+        return reduce(lcm, self.order, 1)
 
     @cached_property
     def classes(self) -> list[list[int]]:
@@ -229,6 +260,17 @@ class GroupTable:
                     els.add(y)
                     frontier.append(y)
         return els
+
+    def is_subgroup(self, members: Iterable[int]) -> bool:
+        """Whether the index set S is a subgroup: <s_1, ..., s_j> stays in S."""
+        S, gens, have = set(members), [], {0}
+        for s in sorted(S):
+            if s not in have:
+                gens.append(s)
+                have = self.closure(gens, have)
+                if not have <= S:
+                    return False
+        return 0 in S
 
     def generating_set(self) -> list[int]:
         """Greedy generators: each element, in canonical order, that the
@@ -282,7 +324,7 @@ class GroupTable:
                                    for a in self.gens for b in self.gens)
 
     def subset(self, idx: Iterable[int]) -> frozenset[Permutation]:
-        return frozenset(self.elements[i] for i in idx)
+        return frozenset(map(self.elements.__getitem__, idx))
 
 
 class PermGroup:
@@ -435,7 +477,7 @@ def quotient_with_map(G: PermGroup, N: Iterable[Permutation]
     if G.identity not in nset:
         raise NotNormal("kernel does not contain the identity")
     nidx = _indices(T, nset)
-    if nidx is None or T.closure(nidx) != nidx:
+    if nidx is None or not T.is_subgroup(nidx):
         raise NotNormal("kernel is not a subgroup")
     if not T.is_normal(nidx):
         raise NotNormal("kernel is not normal")
@@ -464,7 +506,7 @@ def element_order(g: Permutation) -> int:
 
 
 def exponent(G: PermGroup) -> int:
-    return reduce(lcm, G.table.order, 1)
+    return G.table.exponent
 
 
 def abelianization_rank(G: PermGroup, ell: int) -> int:

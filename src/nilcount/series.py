@@ -13,57 +13,88 @@ exactly at every order, by a branch and bound from G downwards: the steps
 below a normal N are the hyperplanes of the F_p-spaces N/([G,N] N^p), and
 the minimal-index elements left inside a subgroup bound the cost below it.
 
-Subgroups are bitmasks over `GroupTable` indices.  A layer carries weight
-exactly when it meets the mask of the minimal-index elements.
+Subgroups are bitmasks over `GroupTable` indices; a `Refinement` is a table
+and its chain's masks.  A layer carries weight exactly when it meets the
+table's mask of the minimal-index elements, whose common order is ell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
-from itertools import count
-from math import lcm
+from functools import cache, cached_property, reduce
+from itertools import accumulate, count, pairwise
 from operator import itemgetter, or_
 from typing import Iterable, Sequence
 
 from .errors import (BudgetExceeded, CapExceeded, InvalidChain, NotNilpotent,
                      PropertyViolated, TrivialGroup)
-from .malle import BaseFieldData, ind
+from .malle import BaseFieldData
 from .nilpotent import is_nilpotent
 from .intmath import is_prime, prime_factors, valuation
-from .permcore import GroupTable, PermGroup, Permutation
+from .permcore import GroupTable, PermGroup, Permutation, bits
 
 EXHAUSTIVE_CAP = 128
 NODE_BUDGET = 1 << 16  # subgroup expansions the optimal-chain search may make
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Refinement:
-    """A validated chain with its derived layer data.
-
-    `subgroups` runs from the whole group down to the trivial group; layer i
-    (1-based, as in the exponent formulas) sits between subgroups[i-1] and
-    subgroups[i].
+    """A validated chain: the group's table and the subgroup masks, from the
+    whole group down to the trivial group.  Layer i (1-based, as in the
+    exponent formulas) sits between subgroups[i-1] and subgroups[i]; the
+    layer data are read from the masks and `table.ind`, and `subgroups` and
+    `layer_sets` are built as frozensets of permutations on first use.
     """
 
-    subgroups: tuple[frozenset[Permutation], ...]
-    primes: tuple[int, ...]
-    layer_sets: tuple[frozenset[Permutation], ...]
-    layer_min_index: tuple[int, ...]
-    weights: tuple[int, ...]
+    table: GroupTable
+    masks: tuple[int, ...]
+
+    def __eq__(self, other) -> bool:  # equal sets, whichever table holds them
+        return (isinstance(other, Refinement) and self.masks == other.masks
+                and self.table.elements == other.table.elements)
+
+    def __hash__(self) -> int:
+        return hash(self.masks)
+
+    @property
+    def _layers(self) -> list[int]:
+        return [upper & ~lower for upper, lower in pairwise(self.masks)]
+
+    @cached_property
+    def layer_sets(self) -> tuple[frozenset[Permutation], ...]:
+        return tuple(self.table.subset(bits(d)) for d in self._layers)
+
+    @cached_property
+    def subgroups(self) -> tuple[frozenset[Permutation], ...]:
+        # a subgroup is the identity and the layers below it
+        return tuple(accumulate(reversed(self.layer_sets), or_,
+                                initial=self.table.subset([0])))[::-1]
+
+    @property
+    def primes(self) -> tuple[int, ...]:
+        return tuple(u.bit_count() // l.bit_count() for u, l in pairwise(self.masks))
+
+    @property
+    def layer_min_index(self) -> tuple[int, ...]:
+        return tuple(min(map(self.table.ind.__getitem__, bits(d)))
+                     for d in self._layers)
+
+    @property
+    def weights(self) -> tuple[int, ...]:
+        return tuple(d.bit_count() for d in self._layers)
 
     @property
     def length(self) -> int:
-        return len(self.primes)
+        return len(self.masks) - 1
 
     @property
     def subgroup_orders(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.subgroups)
+        return tuple(m.bit_count() for m in self.masks)
 
     @property
     def group_order(self) -> int:
-        return len(self.subgroups[0])
+        return self.masks[0].bit_count()
 
 
 @dataclass(frozen=True)
@@ -110,7 +141,7 @@ def _successors(T: GroupTable, mask: int) -> list[int]:
 
 def _coset_of(T: GroupTable, mask: int):
     """x -> the mask of x*S, for the subgroup S given by `mask`."""
-    mul, members = T.mul, list(_bits(mask))
+    mul, members = T.mul, list(bits(mask))
     if len(members) == 1:  # itemgetter of one index returns a bare int
         return lambda x: 1 << mul[x][members[0]]
     pick = itemgetter(*members)
@@ -128,19 +159,19 @@ def _children(T: GroupTable, mask: int) -> list[int]:
     which it takes each value, and its kernel is one M.
     """
     mul = T.mul
-    seeds = reduce(or_, map(T.commutators.__getitem__, _bits(mask)))
-    comm = _mask(T.normal_closure(_bits(seeds)))
+    seeds = reduce(or_, map(T.commutators.__getitem__, bits(mask)))
+    comm = _mask(T.normal_closure(bits(seeds)))
     out = []
     for p in prime_factors(mask.bit_count() // comm.bit_count()):
         coset, K = _coset_of(T, comm), comm
-        for x in _bits(mask):  # x -> x^p is a homomorphism of N/[G,N]
+        for x in bits(mask):  # x -> x^p is a homomorphism of N/[G,N]
             y = x
             for _ in range(p - 1):
                 y = mul[y][x]
             if not K >> y & 1:
                 K |= coset(y)
         coset, span, reps = _coset_of(T, K), K, [(0, ())]
-        for x in _bits(mask):  # reps: one element per coset of K in span
+        for x in bits(mask):  # reps: one element per coset of K in span
             if not span >> x & 1:
                 reps = [(mul[r][y], v + (t,))
                         for t, y in enumerate(T.cyclic(x)[:p]) for r, v in reps]
@@ -158,13 +189,6 @@ def _children(T: GroupTable, mask: int) -> list[int]:
     return sorted(out, key=lambda m: (m.bit_count(), m))
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _mask(indices) -> int:
     return sum(1 << i for i in indices)
 
@@ -174,20 +198,6 @@ def _require_nilpotent_nontrivial(G: PermGroup) -> None:
         raise TrivialGroup("refinements need a nontrivial group")
     if not is_nilpotent(G):
         raise NotNilpotent("central prime refinements need a nilpotent group")
-
-
-def _refinement_from_masks(T: GroupTable, masks_ascending: Sequence[int],
-                           subset=None) -> Refinement:
-    """Build a Refinement from an ascending mask chain known to be valid."""
-    subset = subset or (lambda m: T.subset(_bits(m)))  # mask -> frozenset
-    top = masks_ascending[::-1]  # layer 1 is the top step
-    steps = list(zip(top, top[1:]))
-    layers = [upper & ~lower for upper, lower in steps]
-    return Refinement(tuple(map(subset, top)),
-                      tuple(u.bit_count() // l.bit_count() for u, l in steps),
-                      tuple(map(subset, layers)),
-                      tuple(min(map(T.ind.__getitem__, _bits(d))) for d in layers),
-                      tuple(d.bit_count() for d in layers))
 
 
 def enumerate_refinements(G: PermGroup, cap: int = EXHAUSTIVE_CAP) -> list[Refinement]:
@@ -215,8 +225,7 @@ def enumerate_refinements(G: PermGroup, cap: int = EXHAUSTIVE_CAP) -> list[Refin
             stack.pop()
 
     dfs()
-    subset = cache(lambda m: T.subset(_bits(m)))  # chains share their sets
-    return [_refinement_from_masks(T, ch, subset) for ch in chains]
+    return [Refinement(T, tuple(reversed(ch))) for ch in chains]
 
 
 def refinement_data(G: PermGroup, chain: Sequence[Iterable[Permutation]]) -> Refinement:
@@ -237,39 +246,22 @@ def refinement_data(G: PermGroup, chain: Sequence[Iterable[Permutation]]) -> Ref
         if not is_prime(len(upper) // len(lower)):
             raise InvalidChain("quotient is not of prime order")
     T = G.table
-    members = [{T.idx[g] for g in sub} for sub in subgroups]
-    for sub in members[1:-1]:
-        if T.closure(sub) != sub:
+    masks = tuple(_mask(map(T.idx.__getitem__, sub)) for sub in subgroups)
+    for m in masks[1:-1]:
+        if not T.is_subgroup(bits(m)):
             raise InvalidChain("chain member is not a subgroup")
-    masks = [_mask(m) for m in members]
-    for upper, lower in zip(members, masks[1:]):
-        if any(T.commutators[g] & ~lower for g in upper):
+    for upper, lower in pairwise(masks):
+        if any(T.commutators[g] & ~lower for g in bits(upper)):
             raise InvalidChain(
                 "quotient layer is not central in the ambient quotient")
-    return _refinement_from_masks(T, masks[::-1])
-
-
-def critical_prime_of(refinement: Refinement) -> int:
-    """Order of the minimal-index elements, read off the attaining layers."""
-    a = min(refinement.layer_min_index)
-    witnesses = [g for lay, ai in zip(refinement.layer_sets,
-                                      refinement.layer_min_index)
-                 if ai == a for g in lay if ind(g) == a]
-    orders = {g.order() for g in witnesses}
-    if len(orders) != 1 or not is_prime(next(iter(orders))):
-        raise PropertyViolated(
-            f"minimal-index elements have orders {sorted(orders)}")
-    return orders.pop()
+    return Refinement(T, masks)
 
 
 def d_constant(refinement: Refinement, k: BaseFieldData) -> tuple[int, Fraction]:
     """(d(G), d(k,G)) for one refinement; both exact."""
-    a = min(refinement.layer_min_index)
-    d_group = sum(m for m, ai in zip(refinement.weights,
-                                     refinement.layer_min_index) if ai == a)
-    ell = critical_prime_of(refinement)
-    e = reduce(lcm, (g.order() for g in refinement.subgroups[0]), 1)
-    return d_group, Fraction(d_group, k.n_ell(ell, e))
+    T = refinement.table
+    d_group = sum(d.bit_count() for d in refinement._layers if d & T.minimal)
+    return d_group, Fraction(d_group, k.n_ell(T.critical_prime(), T.exponent))
 
 
 def all_min_index_central(G: PermGroup) -> bool:
@@ -280,19 +272,13 @@ def all_min_index_central(G: PermGroup) -> bool:
     """
     _require_nilpotent_nontrivial(G)
     T = G.table
-    ind_G = min(T.ind[1:])
-    minimal = {i for i in range(1, G.order) if T.ind[i] == ind_G}
-    if not minimal <= set(T.center()):
+    if T.minimal & ~_mask(T.center()):
         return False
-    orders = {T.order[i] for i in minimal}
-    if len(orders) != 1:
-        raise PropertyViolated("central minimal-index elements of mixed order")
-    ell = orders.pop()
-    if valuation(len(minimal) + 1, ell)[1] != 1 or not is_prime(ell):
+    ell, n = T.critical_prime(), T.minimal.bit_count()
+    if valuation(n + 1, ell)[1] != 1:
         raise PropertyViolated(
-            f"{len(minimal)} minimal-index elements do not form C_ell^s minus 1")
-    sub = minimal | {0}
-    if any(T.mul[a][b] not in sub for a in sub for b in sub):
+            f"{n} minimal-index elements do not form C_ell^s minus 1")
+    if not T.is_subgroup(bits(T.minimal | 1)):
         raise PropertyViolated("minimal-index elements are not closed")
     return True
 
@@ -325,9 +311,7 @@ def _optimal_refinement(G: PermGroup) -> Refinement:
     came first.  A subgroup reached again by no better a path (cost and
     orders) is not expanded twice.
     """
-    T = G.table
-    ind_G = min(T.ind[1:])
-    minimal = _mask(i for i in range(1, G.order) if T.ind[i] == ind_G)
+    T, minimal = G.table, G.table.minimal
     best, seen, expanded = (G.order, (), ()), {}, count(1)
 
     def visit(mask: int, cost: int, orders: tuple, masks: tuple) -> None:
@@ -350,7 +334,7 @@ def _optimal_refinement(G: PermGroup) -> Refinement:
 
     full = (1 << G.order) - 1
     visit(full, 0, (G.order,), (full,))
-    return _refinement_from_masks(T, best[2][::-1])
+    return Refinement(T, best[2])
 
 
 def refinement_to_json(refinement: Refinement,

@@ -268,7 +268,7 @@ def suite_d_bounds(seed: int = 42) -> SuiteResult:
     k = BaseFieldData.rationals()
     cases = 0
     for name, G in nilpotent_catalog():
-        n_min = G.table.ind.count(min_index(G)[0])
+        n_min = G.table.minimal.bit_count()
         b = b_constant(G, k)
         for ref in enumerate_refinements(G):
             if sum(ref.weights) != G.order - 1:

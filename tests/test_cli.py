@@ -240,3 +240,17 @@ def test_table_budget_is_typed_error_before_allocating(capsys):
         tracemalloc.stop()
     assert code == 2 and rep["error"].startswith("BudgetExceeded")
     assert peak < 32 << 20  # the table alone would hold 2^26 entries
+
+
+def test_oversized_catalog_patterns_refused_before_building(capsys):
+    # C4200 used to build 4200 permutations of degree 4200 (about 140 MiB)
+    # before the table budget refused it; C2^13 ran out of memory
+    for group in ("C4200", "x".join(["C2"] * 13)):
+        tracemalloc.start()
+        try:
+            code, rep = run_cli(capsys, "invariants", "--group", group)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and rep["error"].startswith("BudgetExceeded"), group
+        assert peak < 32 << 20, group

@@ -1,7 +1,11 @@
 import hashlib
 import importlib.util
+import random
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, reduce
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -11,13 +15,12 @@ from nilcount.catalog import (abelian, cyclic, dihedral4_regular,
                               dihedral4_s4, generalized_quaternion, get_group,
                               nilpotent_catalog, resolve)
 from nilcount.errors import (BudgetExceeded, CapExceeded, InvalidChain,
-                             NotNilpotent, TrivialGroup)
+                             NotNilpotent, PropertyViolated, TrivialGroup)
 from nilcount.malle import BaseFieldData, b_constant, ind, min_index
-from nilcount.permcore import PermGroup, mulclose
+from nilcount.permcore import PermGroup, bits, mulclose, parse_generators
 from nilcount.intmath import is_prime, prime_factors, valuation
-from nilcount.series import (Refinement, _refinement_from_masks, _successors,
-                             all_min_index_central, d_constant,
-                             enumerate_refinements, optimize_d,
+from nilcount.series import (Refinement, _successors, all_min_index_central,
+                             d_constant, enumerate_refinements, optimize_d,
                              refinement_data, refinement_to_json)
 
 Q = BaseFieldData.rationals()
@@ -74,6 +77,9 @@ def test_refinement_data_q8_layers():
     for ref in enumerate_refinements(G):
         assert ref.layer_min_index == (6, 6, 4)
         check = refinement_data(G, ref.subgroups)
+        assert check == ref and hash(check) == hash(ref)
+        # the same chain read into a second build of Q8 is the same refinement
+        assert refinement_data(generalized_quaternion(4), ref.subgroups) == ref
         assert check.layer_min_index == (6, 6, 4)
         assert check.weights == (4, 2, 1)
         assert check.primes == (2, 2, 2)
@@ -334,10 +340,7 @@ def _abelian_types(n):
 
 def _chain_key(G, ref):
     """(d_group, orders from the top, masks from the top)."""
-    a = min(ref.layer_min_index)
-    d_group = sum(m for m, ai in zip(ref.weights, ref.layer_min_index) if ai == a)
-    masks = tuple(sum(1 << G.table.idx[g] for g in sub) for sub in ref.subgroups)
-    return d_group, ref.subgroup_orders, masks
+    return d_constant(ref, Q)[0], ref.subgroup_orders, ref.masks
 
 
 def test_optimize_is_minimum_over_all_chains():
@@ -392,7 +395,7 @@ def _bottom_up_oracle(G):
     chain = [full_mask]
     while chain[-1] != 1:
         chain.append(below[chain[-1]])
-    return _refinement_from_masks(T, chain[::-1])
+    return Refinement(T, tuple(chain))
 
 
 def _workloads():
@@ -438,3 +441,115 @@ def test_optimize_c2_8_chain_pinned():
     assert orders == (256, 128, 64, 32, 16, 8, 4, 2, 1)
     assert hashlib.sha256(",".join(map(str, masks)).encode()).hexdigest() == \
         "9e80288ca6094c41c98c4b155e2d7fbfc139ff4b94363d0a9bc0724ba1bd6673"
+
+
+@dataclass(frozen=True)
+class _ReferenceRefinement:
+    """The frozenset-backed refinement that `Refinement` replaced."""
+
+    subgroups: tuple
+    primes: tuple
+    layer_sets: tuple
+    layer_min_index: tuple
+    weights: tuple
+
+    @property
+    def length(self):
+        return len(self.primes)
+
+    @property
+    def subgroup_orders(self):
+        return tuple(len(s) for s in self.subgroups)
+
+    @property
+    def group_order(self):
+        return len(self.subgroups[0])
+
+
+def _reference_from_masks(T, masks_ascending, subset, least_index):
+    """Reference: every set built as permutations (the former
+    `series._refinement_from_masks`); `subset` and `least_index` map a mask
+    to its frozenset and to the least `T.ind` over it."""
+    top = masks_ascending[::-1]
+    steps = list(zip(top, top[1:]))
+    layers = [upper & ~lower for upper, lower in steps]
+    return _ReferenceRefinement(
+        tuple(map(subset, top)),
+        tuple(u.bit_count() // l.bit_count() for u, l in steps),
+        tuple(map(subset, layers)),
+        tuple(map(least_index, layers)),
+        tuple(d.bit_count() for d in layers))
+
+
+def _reference_d_constant(ref, k, ind, order):
+    """Reference: the former permutation walk of `series.d_constant` and
+    `series.critical_prime_of`; `ind` and `order` map id(g) to the index and
+    order of permutation g."""
+    a = min(ref.layer_min_index)
+    d_group = sum(m for m, ai in zip(ref.weights, ref.layer_min_index) if ai == a)
+    orders = {order(id(g)) for lay, ai in zip(ref.layer_sets, ref.layer_min_index)
+              if ai == a for g in lay if ind(id(g)) == a}
+    if len(orders) != 1 or not is_prime(next(iter(orders))):
+        raise PropertyViolated(f"minimal-index elements have orders {sorted(orders)}")
+    e = reduce(lcm, map(order, map(id, ref.subgroups[0])), 1)
+    return d_group, Fraction(d_group, k.n_ell(orders.pop(), e))
+
+
+class _ModulusField:
+    """A stand-in base field whose [k(zeta_ell):k] reads both ell and the
+    modulus, so d(k,G) shows the critical prime and the exponent."""
+
+    @staticmethod
+    def n_ell(ell, modulus):
+        return ell * modulus
+
+
+def test_mask_refinements_match_permutation_reference():
+    groups = [G for _, G in nilpotent_catalog()]
+    groups += [abelian(*t) for n in range(2, 33) for t in _abelian_types(n)]
+    assert len(groups) == 23 + 54
+    fields = ("subgroups", "primes", "layer_sets", "layer_min_index", "weights",
+              "length", "subgroup_orders", "group_order")
+    for G in groups:
+        T = G.table
+        # every mask and every permutation is worked out once per group;
+        # permutations are looked up by identity, as hashing them is slow
+        subset = cache(lambda m: T.subset(bits(m)))
+        least_index = cache(lambda m: min(map(T.ind.__getitem__, bits(m))))
+        ind_of = {id(g): ind(g) for g in G.elements}.__getitem__
+        order_of = {id(g): g.order() for g in G.elements}.__getitem__
+        refs = enumerate_refinements(G)
+        while refs:  # drop each chain's sets once checked (C2^5 has 9,765)
+            ref = refs.pop()
+            old = _reference_from_masks(T, ref.masks[::-1], subset, least_index)
+            for name in fields:
+                assert getattr(ref, name) == getattr(old, name), (G, name)
+            assert d_constant(ref, _ModulusField) == _reference_d_constant(
+                old, _ModulusField, ind_of, order_of), G
+
+
+def test_mixed_order_minimal_elements_raise():
+    # C6 on 7 points: one involution and two 3-cycles share the least index
+    G = PermGroup.generate(parse_generators("(1,2)(3,4);(5,6,7)"))
+    with pytest.raises(PropertyViolated) as err:
+        optimize_d(G, Q)
+    assert str(err.value) == "minimal-index elements have orders [2, 3]"
+
+
+def _closed_by_pairs(T, members):
+    S = set(members)
+    return 0 in S and all(T.mul[a][b] in S for a in S for b in S)
+
+
+def test_is_subgroup_matches_pair_scan():
+    rng = random.Random(7)
+    for name in ("Q16", "D4xC3_S12", "Heis27"):
+        T = resolve(name).group().table
+        n, closed = len(T.mul), 0
+        for _ in range(60):
+            sub = T.closure(rng.sample(range(n), rng.randint(0, 2)))
+            for S in (sub, sub | {rng.randrange(n)}, sub - {max(sub)} | {0},
+                      {0} | set(rng.sample(range(n), rng.randint(1, n - 1)))):
+                assert T.is_subgroup(S) == _closed_by_pairs(T, S), (name, S)
+                closed += T.is_subgroup(S)
+        assert 60 <= closed < 240, name
