@@ -1,10 +1,10 @@
 """Named group catalog shared by the CLI and the verification suites.
 
-Groups defined by presentations (quaternion, dihedral, Heisenberg) are built
-as multiplication tables on element labels and realized through the regular
-action; abelian groups and mixed products come from natural products of
-regular cyclic groups.  Every entry records its expected invariants where
-those are pinned, and a self-check asserts order and transitivity.
+Cyclic groups and presentations (quaternion, dihedral, Heisenberg) are built
+as Cayley tables and realized as their regular action; abelian groups and
+mixed products are natural products of regular cyclic groups.  Every entry
+records its expected invariants where those are pinned.  Raw cycles that
+are transitive on more than 4096 points are refused before they are closed.
 """
 
 from __future__ import annotations
@@ -16,17 +16,15 @@ from typing import Callable
 
 from .extension import regular_permutation_group
 from .nilpotent import natural_product
-from .permcore import (PermGroup, Permutation, cycle_string, parse_generators,
-                       require_table_budget)
+from .permcore import (PermGroup, cycle_string, parse_generators,
+                       require_table_budget, transitive)
 
 
 def cyclic(n: int) -> PermGroup:
     if n < 1:
         raise ValueError("cyclic group order must be positive")
-    if n == 1:
-        return PermGroup(1, [Permutation.identity(1)], [Permutation.identity(1)])
-    return PermGroup.generate([Permutation.trusted(
-        tuple((i + 1) % n for i in range(n)))])
+    points = list(range(n))
+    return PermGroup.regular([points[i:] + points[:i] for i in range(n)])
 
 
 def symmetric3() -> PermGroup:
@@ -182,7 +180,10 @@ def get_group(spec: str, degree: int | None = None) -> tuple[str, PermGroup]:
     if entry is not None:
         return entry.name, entry.group()
     if "(" in spec:
-        return "custom", PermGroup.generate(parse_generators(spec, degree=degree))
+        gens = parse_generators(spec, degree=degree)
+        if transitive(gens):  # so the order is at least the degree
+            require_table_budget(gens[0].degree)
+        return "custom", PermGroup.generate(gens)
     raise ValueError(f"unknown group {spec!r} (not a catalog name or cycle string)")
 
 

@@ -3,8 +3,8 @@
 Constructions with no natural permutation action (fiber products, semidirect
 products, direct products with a cyclic factor) are built on pairs of
 element indices, multiplied through the factors' Cayley tables, and realized
-as permutation groups through the regular action, keeping a map from
-element pairs to permutations so kernels and quotient maps stay explicit.
+as the regular action of that table (`PermGroup.regular`), so the pair in
+canonical position i is element i and kernels and quotient maps stay explicit.
 """
 
 from __future__ import annotations
@@ -24,20 +24,14 @@ ISO_CAP = 512
 
 def regular_permutation_group(items: list, mul: Callable
                               ) -> tuple[PermGroup, dict[Hashable, Permutation]]:
-    """Realize an explicitly listed group through left translation.
-
-    `items` must be closed under `mul`; the returned map sends each item to
-    the permutation of the (sorted) item list it induces.
-    """
+    """Realize an explicitly listed group through left translation: item i
+    of the sorted `items` maps to element i.  `items` must be a group under
+    `mul` with the least item as its identity, or PropertyViolated."""
     items = sorted(items)
     index = {x: i for i, x in enumerate(items)}
-    to_perm: dict[Hashable, Permutation] = {
-        x: Permutation.trusted(tuple(index[mul(x, y)] for y in items))
-        for x in items}
-    group = PermGroup.from_elements(to_perm.values())
-    if group.order != len(items):
-        raise PropertyViolated("left translation action is not regular")
-    return group, to_perm
+    group = PermGroup.regular([[index.get(mul(x, y), -1) for y in items]
+                               for x in items])
+    return group, dict(zip(items, group.elements))
 
 
 @dataclass(frozen=True)
@@ -64,11 +58,10 @@ class ExtensionData:
 @dataclass(frozen=True)
 class PairProduct:
     """A fiber or semidirect product on element pairs, with its regular
-    permutation realization."""
+    permutation realization: `pairs[i]` is `group.elements[i]`."""
 
     pairs: tuple[tuple[Permutation, Permutation], ...]
     group: PermGroup
-    to_perm: Mapping[tuple[Permutation, Permutation], Permutation]
 
 
 FiberProduct = SemidirectProduct = PairProduct
@@ -77,10 +70,9 @@ FiberProduct = SemidirectProduct = PairProduct
 def _pair_product(X: PermGroup, Y: PermGroup, pairs: list[tuple[int, int]],
                   mul: Callable) -> PairProduct:
     """Realize index pairs (x, y) of X and Y under `mul` as a pair product."""
-    group, to_perm = regular_permutation_group(pairs, mul)
+    group, _ = regular_permutation_group(pairs, mul)
     ex, ey = X.elements, Y.elements
-    return PairProduct(tuple((ex[i], ey[j]) for i, j in sorted(pairs)), group,
-                       {(ex[i], ey[j]): p for (i, j), p in to_perm.items()})
+    return PairProduct(tuple((ex[i], ey[j]) for i, j in sorted(pairs)), group)
 
 
 def _fiber_pairs(G1: PermGroup, kappa1: Mapping, G2: PermGroup,
@@ -285,14 +277,15 @@ def verify_pullback_identity(E: ExtensionData) -> bool:
     psi = conjugation_action(E)
     A_group = PermGroup.from_elements(E.kernel)
     sd = semidirect(A_group, E.quotient, psi)
-    kappa_sd = {sd.to_perm[(a, h)]: h for (a, h) in sd.pairs}
+    kappa_sd = {g: h for g, (a, h) in zip(sd.group.elements, sd.pairs)}
 
     fp_gg = fiber_product(E, E)
     fp_gs = fiber_product_maps(E.group, E.kappa, sd.group, kappa_sd, E.quotient)
     if not is_isomorphic(fp_gg.group, fp_gs.group):
         raise VerificationFailed("G x_H G and G x_H (A x| H) are not isomorphic")
 
-    diagonal = {fp_gg.to_perm[(a, a)] for a in E.kernel}
+    diagonal = {g for g, (x, y) in zip(fp_gg.group.elements, fp_gg.pairs)
+                if x == y and x in E.kernel}
     quot = quotient(fp_gg.group, diagonal)
     if not is_isomorphic(quot, sd.group):
         raise VerificationFailed("diagonal quotient is not A x| H")
@@ -308,13 +301,11 @@ class DoubleQuotientReport:
     passed: bool
 
 
-def _cyclic_product(ell: int, K: PermGroup
-                    ) -> tuple[PermGroup, dict[tuple[int, Permutation], Permutation]]:
-    mul = K.table.mul
-    items = [(i, g) for i in range(ell) for g in range(K.order)]
-    group, to_perm = regular_permutation_group(
-        items, lambda p, q: ((p[0] + q[0]) % ell, mul[p[1]][q[1]]))
-    return group, {(i, K.elements[g]): p for (i, g), p in to_perm.items()}
+def _cyclic_product(ell: int, K: PermGroup) -> PermGroup:
+    """C_ell x K from K's table: element i |K| + g is (i, K.elements[g])."""
+    n = K.order
+    return PermGroup.regular([[(i + j) % ell * n + m for j in range(ell) for m in row]
+                              for i in range(ell) for row in K.table.mul])
 
 
 def central_double_quotients(E: ExtensionData) -> DoubleQuotientReport:
@@ -326,10 +317,10 @@ def central_double_quotients(E: ExtensionData) -> DoubleQuotientReport:
     if not E.central or not is_prime(ell):
         raise ValueError("needs a central extension with kernel of prime order")
     G = E.group
-    big, to_perm = _cyclic_product(ell, G)
+    big = _cyclic_product(ell, G)
     T = big.table
 
-    d_set = {T.idx[to_perm[(i, a)]] for i in range(ell) for a in E.kernel}
+    d_set = {i * G.order + G.table.idx[a] for i in range(ell) for a in E.kernel}
     if not d_set <= set(T.center()):
         raise VerificationFailed("kernel square is not central in C_ell x G")
     if len(d_set) != ell * ell or any(T.order[x] not in (1, ell) for x in d_set):
@@ -340,7 +331,7 @@ def central_double_quotients(E: ExtensionData) -> DoubleQuotientReport:
         raise VerificationFailed(
             f"expected {ell + 1} order-{ell} subgroups, found {len(subgroups)}")
 
-    split, _ = _cyclic_product(ell, E.quotient)
+    split = _cyclic_product(ell, E.quotient)
     group_is_split = is_isomorphic(G, split)
     pattern = []
     for U in sorted(subgroups, key=sorted):

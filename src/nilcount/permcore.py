@@ -2,14 +2,14 @@
 
 A `PermGroup` keeps its full element list (default cap 20000) sorted by
 image table, identity first; that canonical order breaks every tie
-downstream.  Every group algorithm (classes, centers, normal closures,
-quotients, and elsewhere isomorphism search, pair products and refinement
-search) runs on the group's `GroupTable`: the same elements in the same
-order with integer multiplication and inverse tables, built on first use
-and cached on the group instance, so it dies with its group.  The table is
-filled from a base (one point for a regular group) in O(|G|^2 |base|)
-lookups; full-degree products are formed only to close generators
-(`mulclose`) and to check a claimed element set (`from_elements`).
+downstream.  Every group algorithm runs on the group's `GroupTable`, cached
+on the instance: the same elements in the same order with integer product
+and inverse tables.  A group given by its Cayley table (`PermGroup.regular`:
+quotients, pair and cyclic products, presentations) is that table's regular
+action, and the table is its `mul`; any other group fills `mul` from a base
+on first use.  Full-degree products are formed only to close generators
+(`mulclose`) and to check a claimed element set (`from_elements`), never
+for a group given by its table.
 """
 
 from __future__ import annotations
@@ -145,8 +145,10 @@ def mulclose(gens: Iterable[Permutation], cap: int | None = None) -> set[Permuta
     return els
 
 
-def _base(elements: Sequence[Permutation]) -> list[int]:
-    """Points, taken in order, whose images separate the elements."""
+def _base_table(elements: Sequence[Permutation]) -> list[tuple[int, ...]]:
+    """`mul` filled from a base, the points (taken in order) whose images
+    separate the elements: each product is one lookup of the base images of
+    b under a, and a product outside the elements raises KeyError."""
     base, keys = [], [()] * len(elements)
     for p in range(elements[0].degree):
         trial = [k + (g.images[p],) for k, g in zip(keys, elements)]
@@ -155,7 +157,20 @@ def _base(elements: Sequence[Permutation]) -> list[int]:
             keys = trial
             if len(set(keys)) == len(elements):
                 break
-    return base or [0]
+    base = base or [0]
+    cols = [itemgetter(*base)(g.images) for g in elements]
+    at = {c: i for i, c in enumerate(cols)}
+    get = [itemgetter(*c) if len(base) > 1 else itemgetter(c) for c in cols]
+    return [tuple([at[g(a.images)] for g in get]) for a in elements]
+
+
+def transitive(gens: Sequence[Permutation]) -> bool:
+    """Whether permutations of one degree move point 0 to every point."""
+    orbit = frontier = {0}
+    while frontier:
+        frontier = {g.images[x] for g in gens for x in frontier} - orbit
+        orbit |= frontier
+    return len(orbit) == gens[0].degree
 
 
 def bits(mask: int) -> list[int]:
@@ -172,9 +187,8 @@ class GroupTable:
     """Cayley table of a group: the elements in canonical order (identity at
     0), `idx`, `mul[i][j]` = index of elements[i] * elements[j], `inv`, and
     per element `order` and `ind` (degree minus orbit count); `gens` are the
-    generator indices.  `mul` is filled from a base, so each product is one
-    lookup of the base images of b under a; a product outside the element
-    set raises KeyError.  A group with more than TABLE_BUDGET entries raises
+    generator indices.  `mul` is the given table, or else filled from a base
+    (`_base_table`).  A group with more than TABLE_BUDGET entries raises
     BudgetExceeded before anything is allocated.
 
     `minimal` is the bitmask of the minimal-index elements and
@@ -183,19 +197,16 @@ class GroupTable:
     """
 
     def __init__(self, elements: Sequence[Permutation],
-                 generators: Sequence[Permutation] | None = None):
+                 generators: Sequence[Permutation] | None = None,
+                 mul: list[tuple[int, ...]] | None = None):
         require_table_budget(len(elements))
         self.elements = elements = tuple(elements)
         self.idx = {g: i for i, g in enumerate(elements)}
-        base = _base(elements)
-        cols = [itemgetter(*base)(g.images) for g in elements]
-        at = {c: i for i, c in enumerate(cols)}
-        getters = [itemgetter(*c) if len(base) > 1 else itemgetter(c) for c in cols]
-        self.mul = mul = [[at[get(a.images)] for get in getters] for a in elements]
+        self.mul = mul = _base_table(elements) if mul is None else mul
         self.inv = [row.index(0) for row in mul]
-        self.order = [len(self.cyclic(i)) for i in range(len(elements))]
         self.gens = (self.generating_set() if generators is None
                      else [self.idx[g] for g in generators])
+        self.order = [len(self.cyclic(i)) for i in range(len(elements))]
 
     @cached_property
     def ind(self) -> list[int]:
@@ -288,7 +299,7 @@ class GroupTable:
         while out[-1]:
             out.append(self.mul[out[-1]][i])
             if len(out) > len(self.mul):
-                raise ValueError("not a group: no power reaches 1")
+                raise PropertyViolated("not a group: no power reaches 1")
         return out[-1:] + out[:-1]
 
     def power(self, i: int, k: int) -> int:
@@ -331,21 +342,20 @@ class PermGroup:
     """A finite permutation group with its full element list.
 
     `elements` is sorted lexicographically by image table, so the identity is
-    always `elements[0]` and iteration order is canonical.  `table` is the
-    group's `GroupTable`, built on first use and cached on the instance.
+    always `elements[0]` and iteration order is canonical.  `table`, the
+    group's `GroupTable`, is built with the group or on first use, and cached.
     """
 
-    __slots__ = ("degree", "generators", "elements", "_elemset", "_transitive",
-                 "_table")
+    __slots__ = ("degree", "generators", "elements", "_elemset", "_table")
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
-                 elements: Iterable[Permutation]):
+                 elements: Iterable[Permutation],
+                 table: GroupTable | None = None):
         self.degree = degree
         self.generators = tuple(generators)
         self.elements = tuple(sorted(elements))
         self._elemset = frozenset(self.elements)
-        self._transitive: bool | None = None
-        self._table: GroupTable | None = None
+        self._table = table
         if not self.elements or not self.elements[0].is_identity():
             raise ValueError("element list must contain the identity")
 
@@ -375,14 +385,35 @@ class PermGroup:
             raise DegreeMismatch("elements of different degrees")
         try:
             table = GroupTable(elems) if elems[0].is_identity() else None
-        except (KeyError, ValueError):
+        except (KeyError, ValueError, PropertyViolated):
             table = None
         if table is None or any(x * elems[g] != elems[table.mul[j][g]]
                                 for g in table.gens for j, x in enumerate(elems)):
             raise ValueError("element collection is not multiplicatively closed")
-        group = cls(elems[0].degree, [elems[g] for g in table.gens], elems)
-        group._table = table
-        return group
+        return cls(elems[0].degree, [elems[g] for g in table.gens], elems, table)
+
+    @classmethod
+    def regular(cls, rows: Sequence[Sequence[int]],
+                generators: Sequence[int] | None = None) -> "PermGroup":
+        """The left regular action of the group with Cayley table `rows` on
+        indices: element i is rows[i], in canonical order, and `rows` is
+        `table.mul`.  The one check that `rows` is a group, PropertyViolated
+        if not: row and column 0 are the identity, rows are permutations, and
+        generators (greedy, or the given indices) reach all and pass Light's test."""
+        points = list(range(len(rows)))
+        if not rows or list(rows[0]) != points or any(
+                sorted(r) != points or r[0] != i for i, r in enumerate(rows)):
+            raise PropertyViolated("not a Cayley table on 0..n-1 with identity 0")
+        rows = [tuple(r) for r in rows]
+        els = [Permutation.trusted(r) for r in rows]
+        T = GroupTable(els, generators and [els[g] for g in generators], rows)
+        if len(T.closure(T.gens)) < len(rows):
+            raise PropertyViolated("the generators miss an element")
+        for g in set(T.gens) - {0}:  # Light's test: a(gx) = (ag)x
+            get = itemgetter(*rows[g])  # a -> a(gx) over all x, as a tuple
+            if any(get(r) != rows[r[g]] for r in rows):
+                raise PropertyViolated("rows fail Light's associativity test")
+        return cls(len(rows), [els[g] for g in T.gens], els, T)
 
     @property
     def table(self) -> GroupTable:
@@ -409,18 +440,7 @@ class PermGroup:
 
     @property
     def is_transitive(self) -> bool:
-        if self._transitive is None:
-            orbit = {0}
-            frontier = [0]
-            while frontier:
-                x = frontier.pop()
-                for g in self.generators:
-                    y = g(x)
-                    if y not in orbit:
-                        orbit.add(y)
-                        frontier.append(y)
-            self._transitive = len(orbit) == self.degree
-        return self._transitive
+        return transitive(self.generators)
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"
@@ -490,11 +510,9 @@ def quotient_with_map(G: PermGroup, N: Iterable[Permutation]
                 coset[row[k]] = len(reps)
             reps.append(g)
     # g acts on the cosets as any member of its coset does
-    images = [Permutation.trusted(tuple(coset[T.mul[r][s]] for s in reps))
-              for r in reps]
-    kappa = {g: images[c] for g, c in zip(T.elements, coset)}
-    Q = PermGroup(len(reps), [kappa[g] for g in G.generators], images)
-    return Q, kappa
+    Q = PermGroup.regular([[coset[T.mul[r][s]] for s in reps] for r in reps],
+                          [coset[g] for g in T.gens])
+    return Q, {g: Q.elements[c] for g, c in zip(T.elements, coset)}
 
 
 def quotient(G: PermGroup, N: Iterable[Permutation]) -> PermGroup:

@@ -61,3 +61,12 @@ def test_is_isomorphic_reflexive_and_symmetric_on_catalog():
             assert is_isomorphic(G1, G2) == is_isomorphic(G2, G1), (n1, n2)
             if is_isomorphic(G1, G2):
                 assert fingerprint(G1) == fingerprint(G2)
+
+
+def test_cyclic_is_the_generated_rotation_group():
+    from nilcount.catalog import cyclic
+    from nilcount.permcore import PermGroup, Permutation
+    for n in range(1, 65):
+        G = cyclic(n)
+        R = PermGroup.generate([Permutation(tuple((i + 1) % n for i in range(n)))])
+        assert (G.elements, G.generators) == (R.elements, R.generators), n

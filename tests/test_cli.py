@@ -254,3 +254,21 @@ def test_oversized_catalog_patterns_refused_before_building(capsys):
             tracemalloc.stop()
         assert code == 2 and rep["error"].startswith("BudgetExceeded"), group
         assert peak < 32 << 20, group
+
+
+def test_oversized_raw_cycles_refused_before_closing(capsys):
+    # transitive on 4200 points, so of order at least 4200: closing the cycle
+    # used to build 4200 permutations of degree 4200 (about 135 MiB) first
+    cycle = "(" + ",".join(str(i) for i in range(1, 4201)) + ")"
+    tracemalloc.start()
+    try:
+        code, rep = run_cli(capsys, "invariants", "--group", cycle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and rep["error"].startswith("BudgetExceeded")
+    assert peak < 32 << 20
+    # a large degree alone is no reason to refuse
+    code, rep = run_cli(capsys, "invariants", "--group", "(4999,5000)")
+    assert code == 1 and rep["transitive"] is False
+    assert (rep["degree"], rep["order"]) == (5000, 2)

@@ -294,3 +294,100 @@ def test_pair_product_classes_are_one():
     A, H = cyclic(3), cyclic(2)
     sd = semidirect(A, H, {h: {a: a for a in A.elements} for h in H.elements})
     assert isinstance(sd, FiberProduct) and len(sd.pairs) == 6
+
+
+def reference_regular_permutation_group(items, mul):
+    """The earlier realization, kept as a reference: each item's left
+    translation as a permutation of the sorted items, then `from_elements`
+    sorts them and fills the table again from a base."""
+    from nilcount.permcore import Permutation
+    items = sorted(items)
+    index = {x: i for i, x in enumerate(items)}
+    to_perm = {x: Permutation.trusted(tuple(index[mul(x, y)] for y in items))
+               for x in items}
+    group = PermGroup.from_elements(to_perm.values())
+    assert group.order == len(items)
+    return group, to_perm
+
+
+def assert_same_group(G, R):
+    assert G.elements == R.elements
+    assert G.generators == R.generators
+    assert G.table.mul == R.table.mul
+
+
+def test_regular_realizations_match_translation_reference(monkeypatch):
+    from nilcount import catalog, extension
+    from nilcount.suites import run_suite
+    realized, cyclic_products = [], []
+    real = extension.regular_permutation_group
+    cyclic_product = extension._cyclic_product
+
+    def record(items, mul):
+        out = real(items, mul)
+        realized.append((items, mul, out))
+        return out
+
+    def record_cyclic(ell, K):
+        out = cyclic_product(ell, K)
+        cyclic_products.append((ell, K, out))
+        return out
+    monkeypatch.setattr(catalog, "regular_permutation_group", record)
+    for name in ("Q8", "Q16", "Q32", "D4_S8", "Heis27"):
+        resolve(name).group()
+    assert len(realized) == 5
+    monkeypatch.setattr(extension, "regular_permutation_group", record)
+    monkeypatch.setattr(extension, "_cyclic_product", record_cyclic)
+    for sid in ("4.5", "4.7"):
+        assert run_suite(sid).passed
+    assert len(realized) > 5 and cyclic_products
+    for items, mul, (group, to_item) in realized:
+        ref, to_perm = reference_regular_permutation_group(items, mul)
+        assert_same_group(group, ref)
+        assert to_item == to_perm
+    for ell, K, group in cyclic_products:
+        mK = K.table.mul
+        ref, to_perm = reference_regular_permutation_group(
+            [(i, g) for i in range(ell) for g in range(K.order)],
+            lambda p, q: ((p[0] + q[0]) % ell, mK[p[1]][q[1]]))
+        assert_same_group(group, ref)
+        # element i |K| + g is (i, K.elements[g])
+        assert all(group.elements[i * K.order + g] == p
+                   for (i, g), p in to_perm.items())
+
+
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
+
+
+def test_regular_rejects_tables_that_are_not_groups():
+    from nilcount.errors import PropertyViolated
+    # a Latin square with identity 0 that is not associative
+    assert all(sorted(col) == list(range(5)) for col in zip(*LOOP5))
+    assert any(LOOP5[LOOP5[a][b]][c] != LOOP5[a][LOOP5[b][c]]
+               for a in range(5) for b in range(5) for c in range(5))
+    with pytest.raises(PropertyViolated, match="Light"):
+        PermGroup.regular(LOOP5)
+    with pytest.raises(PropertyViolated, match="Light"):
+        regular_permutation_group(list(range(5)), lambda a, b: LOOP5[a][b])
+    with pytest.raises(PropertyViolated, match="identity"):  # row 0 moves
+        PermGroup.regular([[1, 0], [0, 1]])
+    with pytest.raises(PropertyViolated, match="identity"):  # not a permutation
+        PermGroup.regular([[0, 1, 2], [1, 1, 0], [2, 0, 1]])
+    c4 = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+    assert PermGroup.regular(c4, [1]).order == 4
+    with pytest.raises(PropertyViolated, match="miss"):  # <2> misses 1
+        PermGroup.regular(c4, [2])
+
+
+def test_regular_realization_errors_are_typed():
+    from nilcount.errors import PropertyViolated
+    with pytest.raises(PropertyViolated):  # 3 is not an item
+        regular_permutation_group([0, 1, 2], lambda a, b: (a + b) % 4)
+    # C2 on the labels "a" < "e" with "e" the identity: the least item is not
+    with pytest.raises(PropertyViolated):
+        regular_permutation_group(["a", "e"],
+                                  lambda x, y: "e" if x == y else "a")
+    group, to_item = regular_permutation_group(["a", "e"],
+                                               lambda x, y: "a" if x == y else "e")
+    assert group.order == 2 and to_item["a"].is_identity()
