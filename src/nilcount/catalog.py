@@ -1,10 +1,10 @@
 """Named group catalog shared by the CLI and the verification suites.
 
-Cyclic groups and presentations (quaternion, dihedral, Heisenberg) are built
-as Cayley tables and realized as their regular action; abelian groups and
-mixed products are natural products of regular cyclic groups.  Every entry
-records its expected invariants where those are pinned.  Raw cycles that
-are transitive on more than 4096 points are refused before they are closed.
+Cyclic and abelian groups and presentations (quaternion, dihedral,
+Heisenberg) are built as Cayley tables and realized as their regular action;
+the mixed products Q8xC3_S24 and D4xC3_S12 are natural products.  Every
+entry records its expected invariants where those are pinned.  Raw cycles
+with an orbit of more than 4096 points are refused before they are closed.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from typing import Callable
 
 from .extension import regular_permutation_group
 from .nilpotent import natural_product
-from .permcore import (PermGroup, cycle_string, parse_generators,
-                       require_table_budget, transitive)
+from .permcore import (PermGroup, cycle_string, orbit_sizes, parse_generators,
+                       product_rows, require_table_budget)
 
 
 def cyclic(n: int) -> PermGroup:
@@ -82,12 +82,16 @@ def heisenberg3() -> PermGroup:
 
 
 def abelian(*orders: int) -> PermGroup:
-    """Natural product of regular cyclic groups, e.g. abelian(4, 2) on 8 points."""
+    """C_n1 x C_n2 x ... acting regularly on the product of the cyclic tables,
+    e.g. abelian(4, 2) on 8 points, with the natural product's elements and
+    generators; a single factor is `cyclic(n)`."""
     groups = [cyclic(n) for n in orders]
-    out = groups[0]
-    for g in groups[1:]:
-        out = natural_product(out, g)
-    return out
+    if len(groups) == 1:
+        return groups[0]
+    if min(orders) < 2:
+        raise ValueError("natural product needs degrees > 1")
+    gens = [prod(orders[i + 1:]) for i in range(len(orders))]  # C_n by 1
+    return PermGroup.regular(product_rows(*(G.table.mul for G in groups)), gens)
 
 
 @dataclass(frozen=True)
@@ -181,8 +185,7 @@ def get_group(spec: str, degree: int | None = None) -> tuple[str, PermGroup]:
         return entry.name, entry.group()
     if "(" in spec:
         gens = parse_generators(spec, degree=degree)
-        if transitive(gens):  # so the order is at least the degree
-            require_table_budget(gens[0].degree)
+        require_table_budget(max(orbit_sizes(gens)))  # a lower bound on |G|
         return "custom", PermGroup.generate(gens)
     raise ValueError(f"unknown group {spec!r} (not a catalog name or cycle string)")
 

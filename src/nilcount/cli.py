@@ -47,10 +47,6 @@ def _field_data(arg: str) -> BaseFieldData:
     return BaseFieldData.from_json(Path(arg).read_text())
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _bound_string(a: Fraction, log_exp: Fraction) -> str:
     x_part = "x" if a == 1 else f"x^{{{a}}}"
     if log_exp == 0:
@@ -77,7 +73,7 @@ def cmd_invariants(args) -> int:
         return 1
     ind_G, a = min_index(G)
     b = b_constant(G, k)
-    report.update({"ind": ind_G, "a": _frac(a), "b": b})
+    report.update({"ind": ind_G, "a": str(a), "b": b})
     report["nilpotent"] = is_nilpotent(G)
     if report["nilpotent"]:
         dec = sylow_decompose(G)
@@ -86,7 +82,7 @@ def cmd_invariants(args) -> int:
         opt = optimize_d(G, k, exhaustive_cap=args.exhaustive_cap)
         report["optimal_refinement"] = refinement_to_json(opt.refinement, k)
         report["d_group"] = opt.d_group
-        report["d_field"] = _frac(opt.d_field)
+        report["d_field"] = str(opt.d_field)
         report["heuristic_only"] = opt.heuristic_only
         report["bound"] = _bound_string(a, opt.d_field - 1)
         report["conjectured_bound"] = _bound_string(a, Fraction(b - 1))
@@ -125,6 +121,9 @@ def cmd_dseries(args) -> int:
     specs = [FactorSpec.parse(s) for s in args.specs.split(",")]
     checkpoints = default_checkpoints(args.max_x)
     if args.checkpoints is not None:
+        if args.checkpoints < 1:
+            raise ValueError("--checkpoints must be at least 1, "
+                             f"got {args.checkpoints}")
         checkpoints = checkpoints[-args.checkpoints:]
     series = multi_factor_sum(specs, args.max_x, checkpoints=checkpoints)
     rows = series_csv_rows(series)
@@ -137,8 +136,8 @@ def cmd_dseries(args) -> int:
         "schema": SCHEMA,
         "specs": [f"{s.ell}:{s.d}:{s.m}" for s in specs],
         "max_x": args.max_x,
-        "alpha_pred": _frac(series.alpha_pred),
-        "beta_pred": _frac(series.beta_pred),
+        "alpha_pred": str(series.alpha_pred),
+        "beta_pred": str(series.beta_pred),
         "final_sum": series.values[-1],
         "checkpoints": len(series.checkpoints),
     }
@@ -292,7 +291,7 @@ def main(argv=None) -> int:
         # NILCOUNT_* defaults are parsed here, inside the error report
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (NilcountError, ValueError) as e:
+    except (NilcountError, ValueError, OSError) as e:
         print(json.dumps({"schema": SCHEMA,
                           "error": f"{type(e).__name__}: {e}"}))
         return 2

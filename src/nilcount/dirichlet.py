@@ -297,12 +297,7 @@ def slope_estimate(series: SumSeries) -> SlopeReport:
     alpha_hat = float(np.mean(np.diff(lv) / np.diff(lx)))
 
     alpha = float(series.alpha_pred)
-    tail = max(2, int(round(0.6 * len(xs))))
-    lx_t = np.log(xs[-tail:])
-    y = np.log(vals[-tail:]) - alpha * lx_t
-    llx = np.log(lx_t)
-    beta_hat, intercept = np.polyfit(llx, y, 1)
-    resid = y - (beta_hat * llx + intercept)
+    beta_hat, intercept, resid = _beta_fit(xs, vals, alpha, len(xs))
     return SlopeReport(
         alpha_hat=alpha_hat,
         beta_hat=float(beta_hat),
@@ -317,20 +312,22 @@ def slope_estimate(series: SumSeries) -> SlopeReport:
 def running_beta(series: SumSeries) -> list[float | None]:
     """Per-checkpoint beta estimate over the trailing 60% window up to that
     point (None while there is not enough data)."""
-    out: list[float | None] = []
     alpha = float(series.alpha_pred)
     xs = np.array(series.checkpoints, dtype=float)
     vals = np.array([float(v) for v in series.values])
-    for i in range(len(xs)):
-        tail = max(2, int(round(0.6 * (i + 1))))
-        if i + 1 < 4 or np.any(vals[:i + 1] <= 0):
-            out.append(None)
-            continue
-        lx = np.log(xs[i + 1 - tail:i + 1])
-        y = np.log(vals[i + 1 - tail:i + 1]) - alpha * lx
-        slope, _ = np.polyfit(np.log(lx), y, 1)
-        out.append(float(slope))
-    return out
+    return [None if n < 4 or np.any(vals[:n] <= 0)
+            else float(_beta_fit(xs, vals, alpha, n)[0]) for n in range(1, len(xs) + 1)]
+
+
+def _beta_fit(xs, vals, alpha: float, n: int):
+    """Slope, intercept and residuals of the least-squares line of
+    log(S/x^alpha) on log log x over the last 60% of the first n checkpoints."""
+    tail = max(2, int(round(0.6 * n)))
+    lx = np.log(xs[n - tail:n])
+    y = np.log(vals[n - tail:n]) - alpha * lx
+    llx = np.log(lx)
+    slope, intercept = np.polyfit(llx, y, 1)
+    return slope, intercept, y - (slope * llx + intercept)
 
 
 def factor_identity_check(m: int, n_terms: int = 64) -> bool:

@@ -17,7 +17,8 @@ from .errors import (CapExceeded, NotAction, PropertyViolated,
                      QuotientMismatch, VerificationFailed)
 from .intmath import is_prime
 from .permcore import (GroupTable, PermGroup, Permutation,
-                       abelianization_rank, center, quotient, quotient_with_map)
+                       abelianization_rank, center, product_rows, quotient,
+                       quotient_with_map)
 
 ISO_CAP = 512
 
@@ -303,9 +304,8 @@ class DoubleQuotientReport:
 
 def _cyclic_product(ell: int, K: PermGroup) -> PermGroup:
     """C_ell x K from K's table: element i |K| + g is (i, K.elements[g])."""
-    n = K.order
-    return PermGroup.regular([[(i + j) % ell * n + m for j in range(ell) for m in row]
-                              for i in range(ell) for row in K.table.mul])
+    cyclic = [[(i + j) % ell for j in range(ell)] for i in range(ell)]
+    return PermGroup.regular(product_rows(cyclic, K.table.mul))
 
 
 def central_double_quotients(E: ExtensionData) -> DoubleQuotientReport:

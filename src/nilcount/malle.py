@@ -45,6 +45,8 @@ class BaseFieldData:
             if rk < 0:
                 raise ValueError(f"negative class rank at {ell}")
         for e, gens in self.cyclo_generators.items():
+            if e < 1:
+                raise ValueError(f"modulus {e} is not positive")
             for a in gens:
                 if gcd(a % e, e) != 1:
                     raise ValueError(f"{a} is not a unit modulo {e}")
@@ -104,16 +106,22 @@ class BaseFieldData:
 
     @classmethod
     def from_json(cls, text: str) -> "BaseFieldData":
+        """Parse `to_json` output; any other shape is a ValueError."""
         obj = json.loads(text)
         if obj == "Q":
             return cls.rationals()
-        return cls(
-            degree=obj["degree"],
-            real_places=obj["real_places"],
-            class_rank={int(k): int(v) for k, v in obj.get("class_rank", {}).items()},
-            cyclo_generators={int(k): tuple(int(a) for a in v)
-                              for k, v in obj.get("cyclo_generators", {}).items()},
-        )
+        try:
+            ranks, gens = obj.get("class_rank", {}), obj.get("cyclo_generators", {})
+            values = [obj["degree"], obj["real_places"], *ranks.values(),
+                      *(a for v in gens.values() for a in v)]
+            if any(type(v) is not int for v in values):  # no silent int(1.5)
+                raise TypeError("field data must be integers")
+            ranks = {int(k): v for k, v in ranks.items()}
+            gens = {int(k): tuple(v) for k, v in gens.items()}
+        except (TypeError, KeyError, AttributeError) as e:
+            raise ValueError(f"malformed base-field JSON: {e!r}") from None
+        return cls(degree=obj["degree"], real_places=obj["real_places"],
+                   class_rank=ranks, cyclo_generators=gens)
 
 
 @dataclass(frozen=True)

@@ -164,13 +164,28 @@ def _base_table(elements: Sequence[Permutation]) -> list[tuple[int, ...]]:
     return [tuple([at[g(a.images)] for g in get]) for a in elements]
 
 
-def transitive(gens: Sequence[Permutation]) -> bool:
-    """Whether permutations of one degree move point 0 to every point."""
-    orbit = frontier = {0}
-    while frontier:
-        frontier = {g.images[x] for g in gens for x in frontier} - orbit
-        orbit |= frontier
-    return len(orbit) == gens[0].degree
+def orbit_sizes(gens: Sequence[Permutation]) -> list[int]:
+    """Orbit lengths of the group generated by permutations of one degree;
+    the group's order is at least the longest."""
+    left, sizes = set(range(gens[0].degree)), []
+    while left:
+        orbit = frontier = {left.pop()}
+        while frontier:
+            frontier = {g.images[x] for g in gens for x in frontier} - orbit
+            orbit |= frontier
+        left -= orbit
+        sizes.append(len(orbit))
+    return sizes
+
+
+def product_rows(*tables: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Cayley table of the direct product of the groups with these tables;
+    (i_1, ..., i_r) is numbered in mixed radix, the first factor most significant."""
+    rows: list[tuple[int, ...]] = [(0,)]
+    for table in tables:
+        n = len(table)
+        rows = [tuple(a * n + b for a in row for b in t) for row in rows for t in table]
+    return rows
 
 
 def bits(mask: int) -> list[int]:
@@ -440,7 +455,7 @@ class PermGroup:
 
     @property
     def is_transitive(self) -> bool:
-        return transitive(self.generators)
+        return len(orbit_sizes(self.generators)) == 1
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"

@@ -8,10 +8,12 @@ weight m_i = |A_i| and minimal index a_i; the upper-bound exponent
     d(G) = sum of m_i over the layers with a_i equal to the global minimum,
     d(k,G) = d(G) / [k(zeta_ell):k]   (ell the order of minimal-index elements)
 
-depends on the chosen chain.  `optimize_d` minimizes d over all valid chains,
-exactly at every order, by a branch and bound from G downwards: the steps
-below a normal N are the hyperplanes of the F_p-spaces N/([G,N] N^p), and
-the minimal-index elements left inside a subgroup bound the cost below it.
+depends on the chosen chain.  `_children` is the one definition of a step:
+the M one central prime step below a normal N are the hyperplanes of the
+F_p-spaces N/([G,N] N^p).  Enumeration, chain validation and `optimize_d`
+all walk it from G down; `optimize_d` minimizes d exactly at every order by
+a branch and bound, the minimal-index elements in a subgroup bounding the
+cost below it.
 
 Subgroups are bitmasks over `GroupTable` indices; a `Refinement` is a table
 and its chain's masks.  A layer carries weight exactly when it meets the
@@ -31,7 +33,7 @@ from .errors import (BudgetExceeded, CapExceeded, InvalidChain, NotNilpotent,
                      PropertyViolated, TrivialGroup)
 from .malle import BaseFieldData
 from .nilpotent import is_nilpotent
-from .intmath import is_prime, prime_factors, valuation
+from .intmath import prime_factors, valuation
 from .permcore import GroupTable, PermGroup, Permutation, bits
 
 EXHAUSTIVE_CAP = 128
@@ -107,38 +109,6 @@ class OptimizeResult:
     heuristic_only: bool
 
 
-def _successors(T: GroupTable, mask: int) -> list[int]:
-    """Masks N' > N reachable by one central prime step, ascending.
-
-    N' = <N, g> for g whose class mod N is central in G/N and has prime
-    order; such N' is automatically normal in G.  Both tests and N' itself
-    depend only on the coset gN, so one element of each coset is tested and
-    gN is then marked seen; once N' is built all of it is marked, since
-    every element of N' \\ N gives the same N'.  That is O(|G|) table
-    lookups for one N.
-    """
-    mul, commutators = T.mul, T.commutators
-    coset = _coset_of(T, mask)
-    out = []
-    unseen = ((1 << len(mul)) - 1) & ~mask
-    while unseen:
-        g = (unseen & -unseen).bit_length() - 1
-        row = mul[g]
-        if not commutators[g] & ~mask:
-            powers = [g]
-            while not mask >> powers[-1] & 1:
-                powers.append(row[powers[-1]])
-            if is_prime(len(powers)):
-                new = mask
-                for x in powers[:-1]:
-                    new |= coset(x)
-                out.append(new)
-                unseen &= ~new
-                continue
-        unseen &= ~coset(g)
-    return sorted(out)
-
-
 def _coset_of(T: GroupTable, mask: int):
     """x -> the mask of x*S, for the subgroup S given by `mask`."""
     mul, members = T.mul, list(bits(mask))
@@ -149,7 +119,8 @@ def _coset_of(T: GroupTable, mask: int):
 
 
 def _children(T: GroupTable, mask: int) -> list[int]:
-    """Masks M < N one central prime step below N, by ascending (|M|, M).
+    """Masks M < N one central prime step below the normal N (N/M of prime
+    order, central in G/M; such M is normal), by ascending (|M|, M).
 
     The M of index p are the subgroups of index p above K = [G,N] N^p, that
     is the hyperplanes of the F_p-space N/K; [G,N] is the normal closure of
@@ -201,36 +172,32 @@ def _require_nilpotent_nontrivial(G: PermGroup) -> None:
 
 
 def enumerate_refinements(G: PermGroup, cap: int = EXHAUSTIVE_CAP) -> list[Refinement]:
-    """All maximal chains of central prime steps, in deterministic DFS order.
-
-    Chain counts grow very quickly with the group order; the cap guards the
-    exhaustive mode (use `optimize_d` for the optimum without enumeration).
-    """
+    """All maximal chains of central prime steps, by their masks read from
+    the bottom: a DFS from G through cached `_children`.  Chain counts grow
+    very quickly with the group order; the cap guards this exhaustive mode
+    (`optimize_d` finds the optimum without enumeration)."""
     _require_nilpotent_nontrivial(G)
     if G.order > cap:
         raise CapExceeded(f"group order {G.order} exceeds enumeration cap {cap}")
     T = G.table
-    successors = cache(lambda mask: _successors(T, mask))  # chains share states
-    chains: list[list[int]] = []
-    stack: list[int] = [1]  # the identity alone
+    children = cache(lambda mask: _children(T, mask))  # chains share states
+    chains: list[tuple[int, ...]] = []
 
-    def dfs() -> None:
-        mask = stack[-1]
-        if mask == (1 << G.order) - 1:
-            chains.append(list(stack))
+    def dfs(chain: tuple[int, ...]) -> None:
+        if chain[-1] == 1:
+            chains.append(chain)
             return
-        for nxt in successors(mask):
-            stack.append(nxt)
-            dfs()
-            stack.pop()
+        for m in children(chain[-1]):
+            dfs(chain + (m,))
 
-    dfs()
-    return [Refinement(T, tuple(reversed(ch))) for ch in chains]
+    dfs(((1 << G.order) - 1,))
+    return [Refinement(T, ch) for ch in sorted(chains, key=lambda ch: ch[::-1])]
 
 
 def refinement_data(G: PermGroup, chain: Sequence[Iterable[Permutation]]) -> Refinement:
     """Validate a user-supplied chain (whole group first, trivial group last)
-    and fill in the derived layer data."""
+    and fill in the derived layer data.  Past its shape, each step from the
+    top must be one of `_children`; any failure is InvalidChain."""
     subgroups = [frozenset(s) for s in chain]
     if len(subgroups) < 2:
         raise InvalidChain("chain needs at least the full and trivial groups")
@@ -238,22 +205,13 @@ def refinement_data(G: PermGroup, chain: Sequence[Iterable[Permutation]]) -> Ref
         raise InvalidChain("chain must start at the whole group")
     if subgroups[-1] != frozenset({G.identity}):
         raise InvalidChain("chain must end at the trivial group")
-    for upper, lower in zip(subgroups, subgroups[1:]):
-        if not lower < upper:
-            raise InvalidChain("chain is not strictly decreasing")
-        if len(upper) % len(lower):
-            raise InvalidChain("subgroup orders do not divide")
-        if not is_prime(len(upper) // len(lower)):
-            raise InvalidChain("quotient is not of prime order")
-    T = G.table
+    if any(not lower < upper for upper, lower in pairwise(subgroups)):
+        raise InvalidChain("chain is not strictly decreasing")
+    T = G.table  # every member lies in G, so each has an index
     masks = tuple(_mask(map(T.idx.__getitem__, sub)) for sub in subgroups)
-    for m in masks[1:-1]:
-        if not T.is_subgroup(bits(m)):
-            raise InvalidChain("chain member is not a subgroup")
-    for upper, lower in pairwise(masks):
-        if any(T.commutators[g] & ~lower for g in bits(upper)):
-            raise InvalidChain(
-                "quotient layer is not central in the ambient quotient")
+    for i, (upper, lower) in enumerate(pairwise(masks), 1):
+        if lower not in _children(T, upper):
+            raise InvalidChain(f"step {i} is not a central step of prime order")
     return Refinement(T, masks)
 
 

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from nilcount.catalog import CATALOG, get_group, nilpotent_catalog, resolve
+from nilcount.catalog import (CATALOG, abelian, cyclic, get_group,
+                              nilpotent_catalog, resolve)
 from nilcount.extension import fingerprint, is_isomorphic
 from nilcount.malle import BaseFieldData, b_constant, min_index
-from nilcount.nilpotent import is_nilpotent
+from nilcount.nilpotent import is_nilpotent, natural_product
 from nilcount.series import (all_min_index_central, d_constant,
                              enumerate_refinements, optimize_d)
 
@@ -70,3 +71,25 @@ def test_cyclic_is_the_generated_rotation_group():
         G = cyclic(n)
         R = PermGroup.generate([Permutation(tuple((i + 1) % n for i in range(n)))])
         assert (G.elements, G.generators) == (R.elements, R.generators), n
+
+
+def _factorizations(limit, prefix=()):
+    """Every tuple of factors >= 2, in every order, with product <= limit."""
+    for n in range(2, limit + 1):
+        yield prefix + (n,)
+        yield from _factorizations(limit // n, prefix + (n,))
+
+
+def test_abelian_is_the_natural_product_fold():
+    # every abelian type of order <= 64, each factor order in every position
+    types = list(_factorizations(64))
+    assert len(types) == len(set(types)) == 440
+    assert {(2,) * 6, (4, 4, 4), (8, 8), (64,), (3, 7), (7, 3)} <= set(types)
+    for t in types:
+        G = abelian(*t)
+        fold = cyclic(t[0])
+        for n in t[1:]:
+            fold = natural_product(fold, cyclic(n))
+        assert G.elements == fold.elements, t
+        assert G.generators == fold.generators, t
+        assert G.table.mul == fold.table.mul, t

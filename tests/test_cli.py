@@ -1,6 +1,8 @@
 import json
 import tracemalloc
 
+import pytest
+
 from nilcount.cli import main
 
 
@@ -272,3 +274,64 @@ def test_oversized_raw_cycles_refused_before_closing(capsys):
     code, rep = run_cli(capsys, "invariants", "--group", "(4999,5000)")
     assert code == 1 and rep["transitive"] is False
     assert (rep["degree"], rep["order"]) == (5000, 2)
+
+
+def test_long_orbit_raw_cycles_refused_before_closing(capsys):
+    # intransitive, but its orbit of 4200 points bounds the order from below:
+    # closing it used to build 4200 permutations of degree 4202 first
+    spec = "(" + ",".join(str(i) for i in range(1, 4201)) + ")(4201,4202)"
+    tracemalloc.start()
+    try:
+        code, rep = run_cli(capsys, "invariants", "--group", spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and rep["error"].startswith("BudgetExceeded")
+    assert peak < 32 << 20
+
+
+def test_degree_one_factor_is_value_error(capsys):
+    code, rep = run_cli(capsys, "invariants", "--group", "C1xC2")
+    assert code == 2
+    assert rep["error"] == "ValueError: natural product needs degrees > 1"
+
+
+@pytest.mark.parametrize("text,error", [
+    (None, "FileNotFoundError"),
+    ("[1, 2]", "ValueError"),
+    ('{"degree": 1}', "ValueError"),
+    ('{"degree": "x", "real_places": 1}', "ValueError"),
+    ('{"degree": 2, "real_places": 0, "class_rank": [1]}', "ValueError"),
+    ('{"degree": 2, "real_places": 0, "class_rank": {"3": [1]}}', "ValueError"),
+    ('{"degree": 2, "real_places": 0, "cyclo_generators": {"0": [1]}}',
+     "ValueError"),
+    ('{"degree": 2, "real_places": 0, "class_rank": {"3": 1.5}}', "ValueError"),
+    ('{"degree": 2, "real_places": 0, "cyclo_generators": {"7": [2.9]}}',
+     "ValueError"),
+    ('{"degree": 2, "real_places": 0, "cyclo_generators": {"7": 2}}',
+     "ValueError"),
+])
+def test_bad_field_file_is_error_report(tmp_path, capsys, text, error):
+    path = tmp_path / "field.json"
+    if text is not None:
+        path.write_text(text)
+    code, rep = run_cli(capsys, "invariants", "--group", "C7", "--field", str(path))
+    assert code == 2 and rep["error"].startswith(error + ": "), rep
+
+
+@pytest.mark.parametrize("argv", [
+    ["dseries", "--specs", "3:1:2", "--max-x", "10000"],
+    ["count", "--kind", "quadratic", "--max-x", "1000"],
+])
+def test_unwritable_out_path_is_error_report(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "x.csv"
+    code, rep = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2 and rep["error"].startswith("FileNotFoundError: "), rep
+
+
+@pytest.mark.parametrize("keep", ["0", "-2"])
+def test_checkpoints_below_one_is_typed_error(capsys, keep):
+    code, rep = run_cli(capsys, "dseries", "--specs", "3:1:2",
+                        "--max-x", "10000", "--checkpoints", keep)
+    assert code == 2
+    assert rep["error"] == f"ValueError: --checkpoints must be at least 1, got {keep}"

@@ -196,6 +196,14 @@ def test_slope_estimate_squarefree_law():
     assert rep.fitted_constant > 0  # reported, never asserted against theory
 
 
+@pytest.mark.parametrize("specs", [[(2, 1, 1)], [(3, 1, 4)],
+                                   [(3, 1, 2), (5, 2, 3)]])
+def test_final_running_beta_is_the_slope_fit(specs):
+    # one fit: the last running estimate is beta_hat, bit for bit
+    series = multi_factor_sum([FactorSpec(*s) for s in specs], 10 ** 7)
+    assert running_beta(series)[-1] == slope_estimate(series).beta_hat
+
+
 def test_running_beta_and_csv_rows():
     series = multi_factor_sum([FactorSpec(3, 1, 2)], 10 ** 5)
     rows = series_csv_rows(series)

@@ -5,6 +5,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
+from itertools import combinations_with_replacement
 from math import lcm
 from pathlib import Path
 
@@ -17,9 +18,10 @@ from nilcount.catalog import (abelian, cyclic, dihedral4_regular,
 from nilcount.errors import (BudgetExceeded, CapExceeded, InvalidChain,
                              NotNilpotent, PropertyViolated, TrivialGroup)
 from nilcount.malle import BaseFieldData, b_constant, ind, min_index
-from nilcount.permcore import PermGroup, bits, mulclose, parse_generators
+from nilcount.permcore import (GroupTable, PermGroup, bits, mulclose,
+                               parse_generators)
 from nilcount.intmath import is_prime, prime_factors, valuation
-from nilcount.series import (Refinement, _successors, all_min_index_central,
+from nilcount.series import (Refinement, _coset_of, all_min_index_central,
                              d_constant, enumerate_refinements, optimize_d,
                              refinement_data, refinement_to_json)
 
@@ -248,10 +250,11 @@ def test_enumeration_expands_each_state_once(monkeypatch):
 
     def counted(T, mask):
         calls.append(mask)
-        return _successors(T, mask)
+        return children(T, mask)
     G = abelian(2, 2, 2, 2)
     before = enumerate_refinements(G)
-    monkeypatch.setattr(series, "_successors", counted)
+    children = series._children
+    monkeypatch.setattr(series, "_children", counted)
     assert enumerate_refinements(G) == before
     # one call per subgroup below the top: 1 + 15 + 35 + 15
     assert len(calls) == len(set(calls)) == 66
@@ -264,6 +267,40 @@ def test_refinement_json():
     assert blob["subgroup_orders"] == [8, 4, 2, 1]
     assert blob["d_group"] == 1
     assert blob["d_field"] == "1"
+
+
+# The bottom-up step that the library once enumerated with, kept as an
+# independent reference for `series._children` and `_bottom_up_oracle`.
+def _successors(T: GroupTable, mask: int) -> list[int]:
+    """Masks N' > N reachable by one central prime step, ascending.
+
+    N' = <N, g> for g whose class mod N is central in G/N and has prime
+    order; such N' is automatically normal in G.  Both tests and N' itself
+    depend only on the coset gN, so one element of each coset is tested and
+    gN is then marked seen; once N' is built all of it is marked, since
+    every element of N' \\ N gives the same N'.  That is O(|G|) table
+    lookups for one N.
+    """
+    mul, commutators = T.mul, T.commutators
+    coset = _coset_of(T, mask)
+    out = []
+    unseen = ((1 << len(mul)) - 1) & ~mask
+    while unseen:
+        g = (unseen & -unseen).bit_length() - 1
+        row = mul[g]
+        if not commutators[g] & ~mask:
+            powers = [g]
+            while not mask >> powers[-1] & 1:
+                powers.append(row[powers[-1]])
+            if is_prime(len(powers)):
+                new = mask
+                for x in powers[:-1]:
+                    new |= coset(x)
+                out.append(new)
+                unseen &= ~new
+                continue
+        unseen &= ~coset(g)
+    return sorted(out)
 
 
 def _successors_per_element(T, mask):
@@ -553,3 +590,69 @@ def test_is_subgroup_matches_pair_scan():
                 assert T.is_subgroup(S) == _closed_by_pairs(T, S), (name, S)
                 closed += T.is_subgroup(S)
         assert 60 <= closed < 240, name
+
+
+def _reference_step(T, upper, lower):
+    """Reference: the former per-step checks of `refinement_data` on masks:
+    strictly decreasing, prime index, `lower` a subgroup, and every
+    commutator of `upper` with the generators inside `lower`.  An empty
+    `lower` is refused (those checks divided by its order)."""
+    if not lower or lower & ~upper or lower == upper:
+        return False
+    index, rest = divmod(upper.bit_count(), lower.bit_count())
+    return (not rest and is_prime(index) and T.is_subgroup(bits(lower))
+            and not any(T.commutators[g] & ~lower for g in bits(upper)))
+
+
+def _reference_accepts(G, masks):
+    T, full = G.table, (1 << G.order) - 1
+    return (len(masks) >= 2 and masks[0] == full and masks[-1] == 1
+            and all(_reference_step(T, u, l) for u, l in zip(masks, masks[1:])))
+
+
+@pytest.mark.parametrize("name", ["Q8", "D4_S4", "D4_S8", "Heis27",
+                                  "D4xC3_S12", "S3", "Q16", "C4xC4",
+                                  "C2xC2xC2xC2"])
+def test_refinement_data_matches_per_step_reference(name):
+    # From every node of a valid chain prefix, step to every subgroup made
+    # by up to 3 elements and to 200 random subsets of the node.  The rest of
+    # the chain is a valid tail below the step (by the reference) when one
+    # exists, so the whole chain stands or falls with that one step.
+    rng = random.Random(11)
+    G = get_group(name)[1]
+    T, n = G.table, G.order
+    subgroups = {series._mask(T.closure(gens))
+                 for gens in combinations_with_replacement(range(n), 3)}
+
+    @cache
+    def tail(mask):
+        if mask == 1:
+            return ()
+        for m in sorted(subgroups):
+            if _reference_step(T, mask, m) and tail(m) is not None:
+                return (m,) + tail(m)
+        return None
+
+    seen, todo, steps, accepted = set(), [((1 << n) - 1,)], 0, 0
+    while todo:
+        prefix = todo.pop()
+        node = prefix[-1]
+        randoms = {rng.getrandbits(n) & node | rng.getrandbits(1)
+                   for _ in range(200)}
+        for m in sorted(subgroups | randoms):
+            rest = tail(m)
+            masks = prefix + (m,) + (rest if rest is not None else (1,))
+            expected = _reference_accepts(G, masks)
+            try:
+                got = refinement_data(G, [T.subset(bits(x)) for x in masks])
+            except InvalidChain:
+                got = None
+            assert (got is not None) == expected, (name, masks)
+            if expected:
+                assert got.masks == masks
+            steps += 1
+            accepted += expected
+            if _reference_step(T, node, m) and m != 1 and m not in seen:
+                seen.add(m)
+                todo.append(prefix + (m,))
+    assert steps > 64 and (accepted > 0) == (name != "S3"), (steps, accepted)
