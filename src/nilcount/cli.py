@@ -20,7 +20,7 @@ from .counting import (count_quadratic_at, enumerate_cyclic_ell,
                        enumerate_quadratic, enumerate_v4, v4_fiber_check)
 from .dirichlet import (FactorSpec, default_checkpoints, multi_factor_sum,
                         series_csv_rows, slope_estimate)
-from .errors import NilcountError, UnknownTheorem
+from .errors import NilcountError
 from .malle import BaseFieldData, b_constant, min_index
 from .nilpotent import is_nilpotent, sylow_decompose
 from .permcore import cycle_string
@@ -91,22 +91,16 @@ def cmd_invariants(args) -> int:
                               "one for this group")
     else:
         report["note"] = "d-invariants omitted: group is not nilpotent"
-    expected = resolve(name).expected if resolve(name) else {}
-    if expected:
-        report["expected"] = expected
+    entry = resolve(name)
+    if entry and entry.expected:
+        report["expected"] = entry.expected
     print(json.dumps(report, indent=2))
     return 0
 
 
 def cmd_verify(args) -> int:
     ids = sorted(SUITES) if args.ids == ["all"] else args.ids
-    results = []
-    for sid in ids:
-        try:
-            results.append(run_suite(sid, seed=args.seed))
-        except UnknownTheorem as e:
-            print(json.dumps({"schema": SCHEMA, "error": str(e)}))
-            return 2
+    results = [run_suite(sid, seed=args.seed) for sid in ids]
     report = {
         "schema": SCHEMA,
         "seed": args.seed,
@@ -207,9 +201,7 @@ def cmd_count(args) -> int:
             print(json.dumps(summary, indent=2))
             return 1
     else:
-        print(json.dumps({"schema": SCHEMA,
-                          "error": f"unknown count kind {kind!r}"}))
-        return 2
+        raise ValueError(f"unknown count kind {kind!r}")
     if args.out and rows:
         with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -288,12 +280,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        # NILCOUNT_* defaults are parsed here, inside the error report
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except (NilcountError, ValueError, OSError) as e:
-        print(json.dumps({"schema": SCHEMA,
-                          "error": f"{type(e).__name__}: {e}"}))
+        try:
+            # NILCOUNT_* defaults are parsed here, inside the error report
+            args = build_parser().parse_args(argv)
+            code = args.func(args)
+        except BrokenPipeError:
+            raise
+        except (NilcountError, ValueError, OSError) as e:
+            print(json.dumps({"schema": SCHEMA,
+                              "error": f"{type(e).__name__}: {e}"}))
+            code = 2
+        sys.stdout.flush()  # a reader that left early fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout is closed: nothing can be reported, and the flush at exit
+        # must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

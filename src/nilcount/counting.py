@@ -23,6 +23,9 @@ from .dirichlet import prime_sieve, squarefree_sieve
 from .intmath import iroot, is_prime, omega, prime_factors, radical, valuation
 
 V4_BUDGET = 1_000_000
+# an odd prime ramified in a V4 field divides its discriminant this often:
+# the index of an involution in the regular four-point action
+TAME_INDEX = 2
 
 
 @dataclass(frozen=True)
@@ -280,14 +283,13 @@ def enumerate_v4(x: int) -> list[V4Field]:
     return fields
 
 
-def v4_fiber_check(x: int, tame_index: int = 2,
+def v4_fiber_check(x: int,
                    fields: list[V4Field] | None = None) -> V4FiberReport:
     """Group the enumerated V4 fields by their ramification tuple and check
     every fiber against the bound 2^(b1 + b2), with b_i the prime count of
     the earlier layers plus the wild constant of the exact-ramification
     bound.  Also check the tame discriminant valuations: every odd ramified
-    prime must divide the discriminant exactly `tame_index` times, matching
-    the index of an involution in the regular four-point action.
+    prime must divide the discriminant exactly `TAME_INDEX` times.
     `fields`, when given, is `enumerate_v4(x)` already computed."""
     if fields is None:
         fields = enumerate_v4(x)
@@ -295,7 +297,7 @@ def v4_fiber_check(x: int, tame_index: int = 2,
     val_fail = 0
     for f in fields:
         fibers[f.ramified_tuple] = fibers.get(f.ramified_tuple, 0) + 1
-        val_fail += sum(valuation(f.discriminant, p)[0] != tame_index
+        val_fail += sum(valuation(f.discriminant, p)[0] != TAME_INDEX
                         for p in prime_factors(f.discriminant) if p != 2)
     violations = 0
     max_fiber = 0

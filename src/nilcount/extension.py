@@ -19,6 +19,7 @@ from .intmath import is_prime
 from .permcore import (GroupTable, PermGroup, Permutation,
                        abelianization_rank, center, product_rows, quotient,
                        quotient_with_map)
+from .series import _children
 
 ISO_CAP = 512
 
@@ -367,37 +368,18 @@ def solution_class_counts(G: PermGroup, ell: int) -> SolutionClassCounts:
 
     With r the ell-rank of the maximal abelian quotient, the trivial class
     has (ell^r - 1)/(ell - 1) + 1 members and one preimage; every other class
-    has ell^r members and ell - 1 preimages.  The count of index-ell
-    subgroups above the commutator-and-ell-th-powers subgroup is re-derived
-    by explicit enumeration of functional kernels and must agree.
+    has ell^r members and ell - 1 preimages.  The index-ell subgroups above
+    the commutator-and-ell-th-powers subgroup, the hyperplanes of the
+    elementary abelian quotient that `series._children` builds, are counted
+    and must agree.
     """
     r = abelianization_rank(G, ell)
     hyperplanes = (ell ** r - 1) // (ell - 1)
-
-    T = G.table
-    K = T.closure(T.commutator() | {T.power(g, ell) for g in range(G.order)})
-    Q = quotient(G, T.subset(K))
-    if Q.order != ell ** r:
-        raise PropertyViolated("mod-ell abelianization has the wrong order")
-
-    TQ = Q.table
-    basis = [g for g in TQ.generating_set() if g]
-    if len(basis) != r:
-        raise PropertyViolated("elementary abelian quotient has the wrong rank")
-    coords: dict[int, tuple[int, ...]] = {0: ()}
-    for b in basis:  # coordinates of the products of powers of the basis
-        coords = {TQ.mul[e][TQ.power(b, c)]: v + (c,)
-                  for e, v in coords.items() for c in range(ell)}
-    if len(coords) != ell ** r:
-        raise PropertyViolated("basis of the mod-ell quotient is not independent")
-    kernels: set[frozenset[int]] = set()
-    for f in range(1, ell ** r):
-        fv = [f // ell ** i % ell for i in range(r)]  # base-ell digits of f
-        kernels.add(frozenset(e for e, v in coords.items()
-                              if sum(fi * vi for fi, vi in zip(fv, v)) % ell == 0))
-    if len(kernels) != hyperplanes:
+    found = sum(m.bit_count() * ell == G.order
+                for m in _children(G.table, (1 << G.order) - 1))
+    if found != hyperplanes:
         raise VerificationFailed(
-            f"index-{ell} subgroup count {len(kernels)} != {hyperplanes}")
+            f"index-{ell} subgroup count {found} != {hyperplanes}")
 
     return SolutionClassCounts(
         rank=r,
@@ -405,5 +387,5 @@ def solution_class_counts(G: PermGroup, ell: int) -> SolutionClassCounts:
         nontrivial_class_size=ell ** r,
         trivial_multiplicity=1,
         nontrivial_multiplicity=ell - 1,
-        index_subgroup_count=len(kernels),
+        index_subgroup_count=found,
     )

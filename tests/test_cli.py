@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from nilcount.cli import main
+import nilcount
+from nilcount.cli import SCHEMA, main
+from nilcount.suites import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -76,6 +82,10 @@ def test_verify_single_and_all_ids(capsys):
     assert rep["results"][0]["suite"] == "5.12"
     code, rep = run_cli(capsys, "verify", "nope")
     assert code == 2 and "error" in rep
+    assert rep["error"].startswith("UnknownTheorem: unknown suite id 'nope'")
+    code, rep = run_cli(capsys, "verify", "all", "--seed", "42")
+    assert code == 0 and rep["passed"]
+    assert [r["suite"] for r in rep["results"]] == sorted(SUITES)
 
 
 def test_verify_deterministic(capsys):
@@ -131,6 +141,8 @@ def test_count_v4(capsys):
 def test_count_unknown_kind(capsys):
     code, rep = run_cli(capsys, "count", "--kind", "septic", "--max-x", "10")
     assert code == 2
+    assert rep == {"schema": SCHEMA,
+                   "error": "ValueError: unknown count kind 'septic'"}
 
 
 def test_count_max_x_below_one_is_typed_error(capsys):
@@ -335,3 +347,20 @@ def test_checkpoints_below_one_is_typed_error(capsys, keep):
                         "--max-x", "10000", "--checkpoints", keep)
     assert code == 2
     assert rep["error"] == f"ValueError: --checkpoints must be at least 1, got {keep}"
+
+
+@pytest.mark.parametrize("group", ["Q8", "(4999,5000)", "NoSuchGroup"])
+def test_closed_stdout_ends_quietly(group):
+    # the read end is closed before the child starts, so its first write to
+    # stdout fails: a report, an intransitive report and an error report
+    r, w = os.pipe()
+    os.close(r)
+    env = dict(os.environ, PYTHONPATH=str(Path(nilcount.__file__).parents[1]))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "nilcount.cli",
+                               "invariants", "--group", group],
+                              stdout=w, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (2, b"")
