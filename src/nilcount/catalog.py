@@ -3,8 +3,9 @@
 Cyclic and abelian groups and presentations (quaternion, dihedral,
 Heisenberg) are built as Cayley tables and realized as their regular action;
 the mixed products Q8xC3_S24 and D4xC3_S12 are natural products.  Every
-entry records its expected invariants where those are pinned.  Raw cycles
-with an orbit of more than 4096 points are refused before they are closed.
+entry records its expected invariants where those are pinned.  A pattern
+above `permcore.MAX_ORDER`, or raw cycles with a longer orbit, are refused
+before any permutation is built.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable
 from .extension import regular_permutation_group
 from .nilpotent import natural_product
 from .permcore import (PermGroup, cycle_string, orbit_sizes, parse_generators,
-                       product_rows, require_table_budget)
+                       product_rows, require_order)
 
 
 def cyclic(n: int) -> PermGroup:
@@ -152,27 +153,20 @@ _ENTRIES: list[CatalogEntry] = [
 
 CATALOG: dict[str, CatalogEntry] = {e.name: e for e in _ENTRIES}
 
-_CYCLIC_RE = re.compile(r"^C(\d+)$")
-_ABELIAN_RE = re.compile(r"^C(\d+(?:xC\d+)+)$")
+_PATTERN_RE = re.compile(r"^C\d+(?:xC\d+)*$")
 
 
 def resolve(name: str) -> CatalogEntry | None:
     """Catalog entry for a name, including the Cn / CnxCm... patterns.
 
-    A pattern whose Cayley table would exceed the table budget raises
-    BudgetExceeded here, before any of its permutations is built.
+    A pattern of order above MAX_ORDER raises BudgetExceeded here, before
+    any of its permutations is built.
     """
     if name in CATALOG:
         return CATALOG[name]
-    m = _CYCLIC_RE.match(name)
-    if m:
-        n = int(m.group(1))
-        require_table_budget(n)
-        return CatalogEntry(name, lambda: cyclic(n), f"cyclic group on {n} points")
-    m = _ABELIAN_RE.match(name)
-    if m:
+    if _PATTERN_RE.match(name):
         orders = tuple(int(x) for x in name[1:].split("xC"))
-        require_table_budget(prod(orders))
+        require_order(prod(orders))
         return CatalogEntry(name, lambda: abelian(*orders),
                             "abelian group of type " + str(orders))
     return None
@@ -185,7 +179,7 @@ def get_group(spec: str, degree: int | None = None) -> tuple[str, PermGroup]:
         return entry.name, entry.group()
     if "(" in spec:
         gens = parse_generators(spec, degree=degree)
-        require_table_budget(max(orbit_sizes(gens)))  # a lower bound on |G|
+        require_order(max(orbit_sizes(gens)))  # a lower bound on |G|
         return "custom", PermGroup.generate(gens)
     raise ValueError(f"unknown group {spec!r} (not a catalog name or cycle string)")
 

@@ -25,7 +25,7 @@ from .malle import BaseFieldData, b_constant, min_index
 from .nilpotent import is_nilpotent, sylow_decompose
 from .permcore import cycle_string
 from .series import all_min_index_central, optimize_d, refinement_to_json
-from .suites import SUITES, run_suite
+from .suites import SUITES, get_suite
 
 SCHEMA = "nilcount-report-1"
 
@@ -79,7 +79,7 @@ def cmd_invariants(args) -> int:
         dec = sylow_decompose(G)
         report["critical_prime"] = dec.critical_prime
         report["min_index_central"] = all_min_index_central(G)
-        opt = optimize_d(G, k, exhaustive_cap=args.exhaustive_cap)
+        opt = optimize_d(G, k)
         report["optimal_refinement"] = refinement_to_json(opt.refinement, k)
         report["d_group"] = opt.d_group
         report["d_field"] = str(opt.d_field)
@@ -100,7 +100,8 @@ def cmd_invariants(args) -> int:
 
 def cmd_verify(args) -> int:
     ids = sorted(SUITES) if args.ids == ["all"] else args.ids
-    results = [run_suite(sid, seed=args.seed) for sid in ids]
+    suites = [get_suite(sid) for sid in ids]  # every id, before any suite runs
+    results = [suite(seed=args.seed) for suite in suites]
     report = {
         "schema": SCHEMA,
         "seed": args.seed,
@@ -227,8 +228,15 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Input errors take `main`'s one JSON error path; subparsers inherit it."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nilcount",
         description="Counting constants for nilpotent Galois groups, with "
                     "verification suites and desk-scale counting checks.")
@@ -241,10 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "like '(1,2,3,4);(1,3)'")
     p_inv.add_argument("--field", default=_env_default("FIELD", "Q"),
                        help="'Q' or a path to base-field JSON")
-    p_inv.add_argument("--exhaustive-cap", type=int,
-                       default=_env_default("EXHAUSTIVE_CAP", 128),
-                       help="accepted and ignored: optimize_d is exact at "
-                            "every order")
+    # accepted and ignored: optimize_d is exact at every order
+    p_inv.add_argument("--exhaustive-cap", type=int, help=argparse.SUPPRESS)
     p_inv.set_defaults(func=cmd_invariants)
 
     p_ver = sub.add_parser("verify", help="run falsifier suites")

@@ -202,12 +202,11 @@ def _tally(w: np.ndarray) -> np.ndarray:
     return t
 
 
-def default_checkpoints(limit: int, start: int = CHECKPOINT_START) -> list[int]:
-    """Geometric checkpoints with ratio 2 from `start`, ending exactly at limit."""
-    if limit < start:
+def default_checkpoints(limit: int) -> list[int]:
+    """Geometric checkpoints with ratio 2 from CHECKPOINT_START, ending at limit."""
+    if limit < CHECKPOINT_START:
         return [limit] if limit >= 1 else []
-    points = []
-    x = start
+    points, x = [], CHECKPOINT_START
     while x < limit:
         points.append(x)
         x *= 2

@@ -174,8 +174,7 @@ def _element_invariants(T: GroupTable) -> list[tuple[int, int]]:
     return [(o, size[i]) for i, o in enumerate(T.order)]
 
 
-def find_isomorphism(G1: PermGroup, G2: PermGroup,
-                     cap: int = ISO_CAP) -> dict[Permutation, Permutation] | None:
+def find_isomorphism(G1: PermGroup, G2: PermGroup) -> dict[Permutation, Permutation] | None:
     """Explicit isomorphism G1 -> G2, or None.
 
     Search: invariant fingerprints first, then backtracking over images of a
@@ -186,8 +185,8 @@ def find_isomorphism(G1: PermGroup, G2: PermGroup,
     """
     if G1.order != G2.order:
         return None
-    if G1.order > cap:
-        raise CapExceeded(f"isomorphism search capped at order {cap}")
+    if G1.order > ISO_CAP:
+        raise CapExceeded(f"isomorphism search capped at order {ISO_CAP}")
     if fingerprint(G1) != fingerprint(G2):
         return None
     m1, m2 = G1.table.mul, G2.table.mul
@@ -241,8 +240,8 @@ def find_isomorphism(G1: PermGroup, G2: PermGroup,
     return {g: G2.elements[f] for g, f in zip(G1.elements, phi)}
 
 
-def is_isomorphic(G1: PermGroup, G2: PermGroup, cap: int = ISO_CAP) -> bool:
-    return find_isomorphism(G1, G2, cap=cap) is not None
+def is_isomorphic(G1: PermGroup, G2: PermGroup) -> bool:
+    return find_isomorphism(G1, G2) is not None
 
 
 def verify_semidirect_decomposition(E: ExtensionData) -> bool:

@@ -1,15 +1,17 @@
 """Exact permutation arithmetic, and finite groups on one cached Cayley table.
 
-A `PermGroup` keeps its full element list (default cap 20000) sorted by
-image table, identity first; that canonical order breaks every tie
-downstream.  Every group algorithm runs on the group's `GroupTable`, cached
-on the instance: the same elements in the same order with integer product
-and inverse tables.  A group given by its Cayley table (`PermGroup.regular`:
-quotients, pair and cyclic products, presentations) is that table's regular
-action, and the table is its `mul`; any other group fills `mul` from a base
-on first use.  Full-degree products are formed only to close generators
-(`mulclose`) and to check a claimed element set (`from_elements`), never
-for a group given by its table.
+A `PermGroup` keeps its full element list sorted by image table, identity
+first; that canonical order breaks every tie downstream.  Every group
+algorithm runs on the group's `GroupTable`, cached on the instance: the same
+elements in the same order with integer product and inverse tables.  A group
+given by its Cayley table (`PermGroup.regular`: quotients, pair and cyclic
+products, presentations) is that table's regular action, and the table is
+its `mul`; any other group fills `mul` from a base on first use.
+Full-degree products are formed only to close generators (`mulclose`) and
+to check a claimed element set (`from_elements`), never for a group given
+by its table.
+
+One limit, MAX_ORDER, bounds every group; `require_order` is its one check.
 """
 
 from __future__ import annotations
@@ -21,12 +23,17 @@ from math import lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .errors import (BudgetExceeded, CapExceeded, DegreeMismatch, NotNormal,
-                     NotPrime, PropertyViolated, TrivialGroup)
+from .errors import (BudgetExceeded, DegreeMismatch, NotNormal, NotPrime,
+                     PropertyViolated, TrivialGroup)
 from .intmath import is_prime, valuation
 
-DEFAULT_CAP = 20_000
-TABLE_BUDGET = 1 << 24  # Cayley table entries, |G|^2: order 4096 still builds
+MAX_ORDER = 4096  # the largest group accepted: its table has 2^24 entries
+
+
+def require_order(order: int) -> None:
+    """BudgetExceeded for a group (or a lower bound on one) above MAX_ORDER."""
+    if order > MAX_ORDER:
+        raise BudgetExceeded(f"group order {order} exceeds {MAX_ORDER}")
 
 
 class Permutation:
@@ -123,8 +130,9 @@ class Permutation:
         return f"Permutation({cycle_string(self)!r}, degree={self.degree})"
 
 
-def mulclose(gens: Iterable[Permutation], cap: int | None = None) -> set[Permutation]:
-    """Closure of the generators under composition (BFS over new products)."""
+def mulclose(gens: Iterable[Permutation]) -> set[Permutation]:
+    """Closure of the generators under composition (BFS over new products),
+    refused at its first element past MAX_ORDER."""
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
@@ -139,8 +147,8 @@ def mulclose(gens: Iterable[Permutation], cap: int | None = None) -> set[Permuta
                 if c not in els:
                     els.add(c)
                     new.append(c)
-                    if cap is not None and len(els) > cap:
-                        raise CapExceeded(f"closure exceeds cap {cap}")
+                    if len(els) > MAX_ORDER:  # compared inline: a hot loop
+                        require_order(len(els))
         frontier = new
     return els
 
@@ -193,18 +201,13 @@ def bits(mask: int) -> list[int]:
     return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
-def require_table_budget(order: int) -> None:
-    if order ** 2 > TABLE_BUDGET:  # checked before anything is built
-        raise BudgetExceeded(f"Cayley table of order {order} exceeds {TABLE_BUDGET} entries")
-
-
 class GroupTable:
     """Cayley table of a group: the elements in canonical order (identity at
     0), `idx`, `mul[i][j]` = index of elements[i] * elements[j], `inv`, and
     per element `order` and `ind` (degree minus orbit count); `gens` are the
     generator indices.  `mul` is the given table, or else filled from a base
-    (`_base_table`).  A group with more than TABLE_BUDGET entries raises
-    BudgetExceeded before anything is allocated.
+    (`_base_table`).  A group above MAX_ORDER raises BudgetExceeded before
+    anything is allocated.
 
     `minimal` is the bitmask of the minimal-index elements and
     `critical_prime` their common prime order; `is_subgroup` is the one
@@ -214,7 +217,7 @@ class GroupTable:
     def __init__(self, elements: Sequence[Permutation],
                  generators: Sequence[Permutation] | None = None,
                  mul: list[tuple[int, ...]] | None = None):
-        require_table_budget(len(elements))
+        require_order(len(elements))
         self.elements = elements = tuple(elements)
         self.idx = {g: i for i, g in enumerate(elements)}
         self.mul = mul = _base_table(elements) if mul is None else mul
@@ -375,15 +378,10 @@ class PermGroup:
             raise ValueError("element list must contain the identity")
 
     @classmethod
-    def generate(cls, gens: Sequence[Permutation], cap: int = DEFAULT_CAP) -> "PermGroup":
+    def generate(cls, gens: Sequence[Permutation]) -> "PermGroup":
         gens = list(gens)
-        if not gens:
-            raise ValueError("need at least one generator")
-        degree = gens[0].degree
-        for g in gens:
-            if g.degree != degree:
-                raise DegreeMismatch(f"degree {g.degree} vs {degree}")
-        return cls(degree, gens, mulclose(gens, cap=cap))
+        elements = mulclose(gens)  # DegreeMismatch at the first product
+        return cls(gens[0].degree, gens, elements)
 
     @classmethod
     def from_elements(cls, elements: Iterable[Permutation]) -> "PermGroup":

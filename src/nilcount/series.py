@@ -241,15 +241,13 @@ def all_min_index_central(G: PermGroup) -> bool:
     return True
 
 
-def optimize_d(G: PermGroup, k: BaseFieldData,
-               exhaustive_cap: int = EXHAUSTIVE_CAP) -> OptimizeResult:
+def optimize_d(G: PermGroup, k: BaseFieldData) -> OptimizeResult:
     """Minimal d(k,G) over refinements, exact at every order.
 
     A branch and bound from G downwards (see `_optimal_refinement`) expands
     at most NODE_BUDGET subgroups and raises BudgetExceeded beyond that.
     Ties between minimal chains are broken by the subgroup-order sequence and
     then by the masks, both read from the top of the chain.
-    `exhaustive_cap` is accepted for compatibility and changes nothing.
     """
     _require_nilpotent_nontrivial(G)
     refinement = _optimal_refinement(G)

@@ -349,11 +349,16 @@ def suite_central_min(seed: int) -> dict:
     return {"cases": len(catalog)}
 
 
-def run_suite(suite_id: str, seed: int = 42) -> SuiteResult:
+def get_suite(suite_id: str) -> Callable[..., SuiteResult]:
+    """The suite registered as `suite_id`; UnknownTheorem if there is none."""
     if suite_id not in SUITES:
         raise UnknownTheorem(f"unknown suite id {suite_id!r}; "
                              f"known: {', '.join(sorted(SUITES))}")
-    return SUITES[suite_id](seed=seed)
+    return SUITES[suite_id]
+
+
+def run_suite(suite_id: str, seed: int = 42) -> SuiteResult:
+    return get_suite(suite_id)(seed=seed)
 
 
 def run_all(seed: int = 42) -> list[SuiteResult]:

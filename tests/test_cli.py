@@ -88,6 +88,33 @@ def test_verify_single_and_all_ids(capsys):
     assert [r["suite"] for r in rep["results"]] == sorted(SUITES)
 
 
+def test_verify_checks_every_id_before_running(capsys, monkeypatch):
+    ran = []
+    monkeypatch.setitem(SUITES, "4.5", lambda seed: ran.append(seed))
+    code, rep = run_cli(capsys, "verify", "4.5", "nope")
+    assert code == 2 and rep["error"].startswith("UnknownTheorem: unknown "
+                                                 "suite id 'nope'")
+    assert ran == []
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["count", "--kind", "v4", "--max-x", "foo"],
+     "ValueError: argument --max-x: invalid int value: 'foo'"),
+    (["verify"], "ValueError: the following arguments are required: ids"),
+])
+def test_parser_errors_are_error_reports(capsys, argv, error):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, json.loads(out), err) == (2, {"schema": SCHEMA, "error": error}, "")
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_zero(capsys, flag):
+    with pytest.raises(SystemExit) as stop:
+        main([flag])
+    assert stop.value.code == 0 and capsys.readouterr().out
+
+
 def test_verify_deterministic(capsys):
     _, rep1 = run_cli(capsys, "verify", "3.2", "--seed", "7")
     _, rep2 = run_cli(capsys, "verify", "3.2", "--seed", "7")
@@ -230,6 +257,14 @@ def test_count_quadratic_sieves_once(capsys, monkeypatch):
     assert calls == [huge]
 
 
+def test_ignored_cap_flag_keeps_the_report(capsys):
+    # the benchmark's invariants jobs still pass --exhaustive-cap
+    plain = run_cli(capsys, "invariants", "--group", "Q8", "--field", "Q")
+    flagged = run_cli(capsys, "invariants", "--group", "Q8", "--field", "Q",
+                      "--exhaustive-cap", "128")
+    assert flagged == plain and plain[0] == 0
+
+
 def test_refinement_node_budget_is_typed_error(capsys, monkeypatch):
     from nilcount import series
     monkeypatch.setattr(series, "NODE_BUDGET", 1)
@@ -238,14 +273,18 @@ def test_refinement_node_budget_is_typed_error(capsys, monkeypatch):
 
 
 def test_table_budget_is_typed_error_before_allocating(capsys):
-    from nilcount.permcore import PermGroup, parse_generators
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    from nilcount.permcore import parse_generators
+
     # C2^13 is transitive only on its own 8192 points, where its elements
-    # alone take gigabytes; (C2 wr C4) wr C2 has order 2^13 on 16 points
+    # alone take gigabytes; (C2 wr C4) wr C2 has order 2^13 on 16 points,
+    # too many to close, so sympy gives its order
     group = ("(1,2);(1,3,5,7)(2,4,6,8);"
              "(1,9)(2,10)(3,11)(4,12)(5,13)(6,14)(7,15)(8,16)")
-    G = PermGroup.generate(parse_generators(group))
-    assert (G.order, G.is_transitive) == (8192, True)
-    del G
+    P = PermutationGroup([Permutation(list(g.images))
+                          for g in parse_generators(group)])
+    assert (P.order(), P.is_transitive()) == (8192, True)
     tracemalloc.start()
     try:
         code, rep = run_cli(capsys, "invariants", "--group", group)
@@ -253,7 +292,7 @@ def test_table_budget_is_typed_error_before_allocating(capsys):
     finally:
         tracemalloc.stop()
     assert code == 2 and rep["error"].startswith("BudgetExceeded")
-    assert peak < 32 << 20  # the table alone would hold 2^26 entries
+    assert peak < 32 << 20  # its table alone would hold 2^26 entries
 
 
 def test_oversized_catalog_patterns_refused_before_building(capsys):
@@ -268,6 +307,20 @@ def test_oversized_catalog_patterns_refused_before_building(capsys):
             tracemalloc.stop()
         assert code == 2 and rep["error"].startswith("BudgetExceeded"), group
         assert peak < 32 << 20, group
+
+
+def test_raw_symmetric_generators_refused_while_closing(capsys):
+    # S_8: only 8 points, but 40320 elements; the closure used to run to
+    # 20000 of them (5.4 MiB) and end in CapExceeded
+    tracemalloc.start()
+    try:
+        code, rep = run_cli(capsys, "invariants", "--group",
+                            "(1,2,3,4,5,6,7,8);(1,2)")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and rep["error"].startswith("BudgetExceeded")
+    assert peak < 2 << 20
 
 
 def test_oversized_raw_cycles_refused_before_closing(capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+from nilcount import extension
 from nilcount.catalog import (abelian, cyclic, dihedral4_regular,
                               dihedral4_s4, generalized_quaternion, resolve)
 from nilcount.errors import CapExceeded, NotAction, QuotientMismatch
@@ -141,11 +142,12 @@ def test_find_isomorphism_witness_is_homomorphism():
     assert len(set(phi.values())) == G1.order
 
 
-def test_is_isomorphic_symmetric_and_cap():
+def test_is_isomorphic_symmetric_and_cap(monkeypatch):
     g1, g2 = resolve("Heis27").group(), abelian(3, 3, 3)
     assert is_isomorphic(g1, g2) == is_isomorphic(g2, g1) == False
+    monkeypatch.setattr(extension, "ISO_CAP", 8)
     with pytest.raises(CapExceeded):
-        is_isomorphic(g1, g2, cap=8)
+        is_isomorphic(g1, g2)
 
 
 def test_fingerprint_is_isomorphism_invariant():
@@ -317,7 +319,7 @@ def assert_same_group(G, R):
 
 
 def test_regular_realizations_match_translation_reference(monkeypatch):
-    from nilcount import catalog, extension
+    from nilcount import catalog
     from nilcount.suites import run_suite
     realized, cyclic_products = [], []
     real = extension.regular_permutation_group

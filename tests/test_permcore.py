@@ -1,8 +1,10 @@
+import tracemalloc
+from itertools import permutations
+
 import pytest
 
-from nilcount.errors import (BudgetExceeded, CapExceeded, DegreeMismatch,
-                             NotNormal, NotPrime)
-from nilcount.permcore import (TABLE_BUDGET, PermGroup, Permutation,
+from nilcount.errors import BudgetExceeded, DegreeMismatch, NotNormal, NotPrime
+from nilcount.permcore import (MAX_ORDER, GroupTable, PermGroup, Permutation,
                                abelianization_rank,
                                center, conjugacy_classes, cycle_string,
                                element_order, exponent, parse_generators,
@@ -60,12 +62,22 @@ def test_generate_d4_matches_brute_closure():
     assert set(G.elements) == brute_closure(gens)
 
 
+S8 = "(1,2,3,4,5,6,7,8);(1,2)"  # raw generators of a group of order 40320
+
+
 def test_generate_errors():
     with pytest.raises(DegreeMismatch):
         PermGroup.generate([parse_permutation("(1,2)"),
                             parse_permutation("(1,2,3)")])
-    with pytest.raises(CapExceeded):
-        PermGroup.generate(parse_generators("(1,2,3,4);(1,3)"), cap=5)
+    # the closure stops past order 4096; it ran to 20000 elements (5.4 MiB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="order 4097 exceeds 4096"):
+            PermGroup.generate(parse_generators(S8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_conjugacy_classes_q8():
@@ -231,11 +243,13 @@ def test_catalog_invariants_against_sympy():
 
 
 def test_table_budget_guards_before_building():
-    assert 4096 ** 2 <= TABLE_BUDGET < 4097 ** 2
-    # C2^13 on 26 points: 8192 elements, a table of 2^26 entries
-    G = PermGroup.generate(parse_generators(
-        ";".join(f"({2 * i + 1},{2 * i + 2})" for i in range(13))))
-    assert G.order == 8192
+    assert MAX_ORDER == 4096  # a table of 2^24 entries
+    # the elements of S_8, listed directly: generating them is refused
+    G = PermGroup(8, parse_generators(S8),
+                  map(Permutation, permutations(range(8))))
+    assert G.order == 40320
     with pytest.raises(BudgetExceeded):
         G.table
     assert G._table is None
+    with pytest.raises(BudgetExceeded):
+        GroupTable(G.elements)

@@ -225,13 +225,11 @@ def test_equality_with_b_exactly_when_central():
         assert (opt.d_field == b) == all_min_index_central(G)
 
 
-def test_exhaustive_cap_is_inert():
-    # the cap once switched larger groups to a greedy chain (d = 7 on D4_S8,
-    # 12 on D4xC3_S12); the search is now exact at every order
+def test_optimize_d_exact_above_the_old_cap():
+    # a cap once switched larger groups to a greedy chain (d = 7 on D4_S8,
+    # 12 on D4xC3_S12); the search is exact at every order
     for name, d in (("D4_S8", 5), ("D4xC3_S12", 2), ("Heis27", 26)):
-        G = resolve(name).group()
-        opt = optimize_d(G, Q, exhaustive_cap=4)
-        assert opt == optimize_d(G, Q), name
+        opt = optimize_d(resolve(name).group(), Q)
         assert opt.d_group == d and not opt.heuristic_only, name
 
 
