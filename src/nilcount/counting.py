@@ -13,13 +13,14 @@ degree, biquadratic) back everything with explicit discriminant lists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceeded
 from .malle import BaseFieldData
-from .dirichlet import prime_sieve, squarefree_sieve
+from .dirichlet import prime_sieve, require_sieve_budget, squarefree_sieve
 from .intmath import iroot, is_prime, omega, prime_factors, radical, valuation
 
 V4_BUDGET = 1_000_000
@@ -130,19 +131,48 @@ def count_quadratic(x: int) -> int:
 
 
 def count_quadratic_at(xs: Sequence[int]) -> list[int]:
-    """count_quadratic(x) for every x in xs, from one sieve to max(xs)."""
-    sf = squarefree_sieve(max(xs, default=0))
+    """count_quadratic(x) for every x in xs, from one Moebius sieve to
+    sqrt(max(xs)).
+
+    The squarefree m <= y with m = r mod 4 (r = 1, 2, 3) number
+    Q_r(y) = sum_{odd d <= sqrt y} mu(d) #{k <= y // d^2 : k = r mod 4}: an
+    odd d has d^2 = 1 mod 8, so d^2 k = k mod 4, and an even d never
+    reaches these classes.
+    """
+    limit = max([0, *xs])
+    # x is refused above the squarefree sieve's limit, with its message,
+    # though the sum itself needs mu only up to sqrt(x)
+    require_sieve_budget("squarefree", limit)
+    mu = _mobius(isqrt(limit))
+    d = np.flatnonzero(mu)
+    d = d[d % 2 == 1]
+    mu_d, d2 = mu[d].astype(np.int64), d * d
+
+    def classes(y: int) -> list[int]:
+        """[Q_1(y), Q_2(y), Q_3(y)]."""
+        n = y // d2[:np.searchsorted(d2, y, "right")]
+        mu_n = mu_d[:len(n)]
+        return [int(mu_n @ ((n + 4 - r) // 4)) for r in (1, 2, 3)]
 
     def count(x: int) -> int:
         if x < 3:
             return 0
-        sfx, sf4 = sf[:x + 1], sf[:x // 4 + 1]
-        return (int(np.count_nonzero(sfx[1::4])) - 1  # d = m = 1 mod 4, not 1
-                + int(np.count_nonzero(sfx[3::4]))    # d = -m, m = 3 mod 4
-                + int(np.count_nonzero(sf4[1::4]))    # d = -4m, m = 1 mod 4
-                + 2 * int(np.count_nonzero(sf4[2::4]))  # d = +-4m, m = 2 mod 4
-                + int(np.count_nonzero(sf4[3::4])))   # d = +4m, m = 3 mod 4
+        q1, _, q3 = classes(x)
+        f1, f2, f3 = classes(x // 4)  # m in d = +-4m
+        # d = m for m = 1 mod 4 (not 1), d = -m for m = 3 mod 4; d = -4m,
+        # +-4m, +4m for m = 1, 2, 3 mod 4
+        return q1 - 1 + q3 + f1 + 2 * f2 + f3
     return [count(x) for x in xs]
+
+
+def _mobius(limit: int) -> np.ndarray:
+    """mu(n) for 0 <= n <= limit as int8, with mu(0) = 0."""
+    mu = np.ones(limit + 1, dtype=np.int8)
+    mu[0] = 0
+    for p in np.flatnonzero(prime_sieve(limit)).tolist():
+        mu[p::p] *= -1
+        mu[p * p::p * p] = 0
+    return mu
 
 
 def fundamental_discriminants(x: int) -> list[int]:

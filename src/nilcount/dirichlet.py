@@ -4,10 +4,13 @@ Everything is specialized to the rationals: the prime-ideal condition
 "norm congruent to 0 or 1 mod ell" becomes the set B = {ell} u {p = 1 mod ell}
 of rational primes.  A factor (ell, d, m) stands for the Euler product
 prod_{p in B} (1 + m p^{-d s}); its coefficient at n = u^d is m^omega(u) for
-squarefree B-supported u and 0 otherwise.  The sieves carry only omega(u)
-(numpy int8 segments); every weight m^omega and every sum of weights is a
-Python int, so partial sums of multi-factor products are exact for any m and
-the asymptotic-slope diagnostics sit on top of exact data.
+squarefree B-supported u and 0 otherwise.  Partial sums count the u of each
+omega(u), either over the floor set {x // i} of a checkpoint x (prime
+counts per class mod ell, then a min_25-style pass over the B-primes up to
+sqrt x) or by a segmented sieve that carries only omega(u) (numpy int8
+segments).  Every weight m^omega and every sum of weights is a Python int,
+so partial sums of multi-factor products are exact for any m and the
+asymptotic-slope diagnostics sit on top of exact data.
 """
 
 from __future__ import annotations
@@ -77,10 +80,16 @@ class SlopeReport:
     n_points: int
 
 
+def require_sieve_budget(name: str, limit: int) -> None:
+    """Refuse a `name` sieve to limit above SIEVE_BUDGET."""
+    if limit > SIEVE_BUDGET:
+        raise BudgetExceeded(f"{name} sieve to {limit} exceeds in-memory "
+                             "budget")
+
+
 def prime_sieve(limit: int) -> np.ndarray:
     """Boolean primality array of length limit + 1."""
-    if limit > SIEVE_BUDGET:
-        raise BudgetExceeded(f"prime sieve to {limit} exceeds in-memory budget")
+    require_sieve_budget("prime", limit)
     isp = np.ones(limit + 1, dtype=bool)
     isp[:2] = False
     for p in range(2, isqrt(limit) + 1):
@@ -91,9 +100,7 @@ def prime_sieve(limit: int) -> np.ndarray:
 
 def squarefree_sieve(limit: int) -> np.ndarray:
     """Boolean squarefree array of length limit + 1 (index 0 is False)."""
-    if limit > SIEVE_BUDGET:
-        raise BudgetExceeded(f"squarefree sieve to {limit} exceeds in-memory "
-                             "budget")
+    require_sieve_budget("squarefree", limit)
     sf = np.ones(limit + 1, dtype=bool)
     sf[0] = False
     for k in range(2, isqrt(limit) + 1):
@@ -166,7 +173,100 @@ def _segments(spec: FactorSpec, limit: int):
         lo = hi + 1
 
 
-def _prefix_sums_at(spec: FactorSpec, queries: Sequence[int]) -> dict[int, int]:
+def _prefix_sums_at(spec: FactorSpec, checkpoints: Sequence[int],
+                    support: Sequence[int]) -> dict[int, int]:
+    """Exact prefix sums C(q) = sum_{n <= q} c[n] at every query point
+    q = iroot(x // P, d), for x in checkpoints and P <= x in support.
+    """
+    limit = max(checkpoints)
+    # The one rule between the two ways.  The floor-set count costs about
+    # (ell - 1) x^(3/4) operations per checkpoint x (a prime count per class
+    # of (Z/ell)^x), the sweep about limit; so the count answers for d = 1
+    # while (ell - 1)^4 <= limit.  It answers only within the sieve budget,
+    # the range over which it is tested against the sweep.
+    if spec.d == 1 and (spec.ell - 1) ** 4 <= limit <= SIEVE_BUDGET:
+        out: dict[int, int] = {}
+        for x in checkpoints:
+            out.update(_floor_prefix_sums(spec, x,
+                                          [x // p for p in support if p <= x]))
+        return out
+    return _sweep_prefix_sums(spec, {iroot(x // p, spec.d)
+                                     for x in checkpoints
+                                     for p in support if p <= x})
+
+
+def _weighted(spec: FactorSpec, counts: Sequence[int]) -> int:
+    """sum_k m^k counts[k], in Python ints."""
+    return sum(spec.m ** k * n for k, n in enumerate(counts) if n)
+
+
+def _floor_prefix_sums(spec: FactorSpec, x: int,
+                       queries: Sequence[int]) -> dict[int, int]:
+    """Exact prefix sums sum_{n <= q} c[n] at floor values q = x // i of x,
+    for d = 1, by counting over the floor set of x.
+
+    `vals` holds 0 .. r and then x // r, ..., x // 1 (r = isqrt(x)), so a
+    floor value w sits at w when w <= r and at 2r + 1 - x // w above, and
+    v // p is again a floor value.
+    - Phase 1 (Lucy_Hedgehog, per class): row c - 1 of `cls` counts the
+      n in [2, v] with n = c mod ell that are prime or free of the primes
+      sieved so far.  Sieving by p != ell removes n = p n' with n' of class
+      c / p, so every row is needed; row 0 ends at pi(v; ell, 1), and
+      pi_B(v) adds ell itself.
+    - Phase 2 (min_25): over the B-primes p <= r in descending order,
+      `comp[k - 2]` counts the squarefree B-supported u <= v with
+      omega(u) = k >= 2 whose least prime is at least p.  Such a u with
+      least prime p is p times a B-prime in (p, v/p] or p times a u' of
+      omega k - 1 with least prime above p, which is comp before the step.
+    Every count is at most x, so int64 holds it; the weights are applied in
+    Python ints by `_weighted`.
+    """
+    ell, r = spec.ell, isqrt(x)
+    vals = np.concatenate([np.arange(r + 1), x // np.arange(r, 0, -1)])
+
+    def at(w: np.ndarray) -> np.ndarray:
+        """The positions of floor values w >= 1."""
+        return np.where(w <= r, w, 2 * r + 1 - x // w)
+
+    def cofactors(p: int) -> tuple[int, np.ndarray]:
+        """The first position with v >= p^2, and the positions of v // p
+        from there on."""
+        start = int(np.searchsorted(vals, p * p))
+        return start, at(vals[start:] // p)
+
+    primes = np.flatnonzero(prime_sieve(r)).tolist()
+    classes = np.arange(1, ell)
+    cls = (vals - classes[:, None]) // ell + 1  # n = c mod ell in [1, v]
+    cls[0] -= vals >= 1  # n = 1 is not counted
+    for p in primes:
+        if p == ell:  # its multiples lie in class 0, which is not kept
+            continue
+        start, cof = cofactors(p)
+        rows = (classes * pow(p, -1, ell)) % ell - 1
+        cls[:, start:] -= cls[rows[:, None], cof] - cls[rows, p - 1][:, None]
+    pi_b = cls[0] + (vals >= ell)
+    del cls
+
+    b_primes = [p for p in primes if p == ell or p % ell == 1]
+    # omega(u) <= kmax for u <= x: the B-primes above r are at least r + 1
+    kmax, prod = 0, 1
+    for p in b_primes + [r + 1]:
+        prod *= p
+        if prod > x:
+            break
+        kmax += 1
+    comp = np.zeros((max(kmax - 1, 1), len(vals)), dtype=np.int64)
+    for p in reversed(b_primes):
+        start, cof = cofactors(p)
+        comp[:, start:] += np.vstack([pi_b[cof] - pi_b[p], comp[:-1, cof]])
+
+    pos = at(np.array(queries, dtype=np.int64))
+    counts = np.vstack([np.ones_like(pos), pi_b[pos], comp[:, pos]]).T.tolist()
+    return {q: _weighted(spec, n) for q, n in zip(queries, counts)}
+
+
+def _sweep_prefix_sums(spec: FactorSpec,
+                       queries: Sequence[int]) -> dict[int, int]:
     """Exact prefix sums sum_{n <= q} c[n] for every query point q.
 
     One segmented sweep keeps N[k], the number of squarefree B-supported
@@ -179,7 +279,6 @@ def _prefix_sums_at(spec: FactorSpec, queries: Sequence[int]) -> dict[int, int]:
     pending = [q for q in queries if q >= 1]
     if not pending:
         return out
-    weights = [spec.m ** k for k in range(OMEGA_MAX + 1)]
     counts = np.zeros(OMEGA_MAX + 1, dtype=np.int64)
     qi = 0
     for lo, hi, w in _segments(spec, pending[-1]):
@@ -187,7 +286,7 @@ def _prefix_sums_at(spec: FactorSpec, queries: Sequence[int]) -> dict[int, int]:
         while qi < len(pending) and pending[qi] <= hi:
             q = pending[qi]
             counts += _tally(w[pos - lo:q - lo + 1])
-            out[q] = sum(mk * n for mk, n in zip(weights, counts.tolist()))
+            out[q] = _weighted(spec, counts.tolist())
             pos = q + 1
             qi += 1
         counts += _tally(w[pos - lo:])
@@ -219,9 +318,9 @@ def multi_factor_sum(specs: Sequence[FactorSpec], limit: int,
     """Exact S(x) = sum of m_1^omega(a_1) ... m_r^omega(a_r) over B-supported
     squarefree tuples with a_1^{d_1} ... a_r^{d_r} <= x, at each checkpoint.
 
-    One factor with minimal d is swept with a segmented prefix-sum pass; the
-    remaining factors are expanded into their (value, weight) support and
-    combined by exact integer floor division.
+    The remaining factors are expanded into their (value, weight) support P;
+    the prefix sums of the factor with minimal d are then read at every
+    iroot(x // P, d), by `_prefix_sums_at`, and combined exactly.
     """
     specs = tuple(specs)
     if not specs:
@@ -258,9 +357,7 @@ def multi_factor_sum(specs: Sequence[FactorSpec], limit: int,
                     raise BudgetExceeded("tuple expansion exceeds budget")
         support = new
 
-    queries = {iroot(x // p_val, pivot.d)
-               for x in checkpoints for p_val in support if p_val <= x}
-    prefix = _prefix_sums_at(pivot, queries)
+    prefix = _prefix_sums_at(pivot, checkpoints, list(support))
 
     values = []
     for x in checkpoints:

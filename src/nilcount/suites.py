@@ -15,12 +15,9 @@ from dataclasses import asdict, dataclass
 from functools import wraps
 from typing import Callable, Iterator
 
-import numpy as np
-
 from .catalog import abelian, nilpotent_catalog, resolve
 from .counting import (count_exactly_ramified, count_unramified_outside,
                        exact_ramified_bounds, unramified_bound, v4_fiber_check)
-from .dirichlet import prime_sieve
 from .errors import NilcountError, UnknownTheorem
 from .extension import (ExtensionData, central_double_quotients,
                         solution_class_counts, verify_pullback_identity,
@@ -113,7 +110,7 @@ def _extension_cases() -> list[tuple[str, ExtensionData]]:
 
 def _random_profiles(seed: int) -> Iterator[tuple[int, list[int], list[int]]]:
     rng = random.Random(seed)
-    primes = [int(p) for p in np.nonzero(prime_sieve(PRIME_BELOW - 1))[0]]
+    primes = [p for p in range(PRIME_BELOW) if is_prime(p)]
     for _ in range(N_CASES):
         ell = rng.choice([2, 3, 5])
         pool = primes[:]

@@ -238,23 +238,23 @@ def test_count_quadratic_sieves_once(capsys, monkeypatch):
     expected = [[cp, counting.count_quadratic(cp)]
                 for cp in default_checkpoints(100000)]
     calls = []
-    squarefree_sieve = counting.squarefree_sieve
+    mobius = counting._mobius
 
     def counted(limit):
         calls.append(limit)
-        return squarefree_sieve(limit)
-    monkeypatch.setattr(counting, "squarefree_sieve", counted)
+        return mobius(limit)
+    monkeypatch.setattr(counting, "_mobius", counted)
     code, rep = run_cli(capsys, "count", "--kind", "quadratic",
                         "--max-x", "100000")
-    assert code == 0 and calls == [100000]
+    assert code == 0 and calls == [316]  # one sieve, to isqrt(1e5)
     assert rep["counts"] == expected
-    # over budget: the one sieve call fails before any checkpoint is sieved
+    # over budget: refused before any sieve is allocated
     calls.clear()
-    huge = 10 ** 320
-    code, rep = run_cli(capsys, "count", "--kind", "quadratic",
-                        "--max-x", str(huge))
-    assert code == 2 and rep["error"].startswith("BudgetExceeded")
-    assert calls == [huge]
+    for huge in (10 ** 320, (1 << 27) + 1):
+        code, rep = run_cli(capsys, "count", "--kind", "quadratic",
+                            "--max-x", str(huge))
+        assert code == 2 and rep["error"].startswith("BudgetExceeded")
+    assert calls == []
 
 
 def test_ignored_cap_flag_keeps_the_report(capsys):

@@ -6,11 +6,13 @@ import pytest
 
 from nilcount.counting import (RamificationProfile, character_rank,
                                count_cyclic_ell, count_exactly_ramified,
-                               count_quadratic, count_unramified_outside,
+                               count_quadratic, count_quadratic_at,
+                               count_unramified_outside,
                                enumerate_cyclic_ell, enumerate_quadratic,
                                enumerate_v4, exact_ramified_bounds,
                                fundamental_discriminants, rank_bound_s,
                                unramified_bound, v4_fiber_check)
+from nilcount.dirichlet import default_checkpoints, squarefree_sieve
 from nilcount.errors import BudgetExceeded
 from nilcount.malle import BaseFieldData
 
@@ -112,6 +114,47 @@ def test_quadratic_density():
     x = 10 ** 6
     count = count_quadratic(x)
     assert abs(count / x - 6 / np.pi ** 2) / (6 / np.pi ** 2) < 0.02
+
+
+def _quadratic_by_sieve(xs):
+    """Fundamental discriminants |d| <= x counted from a squarefree sieve
+    to max(xs): d = m, -m, -4m, +-4m, +4m for squarefree m = 1 (m > 1), 3,
+    1, 2, 3 mod 4."""
+    sf = squarefree_sieve(max(xs))
+
+    def count(x):
+        if x < 3:
+            return 0
+        sfx, sf4 = sf[:x + 1], sf[:x // 4 + 1]
+        return (int(np.count_nonzero(sfx[1::4])) - 1
+                + int(np.count_nonzero(sfx[3::4]))
+                + int(np.count_nonzero(sf4[1::4]))
+                + 2 * int(np.count_nonzero(sf4[2::4]))
+                + int(np.count_nonzero(sf4[3::4])))
+    return [count(x) for x in xs]
+
+
+def test_quadratic_moebius_count_against_sieve():
+    xs = list(range(20_001)) + default_checkpoints(10 ** 7)
+    assert count_quadratic_at(xs) == _quadratic_by_sieve(xs)
+
+
+def test_quadratic_count_below_three_is_zero():
+    assert count_quadratic_at([-5, 0, 1, 2]) == [0, 0, 0, 0]
+    assert count_quadratic_at([]) == []
+
+
+def test_quadratic_count_budget():
+    # at the limit: the squarefree sieve's count, pinned to spare its 128 MiB
+    assert count_quadratic_at([1 << 27]) == [81594626]
+    with pytest.raises(BudgetExceeded,
+                       match="squarefree sieve to 134217729 exceeds"):
+        count_quadratic_at([1000, (1 << 27) + 1])
+
+
+def test_quadratic_count_at_1e8():
+    # perfbench/references.json, computed apart from the program
+    assert count_quadratic(10 ** 8) == 60792709
 
 
 def test_character_rank_and_unramified_counts():

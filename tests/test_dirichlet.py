@@ -4,6 +4,7 @@ from math import comb, isqrt
 import numpy as np
 import pytest
 
+from nilcount import dirichlet
 from nilcount.dirichlet import (FactorSpec, coefficient_sieve,
                                 default_checkpoints, euler_factorization_check,
                                 factor_identity_check, multi_factor_sum,
@@ -268,3 +269,63 @@ def test_coefficient_sieve_exact_for_huge_m():
     c = coefficient_sieve(spec, 3000)
     assert [int(v) for v in c[1:]] == [_coefficient_by_factorint(spec, n)
                                        for n in range(1, 3001)]
+
+
+def _floor_values(x):
+    return sorted({x // i for i in range(1, isqrt(x) + 1)}
+                  | set(range(1, isqrt(x) + 1)))
+
+
+@pytest.mark.parametrize("x", [1, 2, 999_983, 123_456, 10 ** 6])
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_floor_count_equals_sweep(ell, x):
+    queries = _floor_values(x)
+    for m in (1, 4, 10 ** 5, 10 ** 12):
+        spec = FactorSpec(ell, 1, m)
+        assert dirichlet._floor_prefix_sums(spec, x, queries) == \
+            dirichlet._sweep_prefix_sums(spec, queries), (ell, x, m)
+
+
+def test_floor_count_against_factorint():
+    x = 10 ** 5
+    spec = FactorSpec(3, 1, 10 ** 12)
+    prefix = [0]
+    for n in range(1, x + 1):
+        prefix.append(prefix[-1] + _coefficient_by_factorint(spec, n))
+    queries = _floor_values(x)
+    got = dirichlet._floor_prefix_sums(spec, x, queries)
+    assert got == {q: prefix[q] for q in queries}
+
+
+@pytest.mark.parametrize("limit, counted", [(9_999, False), (10_000, True)])
+def test_floor_count_rule_boundary(monkeypatch, limit, counted):
+    # (ell - 1)^4 = 10^4: the floor-set count answers from limit 10^4 on
+    spec = FactorSpec(11, 1, 3)
+    c = coefficient_sieve(spec, limit)
+    calls = []
+    floor = dirichlet._floor_prefix_sums
+
+    def recorded(*args):
+        calls.append(args[1])
+        return floor(*args)
+    monkeypatch.setattr(dirichlet, "_floor_prefix_sums", recorded)
+    series = multi_factor_sum([spec], limit)
+    assert bool(calls) == counted
+    assert series.values == tuple(int(c[:x + 1].sum())
+                                  for x in series.checkpoints)
+    # below the limit the sieve budget leaves the sweep to answer
+    monkeypatch.setattr(dirichlet, "SIEVE_BUDGET", limit - 1)
+    calls.clear()
+    assert multi_factor_sum([spec], limit) == series and calls == []
+
+
+def test_sweep_values_at_1e8():
+    # perfbench/references.json, computed apart from the program
+    series = multi_factor_sum([FactorSpec(3, 1, 4)], 10 ** 8)
+    assert series.values == (
+        1589, 3333, 7025, 14801, 31433, 66685, 139277, 289585, 605205,
+        1259809, 2625165, 5455981, 11311209, 23430229, 48490401, 100232493,
+        206965345, 321859545)
+    series = multi_factor_sum([FactorSpec(3, 1, 2), FactorSpec(5, 2, 3)],
+                              10 ** 8)
+    assert series.values[-1] == 50005191
