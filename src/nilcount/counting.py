@@ -235,7 +235,9 @@ def enumerate_cyclic_ell(ell: int, x: int) -> list[FieldRecord]:
     records: list[FieldRecord] = []
     for f, omega1, wild in sorted(conductors):
         count = (ell - 1) ** (omega1 + wild - 1)
-        rec = FieldRecord(f"C{ell}", f ** (ell - 1), (radical(f),))
+        # f is squarefree apart from the wild ell^2
+        rec = FieldRecord(f"C{ell}", f ** (ell - 1),
+                          (f // ell if wild else f,))
         records.extend([rec] * count)
     records.sort(key=lambda r: r.discriminant)
     return records

@@ -5,12 +5,12 @@ Everything is specialized to the rationals: the prime-ideal condition
 of rational primes.  A factor (ell, d, m) stands for the Euler product
 prod_{p in B} (1 + m p^{-d s}); its coefficient at n = u^d is m^omega(u) for
 squarefree B-supported u and 0 otherwise.  Partial sums count the u of each
-omega(u), either over the floor set {x // i} of a checkpoint x (prime
-counts per class mod ell, then a min_25-style pass over the B-primes up to
-sqrt x) or by a segmented sieve that carries only omega(u) (numpy int8
-segments).  Every weight m^omega and every sum of weights is a Python int,
-so partial sums of multi-factor products are exact for any m and the
-asymptotic-slope diagnostics sit on top of exact data.
+omega(u), either in one pass over the union of the checkpoints' floor sets
+{x // i} (prime counts per class mod ell, then a min_25-style pass over the
+B-primes up to sqrt x) or by a segmented sieve that carries only omega(u)
+(numpy int8 segments).  Every weight m^omega and every sum of weights is a
+Python int, so partial sums of multi-factor products are exact for any m
+and the asymptotic-slope diagnostics sit on top of exact data.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -179,20 +179,17 @@ def _prefix_sums_at(spec: FactorSpec, checkpoints: Sequence[int],
     q = iroot(x // P, d), for x in checkpoints and P <= x in support.
     """
     limit = max(checkpoints)
-    # The one rule between the two ways.  The floor-set count costs about
-    # (ell - 1) x^(3/4) operations per checkpoint x (a prime count per class
-    # of (Z/ell)^x), the sweep about limit; so the count answers for d = 1
+    queries = {iroot(x // p, spec.d) for x in checkpoints
+               for p in support if p <= x}
+    # The one rule between the two ways.  The floor-set count makes one pass
+    # over the union of the checkpoints' floor sets, which costs about
+    # (ell - 1) limit^(3/4) operations (a prime count per class of
+    # (Z/ell)^x), the sweep about limit; so the count answers for d = 1
     # while (ell - 1)^4 <= limit.  It answers only within the sieve budget,
     # the range over which it is tested against the sweep.
     if spec.d == 1 and (spec.ell - 1) ** 4 <= limit <= SIEVE_BUDGET:
-        out: dict[int, int] = {}
-        for x in checkpoints:
-            out.update(_floor_prefix_sums(spec, x,
-                                          [x // p for p in support if p <= x]))
-        return out
-    return _sweep_prefix_sums(spec, {iroot(x // p, spec.d)
-                                     for x in checkpoints
-                                     for p in support if p <= x})
+        return _floor_prefix_sums(spec, checkpoints, queries)
+    return _sweep_prefix_sums(spec, queries)
 
 
 def _weighted(spec: FactorSpec, counts: Sequence[int]) -> int:
@@ -200,14 +197,15 @@ def _weighted(spec: FactorSpec, counts: Sequence[int]) -> int:
     return sum(spec.m ** k * n for k, n in enumerate(counts) if n)
 
 
-def _floor_prefix_sums(spec: FactorSpec, x: int,
-                       queries: Sequence[int]) -> dict[int, int]:
-    """Exact prefix sums sum_{n <= q} c[n] at floor values q = x // i of x,
-    for d = 1, by counting over the floor set of x.
+def _floor_prefix_sums(spec: FactorSpec, checkpoints: Sequence[int],
+                       queries: Iterable[int]) -> dict[int, int]:
+    """Exact prefix sums sum_{n <= q} c[n] at floor values q = x // i of the
+    checkpoints x, for d = 1, by one count over the union of their floor sets.
 
-    `vals` holds 0 .. r and then x // r, ..., x // 1 (r = isqrt(x)), so a
-    floor value w sits at w when w <= r and at 2r + 1 - x // w above, and
-    v // p is again a floor value.
+    `vals` is that union, sorted: 0 .. r (r = isqrt(max x)) and then every
+    x // i > r with i <= isqrt(x).  A value w sits at np.searchsorted(vals,
+    w), which is w itself for w <= r.  A floor set is closed under
+    v -> v // p, and so is a union of them.
     - Phase 1 (Lucy_Hedgehog, per class): row c - 1 of `cls` counts the
       n in [2, v] with n = c mod ell that are prime or free of the primes
       sieved so far.  Sieving by p != ell removes n = p n' with n' of class
@@ -218,32 +216,38 @@ def _floor_prefix_sums(spec: FactorSpec, x: int,
       omega(u) = k >= 2 whose least prime is at least p.  Such a u with
       least prime p is p times a B-prime in (p, v/p] or p times a u' of
       omega k - 1 with least prime above p, which is comp before the step.
-    Every count is at most x, so int64 holds it; the weights are applied in
-    Python ints by `_weighted`.
+    Every count is at most max x, so int64 holds it; the weights are
+    applied in Python ints by `_weighted`.
     """
-    ell, r = spec.ell, isqrt(x)
-    vals = np.concatenate([np.arange(r + 1), x // np.arange(r, 0, -1)])
-
-    def at(w: np.ndarray) -> np.ndarray:
-        """The positions of floor values w >= 1."""
-        return np.where(w <= r, w, 2 * r + 1 - x // w)
+    ell, x = spec.ell, max(checkpoints)
+    r = isqrt(x)
+    vals = np.concatenate([np.arange(r + 1)]
+                          + [c // np.arange(isqrt(c), 0, -1)
+                             for c in checkpoints if c > r])
+    vals.sort()  # np.unique would make a hash table, 1 MiB more of RSS
+    vals = vals[np.diff(vals, prepend=-1) > 0]
 
     def cofactors(p: int) -> tuple[int, np.ndarray]:
         """The first position with v >= p^2, and the positions of v // p
         from there on."""
         start = int(np.searchsorted(vals, p * p))
-        return start, at(vals[start:] // p)
+        return start, np.searchsorted(vals, vals[start:] // p)
 
     primes = np.flatnonzero(prime_sieve(r)).tolist()
     classes = np.arange(1, ell)
-    cls = (vals - classes[:, None]) // ell + 1  # n = c mod ell in [1, v]
+    cls = vals - classes[:, None]  # (ell - 1) x |V|, updated in place
+    cls //= ell
+    cls += 1  # n = c mod ell in [1, v]
     cls[0] -= vals >= 1  # n = 1 is not counted
     for p in primes:
         if p == ell:  # its multiples lie in class 0, which is not kept
             continue
         start, cof = cofactors(p)
         rows = (classes * pow(p, -1, ell)) % ell - 1
-        cls[:, start:] -= cls[rows[:, None], cof] - cls[rows, p - 1][:, None]
+        removed = cls[rows[:, None], cof]
+        removed -= cls[rows, p - 1][:, None]
+        cls[:, start:] -= removed
+        del removed  # before the next prime's is made
     pi_b = cls[0] + (vals >= ell)
     del cls
 
@@ -258,9 +262,11 @@ def _floor_prefix_sums(spec: FactorSpec, x: int,
     comp = np.zeros((max(kmax - 1, 1), len(vals)), dtype=np.int64)
     for p in reversed(b_primes):
         start, cof = cofactors(p)
-        comp[:, start:] += np.vstack([pi_b[cof] - pi_b[p], comp[:-1, cof]])
+        comp[1:, start:] += comp[:-1, cof]  # a copy, read before any add
+        comp[0, start:] += pi_b[cof] - pi_b[p]
 
-    pos = at(np.array(queries, dtype=np.int64))
+    queries = list(queries)
+    pos = np.searchsorted(vals, np.array(queries, dtype=np.int64))
     counts = np.vstack([np.ones_like(pos), pi_b[pos], comp[:, pos]]).T.tolist()
     return {q: _weighted(spec, n) for q, n in zip(queries, counts)}
 

@@ -14,6 +14,7 @@ from nilcount.counting import (RamificationProfile, character_rank,
                                unramified_bound, v4_fiber_check)
 from nilcount.dirichlet import default_checkpoints, squarefree_sieve
 from nilcount.errors import BudgetExceeded
+from nilcount.intmath import iroot, radical
 from nilcount.malle import BaseFieldData
 
 Q = BaseFieldData.rationals()
@@ -272,6 +273,16 @@ def test_enumerate_cyclic_5():
     assert count_cyclic_ell(5, 11 ** 4) == 1
     with pytest.raises(ValueError):
         enumerate_cyclic_ell(2, 100)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_cyclic_radical_against_factoring(ell):
+    # conductors to 3000 include ell^2 times a split prime for each ell
+    recs = enumerate_cyclic_ell(ell, 3000 ** (ell - 1))
+    conductors = {iroot(r.discriminant, ell - 1) for r in recs}
+    assert any(f % ell ** 2 == 0 and f > ell ** 2 for f in conductors)
+    for r in recs:
+        assert r.ramified_tuple == (radical(iroot(r.discriminant, ell - 1)),)
 
 
 def test_cyclic_3_oracle_small():

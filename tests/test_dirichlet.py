@@ -282,7 +282,7 @@ def test_floor_count_equals_sweep(ell, x):
     queries = _floor_values(x)
     for m in (1, 4, 10 ** 5, 10 ** 12):
         spec = FactorSpec(ell, 1, m)
-        assert dirichlet._floor_prefix_sums(spec, x, queries) == \
+        assert dirichlet._floor_prefix_sums(spec, [x], queries) == \
             dirichlet._sweep_prefix_sums(spec, queries), (ell, x, m)
 
 
@@ -293,8 +293,37 @@ def test_floor_count_against_factorint():
     for n in range(1, x + 1):
         prefix.append(prefix[-1] + _coefficient_by_factorint(spec, n))
     queries = _floor_values(x)
-    got = dirichlet._floor_prefix_sums(spec, x, queries)
+    got = dirichlet._floor_prefix_sums(spec, [x], queries)
     assert got == {q: prefix[q] for q in queries}
+
+
+@pytest.mark.parametrize("checkpoints", [
+    default_checkpoints(10 ** 6), [77_777, 123_456, 999_983, 10 ** 6]])
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_floor_count_over_union(ell, checkpoints):
+    floors = {x: _floor_values(x) for x in checkpoints}
+    queries = sorted(set().union(*floors.values()))
+    for m in (1, 4, 10 ** 12):
+        spec = FactorSpec(ell, 1, m)
+        got = dirichlet._floor_prefix_sums(spec, checkpoints, queries)
+        assert got == dirichlet._sweep_prefix_sums(spec, queries), (ell, m)
+        for x, qs in floors.items():
+            assert dirichlet._floor_prefix_sums(spec, [x], qs) == \
+                {q: got[q] for q in qs}, (ell, m, x)
+
+
+def test_floor_count_once_per_series(monkeypatch):
+    calls = []
+    floor = dirichlet._floor_prefix_sums
+
+    def recorded(spec, checkpoints, queries):
+        calls.append(list(checkpoints))
+        return floor(spec, checkpoints, queries)
+    monkeypatch.setattr(dirichlet, "_floor_prefix_sums", recorded)
+    series = multi_factor_sum([FactorSpec(3, 1, 2), FactorSpec(5, 2, 3)],
+                              10 ** 6)
+    assert len(series.checkpoints) == 11
+    assert calls == [list(series.checkpoints)]
 
 
 @pytest.mark.parametrize("limit, counted", [(9_999, False), (10_000, True)])
