@@ -6,14 +6,15 @@ here are exact integers: the number of C_ell extensions unramified outside S
 is (ell^t - 1)/(ell - 1) where t counts one rank per prime p = 1 mod ell in S
 plus the wild contribution at ell (rank 2 at ell = 2 from conductors 4 and 8,
 rank 1 at odd ell from conductor ell^2).  Exact-ramification counts follow by
-inclusion-exclusion, and field enumerations (quadratic, cyclic of odd prime
-degree, biquadratic) back everything with explicit discriminant lists.
+inclusion-exclusion, in closed form as t is additive over primes, and field
+enumerations (quadratic, cyclic of odd prime degree, biquadratic) back
+everything with explicit discriminant lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import BudgetExceeded
 from .malle import BaseFieldData
 from .dirichlet import prime_sieve, require_sieve_budget, squarefree_sieve
-from .intmath import iroot, is_prime, omega, prime_factors, radical, valuation
+from .intmath import iroot, is_prime, omega, prime_factors, valuation
 
 V4_BUDGET = 1_000_000
 # an odd prime ramified in a V4 field divides its discriminant this often:
@@ -92,16 +93,20 @@ def unramified_bound(k: BaseFieldData, ell: int, S: Iterable[int]) -> int:
 
 def count_exactly_ramified(ell: int, S: Iterable[int], T: Iterable[int]) -> int:
     """Exact number of C_ell extensions of Q ramified in every prime of S and
-    unramified outside S u T, by inclusion-exclusion over subsets of S."""
-    S, T = sorted(set(S)), set(T)
-    if set(S) & T:
+    unramified outside S u T.
+
+    Inclusion-exclusion over the subsets U of S sums
+    (-1)^|S - U| (ell^t(U u T) - 1)/(ell - 1), and t is additive over
+    primes, so the sum is
+    (ell^t(T) prod_{p in S} (ell^t(p) - 1) - [S empty]) / (ell - 1).
+    """
+    S, T = set(S), set(T)
+    if S & T:
         raise ValueError("S and T must be disjoint")
-    total = 0
-    for mask in range(1 << len(S)):
-        subset = {S[i] for i in range(len(S)) if (mask >> i) & 1}
-        sign = (-1) ** (len(S) - len(subset))
-        total += sign * count_unramified_outside(ell, subset | T)
-    return total
+    total = ell ** character_rank(ell, T)
+    for p in S:
+        total *= ell ** character_rank(ell, {p}) - 1
+    return (total - int(not S)) // (ell - 1)
 
 
 def exact_ramified_bounds(ell: int, S: Iterable[int], T: Iterable[int],
@@ -139,11 +144,9 @@ def count_quadratic_at(xs: Sequence[int]) -> list[int]:
     odd d has d^2 = 1 mod 8, so d^2 k = k mod 4, and an even d never
     reaches these classes.
     """
-    limit = max([0, *xs])
-    # x is refused above the squarefree sieve's limit, with its message,
-    # though the sum itself needs mu only up to sqrt(x)
-    require_sieve_budget("squarefree", limit)
-    mu = _mobius(isqrt(limit))
+    limit = isqrt(max([0, *xs]))
+    require_sieve_budget("Moebius", limit)
+    mu = _mobius(limit)
     d = np.flatnonzero(mu)
     d = d[d % 2 == 1]
     mu_d, d2 = mu[d].astype(np.int64), d * d
@@ -196,7 +199,7 @@ def fundamental_discriminants(x: int) -> list[int]:
 
 
 def enumerate_quadratic(x: int) -> list[FieldRecord]:
-    return [FieldRecord("C2", abs(d), (radical(d),))
+    return [FieldRecord("C2", abs(d), (_disc_radical(d),))
             for d in fundamental_discriminants(x)]
 
 
@@ -261,6 +264,13 @@ def _third_discriminants(d1: int, d2s: np.ndarray) -> np.ndarray:
     return np.where(m % 4 == 1, m, 4 * m)
 
 
+def _disc_radical(d: int) -> int:
+    """radical(d) for a fundamental discriminant d, which is squarefree
+    apart from a factor 4 or 8."""
+    d = abs(d)
+    return d if d % 2 else d // 2 if d % 8 else d // 4
+
+
 @dataclass(frozen=True)
 class V4Field:
     triple: tuple[int, int, int]   # the three quadratic discriminants, sorted
@@ -309,8 +319,9 @@ def enumerate_v4(x: int) -> list[V4Field]:
             if triple in seen:
                 continue
             seen.add(triple)
-            a1 = radical(triple[0])
-            fields.append(V4Field(triple, disc, (a1, radical(d1 * d2) // a1)))
+            a1 = _disc_radical(triple[0])
+            a12 = lcm(_disc_radical(d1), _disc_radical(d2))  # rad(d1 d2)
+            fields.append(V4Field(triple, disc, (a1, a12 // a1)))
     fields.sort(key=lambda f: (f.discriminant, f.triple))
     return fields
 

@@ -10,7 +10,8 @@ omega(u), either in one pass over the union of the checkpoints' floor sets
 B-primes up to sqrt x) or by a segmented sieve that carries only omega(u)
 (numpy int8 segments).  Every weight m^omega and every sum of weights is a
 Python int, so partial sums of multi-factor products are exact for any m
-and the asymptotic-slope diagnostics sit on top of exact data.
+and the asymptotic-slope diagnostics sit on top of exact data.  A count
+is refused only by the size of the arrays it builds (`require_sieve_budget`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import BudgetExceeded, InsufficientData
 from .intmath import iroot, is_prime
 
-SIEVE_BUDGET = 1 << 27  # largest coefficient array materialized in one piece
+SIEVE_BUDGET = 1 << 27  # entries of the largest array a sieve or count makes
 SEGMENT = 1 << 23
 OMEGA_MAX = 15  # omega(n) for n < 2^63, as 2*3*5*...*53 > 2^63
 _POISON = -64  # below -OMEGA_MAX: stays negative whatever is added to it
@@ -81,7 +82,7 @@ class SlopeReport:
 
 
 def require_sieve_budget(name: str, limit: int) -> None:
-    """Refuse a `name` sieve to limit above SIEVE_BUDGET."""
+    """Refuse a `name` sieve to (or table of) `limit` above SIEVE_BUDGET."""
     if limit > SIEVE_BUDGET:
         raise BudgetExceeded(f"{name} sieve to {limit} exceeds in-memory "
                              "budget")
@@ -128,9 +129,7 @@ def coefficient_sieve(spec: FactorSpec, limit: int) -> np.ndarray:
 
 def _omega_sieve(spec: FactorSpec, limit: int) -> np.ndarray:
     """w[n] = omega(n) for squarefree n <= limit supported on B, else -1."""
-    if limit > SIEVE_BUDGET:
-        raise BudgetExceeded(f"limit {limit} exceeds in-memory budget; "
-                             "use multi_factor_sum for partial sums")
+    require_sieve_budget("omega", limit)
     return np.concatenate([w for _, _, w in _segments(spec, limit)])
 
 
@@ -185,9 +184,8 @@ def _prefix_sums_at(spec: FactorSpec, checkpoints: Sequence[int],
     # over the union of the checkpoints' floor sets, which costs about
     # (ell - 1) limit^(3/4) operations (a prime count per class of
     # (Z/ell)^x), the sweep about limit; so the count answers for d = 1
-    # while (ell - 1)^4 <= limit.  It answers only within the sieve budget,
-    # the range over which it is tested against the sweep.
-    if spec.d == 1 and (spec.ell - 1) ** 4 <= limit <= SIEVE_BUDGET:
+    # while (ell - 1)^4 <= limit, and refuses by the size of its own arrays.
+    if spec.d == 1 and (spec.ell - 1) ** 4 <= limit:
         return _floor_prefix_sums(spec, checkpoints, queries)
     return _sweep_prefix_sums(spec, queries)
 
@@ -221,6 +219,19 @@ def _floor_prefix_sums(spec: FactorSpec, checkpoints: Sequence[int],
     """
     ell, x = spec.ell, max(checkpoints)
     r = isqrt(x)
+    # |V| <= size, the length of the concatenation that builds `vals`
+    size = r + 1 + sum(isqrt(c) for c in checkpoints if c > r)
+    require_sieve_budget("floor-set class", (ell - 1) * size)
+    primes = np.flatnonzero(prime_sieve(r)).tolist()
+    b_primes = [p for p in primes if p == ell or p % ell == 1]
+    # omega(u) <= kmax for u <= x: the B-primes above r are at least r + 1
+    kmax, prod = 0, 1
+    for p in b_primes + [r + 1]:
+        prod *= p
+        if prod > x:
+            break
+        kmax += 1
+    require_sieve_budget("floor-set omega", max(kmax - 1, 1) * size)
     vals = np.concatenate([np.arange(r + 1)]
                           + [c // np.arange(isqrt(c), 0, -1)
                              for c in checkpoints if c > r])
@@ -233,7 +244,6 @@ def _floor_prefix_sums(spec: FactorSpec, checkpoints: Sequence[int],
         start = int(np.searchsorted(vals, p * p))
         return start, np.searchsorted(vals, vals[start:] // p)
 
-    primes = np.flatnonzero(prime_sieve(r)).tolist()
     classes = np.arange(1, ell)
     cls = vals - classes[:, None]  # (ell - 1) x |V|, updated in place
     cls //= ell
@@ -251,14 +261,6 @@ def _floor_prefix_sums(spec: FactorSpec, checkpoints: Sequence[int],
     pi_b = cls[0] + (vals >= ell)
     del cls
 
-    b_primes = [p for p in primes if p == ell or p % ell == 1]
-    # omega(u) <= kmax for u <= x: the B-primes above r are at least r + 1
-    kmax, prod = 0, 1
-    for p in b_primes + [r + 1]:
-        prod *= p
-        if prod > x:
-            break
-        kmax += 1
     comp = np.zeros((max(kmax - 1, 1), len(vals)), dtype=np.int64)
     for p in reversed(b_primes):
         start, cof = cofactors(p)
@@ -344,10 +346,7 @@ def multi_factor_sum(specs: Sequence[FactorSpec], limit: int,
     # weighted support of the non-pivot factors: P = prod n_i^{d_i} -> weight
     support: dict[int, int] = {1: 1}
     for sp in others:
-        reach = iroot(limit, sp.d)
-        if reach > SIEVE_BUDGET:
-            raise BudgetExceeded("non-pivot factor support is too large")
-        omega = _omega_sieve(sp, reach)
+        omega = _omega_sieve(sp, iroot(limit, sp.d))
         # each term is one more support entry, so more than the budget fail
         nz = np.flatnonzero(omega >= 0)[:TUPLE_BUDGET + 1]
         terms = [(n ** sp.d, sp.m ** k)

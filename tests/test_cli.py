@@ -232,6 +232,13 @@ def test_huge_max_x_is_typed_error(capsys):
     assert code == 0 and 0 < rep["ratio_x_alpha"] < 1
 
 
+def test_dseries_past_the_floor_count_is_typed_error(capsys):
+    code = main(["dseries", "--specs", "3:1:4", "--max-x", str(10 ** 21)])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert json.loads(out)["error"].startswith("BudgetExceeded: floor-set")
+
+
 def test_count_quadratic_sieves_once(capsys, monkeypatch):
     from nilcount import counting
     from nilcount.dirichlet import default_checkpoints
@@ -248,9 +255,9 @@ def test_count_quadratic_sieves_once(capsys, monkeypatch):
                         "--max-x", "100000")
     assert code == 0 and calls == [316]  # one sieve, to isqrt(1e5)
     assert rep["counts"] == expected
-    # over budget: refused before any sieve is allocated
+    # over budget, a Moebius sieve above 2^27: refused before it is allocated
     calls.clear()
-    for huge in (10 ** 320, (1 << 27) + 1):
+    for huge in (10 ** 320, ((1 << 27) + 1) ** 2):
         code, rep = run_cli(capsys, "count", "--kind", "quadratic",
                             "--max-x", str(huge))
         assert code == 2 and rep["error"].startswith("BudgetExceeded")

@@ -146,11 +146,14 @@ def test_quadratic_count_below_three_is_zero():
 
 
 def test_quadratic_count_budget():
-    # at the limit: the squarefree sieve's count, pinned to spare its 128 MiB
-    assert count_quadratic_at([1 << 27]) == [81594626]
+    # 81594626 is the squarefree sieve's count at 2^27; 607927101751 agrees
+    # with a count of odd squarefree n, F(x) = O(x) - 1 + O(x/4) + 2 O(x/8)
+    assert count_quadratic_at([1 << 27, (1 << 27) + 1, 10 ** 12]) == \
+        [81594626, 81594626, 607927101751]
+    # the Moebius sieve runs to sqrt(x), so the limit is (2^27 + 1)^2
     with pytest.raises(BudgetExceeded,
-                       match="squarefree sieve to 134217729 exceeds"):
-        count_quadratic_at([1000, (1 << 27) + 1])
+                       match="Moebius sieve to 134217729 exceeds"):
+        count_quadratic_at([1000, ((1 << 27) + 1) ** 2])
 
 
 def test_quadratic_count_at_1e8():
@@ -203,6 +206,31 @@ def test_exactly_ramified_examples():
     fields = [d for d in fundamental_discriminants(100)
               if set(_prime_factors(abs(d))) == {2, 3}]
     assert count_exactly_ramified(2, {2, 3}, set()) == len(fields)
+
+
+def _exactly_ramified_by_inclusion_exclusion(ell, S, T):
+    S = sorted(S)
+    total = 0
+    for mask in range(1 << len(S)):
+        subset = {S[i] for i in range(len(S)) if (mask >> i) & 1}
+        sign = (-1) ** (len(S) - len(subset))
+        total += sign * count_unramified_outside(ell, subset | set(T))
+    return total
+
+
+def test_exactly_ramified_closed_form_against_inclusion_exclusion():
+    rng = random.Random(7)
+    primes = [p for p in range(2, 200) if _prime_factors(p) == [p]]
+    for _ in range(500):
+        ell = rng.choice([2, 3, 5, 7])
+        pool = primes[:]
+        rng.shuffle(pool)
+        S = set(pool[:rng.randint(0, 6)])
+        T = set(pool[6:6 + rng.randint(0, 5)])
+        assert count_exactly_ramified(ell, S, T) == \
+            _exactly_ramified_by_inclusion_exclusion(ell, S, T), (ell, S, T)
+    with pytest.raises(ValueError, match="disjoint"):
+        count_exactly_ramified(3, {7}, {7, 13})
 
 
 def test_exactly_ramified_partition_identity():
@@ -391,6 +419,12 @@ def test_v4_tuple_splits_by_first_discriminant():
         for p in _prime_factors(abs(d_star)):
             assert a1 % p == 0
         assert gcd(a1, a2) == 1
+
+
+def test_discriminant_radical_against_factoring():
+    from nilcount.counting import _disc_radical
+    for d in fundamental_discriminants(10 ** 5):
+        assert _disc_radical(d) == radical(d), d
 
 
 def test_gcd_kernel_against_factorization():

@@ -342,10 +342,48 @@ def test_floor_count_rule_boundary(monkeypatch, limit, counted):
     assert bool(calls) == counted
     assert series.values == tuple(int(c[:x + 1].sum())
                                   for x in series.checkpoints)
-    # below the limit the sieve budget leaves the sweep to answer
+    # the rule ignores the sieve budget: with the limit above it, the same
+    # way answers, as the floor count's own tables stay small
     monkeypatch.setattr(dirichlet, "SIEVE_BUDGET", limit - 1)
     calls.clear()
-    assert multi_factor_sum([spec], limit) == series and calls == []
+    assert multi_factor_sum([spec], limit) == series
+    assert bool(calls) == counted
+
+
+@pytest.mark.parametrize("specs, limit, final", [
+    ("3:1:4", (1 << 27) + 1, 437663637),
+    ("3:1:4", 10 ** 9, 3548149849),
+    ("3:1:2,5:2:3", 10 ** 9, 500053592)])
+def test_floor_count_above_sieve_budget(monkeypatch, specs, limit, final):
+    # the sweep's values, from before the floor count answered above 2^27
+    def sweep(*args):
+        raise AssertionError("the sweep answered a d = 1 pivot")
+    monkeypatch.setattr(dirichlet, "_sweep_prefix_sums", sweep)
+    series = multi_factor_sum([FactorSpec.parse(t) for t in specs.split(",")],
+                              limit)
+    assert series.values[-1] == final
+
+
+def test_floor_count_refused_before_its_tables(monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("a floor-set array was built")
+    monkeypatch.setattr(dirichlet.np, "concatenate", built)  # makes `vals`
+    sieve, sieved = dirichlet.prime_sieve, []
+
+    def recorded(limit):
+        sieved.append(limit)
+        return sieve(limit)
+    monkeypatch.setattr(dirichlet, "prime_sieve", recorded)
+    spec = FactorSpec(3, 1, 4)
+    # (ell - 1) |V| is over budget: refused before even the prime sieve
+    for huge in (10 ** 21, 10 ** 320):
+        with pytest.raises(BudgetExceeded, match="floor-set class"):
+            multi_factor_sum([spec], huge)
+    assert sieved == []
+    # at 1e14 the class table fits, but 9 rows of omega counts do not
+    with pytest.raises(BudgetExceeded, match="floor-set omega"):
+        multi_factor_sum([spec], 10 ** 14)
+    assert sieved == [10 ** 7]
 
 
 def test_sweep_values_at_1e8():
