@@ -4,8 +4,8 @@ Cyclic and abelian groups and presentations (quaternion, dihedral,
 Heisenberg) are built as Cayley tables and realized as their regular action;
 the mixed products Q8xC3_S24 and D4xC3_S12 are natural products.  Every
 entry records its expected invariants where those are pinned.  A pattern
-above `permcore.MAX_ORDER`, or raw cycles with a longer orbit, are refused
-before any permutation is built.
+past `LIMITS["group order"]`, or raw cycles with a longer orbit, are
+refused before any permutation is built.
 """
 
 from __future__ import annotations
@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 from math import prod
 from typing import Callable
 
+from .errors import require
 from .extension import regular_permutation_group
 from .nilpotent import natural_product
 from .permcore import (PermGroup, cycle_string, orbit_sizes, parse_generators,
-                       product_rows, require_order)
+                       product_rows)
 
 
 def cyclic(n: int) -> PermGroup:
@@ -159,14 +160,14 @@ _PATTERN_RE = re.compile(r"^C\d+(?:xC\d+)*$")
 def resolve(name: str) -> CatalogEntry | None:
     """Catalog entry for a name, including the Cn / CnxCm... patterns.
 
-    A pattern of order above MAX_ORDER raises BudgetExceeded here, before
+    A pattern past the group-order limit raises BudgetExceeded here, before
     any of its permutations is built.
     """
     if name in CATALOG:
         return CATALOG[name]
     if _PATTERN_RE.match(name):
         orders = tuple(int(x) for x in name[1:].split("xC"))
-        require_order(prod(orders))
+        require("group order", prod(orders))
         return CatalogEntry(name, lambda: abelian(*orders),
                             "abelian group of type " + str(orders))
     return None
@@ -179,7 +180,7 @@ def get_group(spec: str, degree: int | None = None) -> tuple[str, PermGroup]:
         return entry.name, entry.group()
     if "(" in spec:
         gens = parse_generators(spec, degree=degree)
-        require_order(max(orbit_sizes(gens)))  # a lower bound on |G|
+        require("group order", max(orbit_sizes(gens)))  # a lower bound on |G|
         return "custom", PermGroup.generate(gens)
     raise ValueError(f"unknown group {spec!r} (not a catalog name or cycle string)")
 

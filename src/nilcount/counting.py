@@ -19,12 +19,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import require
 from .malle import BaseFieldData
-from .dirichlet import prime_sieve, require_sieve_budget, squarefree_sieve
+from .dirichlet import prime_sieve, squarefree_sieve
 from .intmath import iroot, is_prime, omega, prime_factors, valuation
 
-V4_BUDGET = 1_000_000
 # an odd prime ramified in a V4 field divides its discriminant this often:
 # the index of an involution in the regular four-point action
 TAME_INDEX = 2
@@ -145,7 +144,7 @@ def count_quadratic_at(xs: Sequence[int]) -> list[int]:
     reaches these classes.
     """
     limit = isqrt(max([0, *xs]))
-    require_sieve_budget("Moebius", limit)
+    require("sieve entries", limit, "Moebius sieve to")
     mu = _mobius(limit)
     d = np.flatnonzero(mu)
     d = d[d % 2 == 1]
@@ -295,33 +294,28 @@ class V4FiberReport:
 def enumerate_v4(x: int) -> list[V4Field]:
     """All V4 = C2 x C2 fields over Q with |disc| <= x.
 
-    A field is a triple {d1, d2, d3} of distinct fundamental discriminants
-    with d3 the fundamental discriminant of d1*d2; by the conductor product
-    rule |disc| = |d1 d2 d3|.
+    A field is a triple d1 < d2 < d3 (by (|d|, d)) of fundamental
+    discriminants with d3 the fundamental discriminant of d1*d2; by the
+    conductor product rule |disc| = |d1 d2 d3|, so |d1|^3 <= x and
+    |d2|^2 <= x / |d1| <= x / 3.  Each field is found once, from its d1 and d2.
     """
-    if x > V4_BUDGET:
-        raise BudgetExceeded(f"biquadratic enumeration capped at {V4_BUDGET}")
-    # |d1| <= |d2| and |d3| >= 3 force |d2| <= x/9
-    discs = np.array(fundamental_discriminants(max(8, x // 9)))
+    require("biquadratic discriminant", x)
+    discs = np.array(fundamental_discriminants(isqrt(max(x, 0) // 3)))
     sizes = np.abs(discs)  # ascending
-    seen: set[tuple[int, int, int]] = set()
     fields: list[V4Field] = []
-    key = lambda d: (abs(d), d)
     for i, d1 in enumerate(discs.tolist()):
-        if d1 * d1 * 3 > x:  # |d2| >= |d1|, |d3| >= 3
+        if abs(d1) ** 3 > x:
             break
-        d2s = discs[i + 1:np.searchsorted(sizes, x // (3 * abs(d1)), "right")]
+        d2s = discs[i + 1:np.searchsorted(sizes, isqrt(x // abs(d1)), "right")]
         d3s = _third_discriminants(d1, d2s)
-        hits = np.abs(d1 * d2s * d3s) <= x
+        s2, s3 = np.abs(d2s), np.abs(d3s)
+        ordered = (s2 < s3) | (s2 == s3) & (d2s < d3s)
+        hits = ordered & (np.abs(d1 * d2s * d3s) <= x)
+        a1 = _disc_radical(d1)
         for d2, d3 in zip(d2s[hits].tolist(), d3s[hits].tolist()):
-            disc = abs(d1 * d2 * d3)
-            triple = tuple(sorted((d1, d2, d3), key=key))
-            if triple in seen:
-                continue
-            seen.add(triple)
-            a1 = _disc_radical(triple[0])
-            a12 = lcm(_disc_radical(d1), _disc_radical(d2))  # rad(d1 d2)
-            fields.append(V4Field(triple, disc, (a1, a12 // a1)))
+            a12 = lcm(a1, _disc_radical(d2))  # rad(d1 d2)
+            fields.append(V4Field((d1, d2, d3), abs(d1 * d2 * d3),
+                                  (a1, a12 // a1)))
     fields.sort(key=lambda f: (f.discriminant, f.triple))
     return fields
 

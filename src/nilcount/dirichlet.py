@@ -11,7 +11,7 @@ B-primes up to sqrt x) or by a segmented sieve that carries only omega(u)
 (numpy int8 segments).  Every weight m^omega and every sum of weights is a
 Python int, so partial sums of multi-factor products are exact for any m
 and the asymptotic-slope diagnostics sit on top of exact data.  A count
-is refused only by the size of the arrays it builds (`require_sieve_budget`).
+is refused only by the arrays it builds (the "sieve entries" limit).
 """
 
 from __future__ import annotations
@@ -23,14 +23,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, InsufficientData
+from .errors import LIMITS, InsufficientData, require
 from .intmath import iroot, is_prime
 
-SIEVE_BUDGET = 1 << 27  # entries of the largest array a sieve or count makes
 SEGMENT = 1 << 23
 OMEGA_MAX = 15  # omega(n) for n < 2^63, as 2*3*5*...*53 > 2^63
 _POISON = -64  # below -OMEGA_MAX: stays negative whatever is added to it
-TUPLE_BUDGET = 2_000_000
 CHECKPOINT_START = 1000
 
 
@@ -81,16 +79,9 @@ class SlopeReport:
     n_points: int
 
 
-def require_sieve_budget(name: str, limit: int) -> None:
-    """Refuse a `name` sieve to (or table of) `limit` above SIEVE_BUDGET."""
-    if limit > SIEVE_BUDGET:
-        raise BudgetExceeded(f"{name} sieve to {limit} exceeds in-memory "
-                             "budget")
-
-
 def prime_sieve(limit: int) -> np.ndarray:
     """Boolean primality array of length limit + 1."""
-    require_sieve_budget("prime", limit)
+    require("sieve entries", limit, "prime sieve to")
     isp = np.ones(limit + 1, dtype=bool)
     isp[:2] = False
     for p in range(2, isqrt(limit) + 1):
@@ -101,7 +92,7 @@ def prime_sieve(limit: int) -> np.ndarray:
 
 def squarefree_sieve(limit: int) -> np.ndarray:
     """Boolean squarefree array of length limit + 1 (index 0 is False)."""
-    require_sieve_budget("squarefree", limit)
+    require("sieve entries", limit, "squarefree sieve to")
     sf = np.ones(limit + 1, dtype=bool)
     sf[0] = False
     for k in range(2, isqrt(limit) + 1):
@@ -129,7 +120,7 @@ def coefficient_sieve(spec: FactorSpec, limit: int) -> np.ndarray:
 
 def _omega_sieve(spec: FactorSpec, limit: int) -> np.ndarray:
     """w[n] = omega(n) for squarefree n <= limit supported on B, else -1."""
-    require_sieve_budget("omega", limit)
+    require("sieve entries", limit, "omega sieve to")
     return np.concatenate([w for _, _, w in _segments(spec, limit)])
 
 
@@ -221,7 +212,7 @@ def _floor_prefix_sums(spec: FactorSpec, checkpoints: Sequence[int],
     r = isqrt(x)
     # |V| <= size, the length of the concatenation that builds `vals`
     size = r + 1 + sum(isqrt(c) for c in checkpoints if c > r)
-    require_sieve_budget("floor-set class", (ell - 1) * size)
+    require("sieve entries", (ell - 1) * size, "floor-set class entries")
     primes = np.flatnonzero(prime_sieve(r)).tolist()
     b_primes = [p for p in primes if p == ell or p % ell == 1]
     # omega(u) <= kmax for u <= x: the B-primes above r are at least r + 1
@@ -231,7 +222,7 @@ def _floor_prefix_sums(spec: FactorSpec, checkpoints: Sequence[int],
         if prod > x:
             break
         kmax += 1
-    require_sieve_budget("floor-set omega", max(kmax - 1, 1) * size)
+    require("sieve entries", max(kmax - 1, 1) * size, "floor-set omega entries")
     vals = np.concatenate([np.arange(r + 1)]
                           + [c // np.arange(isqrt(c), 0, -1)
                              for c in checkpoints if c > r])
@@ -345,10 +336,11 @@ def multi_factor_sum(specs: Sequence[FactorSpec], limit: int,
 
     # weighted support of the non-pivot factors: P = prod n_i^{d_i} -> weight
     support: dict[int, int] = {1: 1}
+    most = LIMITS["tuple entries"]
     for sp in others:
         omega = _omega_sieve(sp, iroot(limit, sp.d))
-        # each term is one more support entry, so more than the budget fail
-        nz = np.flatnonzero(omega >= 0)[:TUPLE_BUDGET + 1]
+        # each term is one more support entry, so more than the limit fail
+        nz = np.flatnonzero(omega >= 0)[:most + 1]
         terms = [(n ** sp.d, sp.m ** k)
                  for n, k in zip(nz.tolist(), omega[nz].tolist())]
         new: dict[int, int] = {}
@@ -358,8 +350,8 @@ def multi_factor_sum(specs: Sequence[FactorSpec], limit: int,
                 if contrib > limit:
                     break
                 new[contrib] = new.get(contrib, 0) + w * c
-                if len(new) > TUPLE_BUDGET:
-                    raise BudgetExceeded("tuple expansion exceeds budget")
+                if len(new) > most:  # compared inline: a hot loop
+                    require("tuple entries", len(new))
         support = new
 
     prefix = _prefix_sums_at(pivot, checkpoints, list(support))

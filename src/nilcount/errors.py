@@ -1,4 +1,5 @@
-"""Shared exception types."""
+"""Shared exception types, and every size limit: `LIMITS` by name, and
+`require`, the one check and the only code that raises BudgetExceeded."""
 
 
 class NilcountError(Exception):
@@ -7,10 +8,6 @@ class NilcountError(Exception):
 
 class DegreeMismatch(NilcountError):
     """Permutations of different degrees were combined."""
-
-
-class CapExceeded(NilcountError):
-    """An enumeration grew past its configured cap."""
 
 
 class NotNormal(NilcountError):
@@ -54,7 +51,29 @@ class VerificationFailed(NilcountError):
 
 
 class BudgetExceeded(NilcountError):
-    """A sieve or enumeration exceeds its memory/work budget."""
+    """An input exceeds one of the size limits in LIMITS."""
+
+
+LIMITS: dict[str, int] = {
+    "group order": 4096,  # every group: its table has 2^24 entries
+    "enumeration order": 128,  # enumerate_refinements' default cap
+    "listed chains": 1 << 20,  # chains enumerate_refinements lists
+    "search nodes": 1 << 16,  # subgroups optimize_d's search expands
+    "isomorphism order": 512,  # find_isomorphism's backtracking
+    "sieve entries": 1 << 27,  # the largest array a sieve or count makes
+    "tuple entries": 2_000_000,  # support of multi_factor_sum's non-pivots
+    "biquadratic discriminant": 1_000_000,  # |disc| bound of enumerate_v4
+}
+
+
+def require(name: str, value: int, what: str | None = None,
+            limit: int | None = None) -> None:
+    """Refuse `value` above `limit` (default LIMITS[name]); the message
+    names it `what` (default `name`)."""
+    if limit is None:
+        limit = LIMITS[name]
+    if value > limit:
+        raise BudgetExceeded(f"{what or name} {value} exceeds {limit}")
 
 
 class InsufficientData(NilcountError):

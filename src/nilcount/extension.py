@@ -13,15 +13,13 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping
 
-from .errors import (CapExceeded, NotAction, PropertyViolated,
-                     QuotientMismatch, VerificationFailed)
+from .errors import (NotAction, PropertyViolated, QuotientMismatch,
+                     VerificationFailed, require)
 from .intmath import is_prime
 from .permcore import (GroupTable, PermGroup, Permutation,
                        abelianization_rank, center, product_rows, quotient,
                        quotient_with_map)
 from .series import _children
-
-ISO_CAP = 512
 
 
 def regular_permutation_group(items: list, mul: Callable
@@ -185,8 +183,7 @@ def find_isomorphism(G1: PermGroup, G2: PermGroup) -> dict[Permutation, Permutat
     """
     if G1.order != G2.order:
         return None
-    if G1.order > ISO_CAP:
-        raise CapExceeded(f"isomorphism search capped at order {ISO_CAP}")
+    require("isomorphism order", G1.order)
     if fingerprint(G1) != fingerprint(G2):
         return None
     m1, m2 = G1.table.mul, G2.table.mul

@@ -11,7 +11,7 @@ Full-degree products are formed only to close generators (`mulclose`) and
 to check a claimed element set (`from_elements`), never for a group given
 by its table.
 
-One limit, MAX_ORDER, bounds every group; `require_order` is its one check.
+The "group order" limit of `errors.LIMITS` (4096) bounds every group.
 """
 
 from __future__ import annotations
@@ -23,17 +23,9 @@ from math import lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .errors import (BudgetExceeded, DegreeMismatch, NotNormal, NotPrime,
-                     PropertyViolated, TrivialGroup)
+from .errors import (LIMITS, DegreeMismatch, NotNormal, NotPrime,
+                     PropertyViolated, TrivialGroup, require)
 from .intmath import is_prime, valuation
-
-MAX_ORDER = 4096  # the largest group accepted: its table has 2^24 entries
-
-
-def require_order(order: int) -> None:
-    """BudgetExceeded for a group (or a lower bound on one) above MAX_ORDER."""
-    if order > MAX_ORDER:
-        raise BudgetExceeded(f"group order {order} exceeds {MAX_ORDER}")
 
 
 class Permutation:
@@ -132,8 +124,8 @@ class Permutation:
 
 def mulclose(gens: Iterable[Permutation]) -> set[Permutation]:
     """Closure of the generators under composition (BFS over new products),
-    refused at its first element past MAX_ORDER."""
-    gens = list(gens)
+    refused at its first element past the group-order limit."""
+    gens, most = list(gens), LIMITS["group order"]
     if not gens:
         raise ValueError("need at least one generator")
     els: set[Permutation] = {Permutation.identity(gens[0].degree)}
@@ -147,8 +139,8 @@ def mulclose(gens: Iterable[Permutation]) -> set[Permutation]:
                 if c not in els:
                     els.add(c)
                     new.append(c)
-                    if len(els) > MAX_ORDER:  # compared inline: a hot loop
-                        require_order(len(els))
+                    if len(els) > most:  # compared inline: a hot loop
+                        require("group order", len(els))
         frontier = new
     return els
 
@@ -206,7 +198,7 @@ class GroupTable:
     0), `idx`, `mul[i][j]` = index of elements[i] * elements[j], `inv`, and
     per element `order` and `ind` (degree minus orbit count); `gens` are the
     generator indices.  `mul` is the given table, or else filled from a base
-    (`_base_table`).  A group above MAX_ORDER raises BudgetExceeded before
+    (`_base_table`).  A group past the order limit is refused before
     anything is allocated.
 
     `minimal` is the bitmask of the minimal-index elements and
@@ -217,7 +209,7 @@ class GroupTable:
     def __init__(self, elements: Sequence[Permutation],
                  generators: Sequence[Permutation] | None = None,
                  mul: list[tuple[int, ...]] | None = None):
-        require_order(len(elements))
+        require("group order", len(elements))
         self.elements = elements = tuple(elements)
         self.idx = {g: i for i, g in enumerate(elements)}
         self.mul = mul = _base_table(elements) if mul is None else mul

@@ -29,15 +29,12 @@ from itertools import accumulate, count, pairwise
 from operator import itemgetter, or_
 from typing import Iterable, Sequence
 
-from .errors import (BudgetExceeded, CapExceeded, InvalidChain, NotNilpotent,
-                     PropertyViolated, TrivialGroup)
+from .errors import (InvalidChain, NotNilpotent, PropertyViolated,
+                     TrivialGroup, require)
 from .malle import BaseFieldData
 from .nilpotent import is_nilpotent
 from .intmath import prime_factors, valuation
 from .permcore import GroupTable, PermGroup, Permutation, bits
-
-EXHAUSTIVE_CAP = 128
-NODE_BUDGET = 1 << 16  # subgroup expansions the optimal-chain search may make
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,14 +168,13 @@ def _require_nilpotent_nontrivial(G: PermGroup) -> None:
         raise NotNilpotent("central prime refinements need a nilpotent group")
 
 
-def enumerate_refinements(G: PermGroup, cap: int = EXHAUSTIVE_CAP) -> list[Refinement]:
+def enumerate_refinements(G: PermGroup, cap: int | None = None) -> list[Refinement]:
     """All maximal chains of central prime steps, by their masks read from
     the bottom: a DFS from G through cached `_children`.  Chain counts grow
-    very quickly with the group order; the cap guards this exhaustive mode
-    (`optimize_d` finds the optimum without enumeration)."""
+    very quickly, so |G| above `cap` (default: the "enumeration order"
+    limit) and the chain past the "listed chains" limit are refused."""
     _require_nilpotent_nontrivial(G)
-    if G.order > cap:
-        raise CapExceeded(f"group order {G.order} exceeds enumeration cap {cap}")
+    require("enumeration order", G.order, limit=cap)
     T = G.table
     children = cache(lambda mask: _children(T, mask))  # chains share states
     chains: list[tuple[int, ...]] = []
@@ -186,6 +182,7 @@ def enumerate_refinements(G: PermGroup, cap: int = EXHAUSTIVE_CAP) -> list[Refin
     def dfs(chain: tuple[int, ...]) -> None:
         if chain[-1] == 1:
             chains.append(chain)
+            require("listed chains", len(chains))
             return
         for m in children(chain[-1]):
             dfs(chain + (m,))
@@ -244,8 +241,8 @@ def all_min_index_central(G: PermGroup) -> bool:
 def optimize_d(G: PermGroup, k: BaseFieldData) -> OptimizeResult:
     """Minimal d(k,G) over refinements, exact at every order.
 
-    A branch and bound from G downwards (see `_optimal_refinement`) expands
-    at most NODE_BUDGET subgroups and raises BudgetExceeded beyond that.
+    A branch and bound from G downwards (see `_optimal_refinement`), refused
+    past the "search nodes" limit of expanded subgroups.
     Ties between minimal chains are broken by the subgroup-order sequence and
     then by the masks, both read from the top of the chain.
     """
@@ -278,8 +275,7 @@ def _optimal_refinement(G: PermGroup) -> Refinement:
         if seen.get(mask, (G.order,)) <= (cost, orders):
             return
         seen[mask] = (cost, orders)
-        if next(expanded) > NODE_BUDGET:
-            raise BudgetExceeded(f"refinement search exceeds {NODE_BUDGET} nodes")
+        require("search nodes", next(expanded))
         for m in _children(T, mask):
             diff = mask & ~m
             step = cost + (diff.bit_count() if diff & minimal else 0)

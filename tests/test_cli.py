@@ -273,8 +273,8 @@ def test_ignored_cap_flag_keeps_the_report(capsys):
 
 
 def test_refinement_node_budget_is_typed_error(capsys, monkeypatch):
-    from nilcount import series
-    monkeypatch.setattr(series, "NODE_BUDGET", 1)
+    from nilcount.errors import LIMITS
+    monkeypatch.setitem(LIMITS, "search nodes", 1)
     code, rep = run_cli(capsys, "invariants", "--group", "D4_S8")
     assert code == 2 and rep["error"].startswith("BudgetExceeded")
 

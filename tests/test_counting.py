@@ -1,5 +1,5 @@
 import random
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import numpy as np
 import pytest
@@ -381,6 +381,39 @@ def test_v4_hand_enumeration_small():
                 triples.add(tuple(sorted((d1, d2, d3),
                                          key=lambda d: (abs(d), d))))
     assert len(enumerate_v4(x)) == len(triples)
+
+
+def _v4_with_duplicates(x):
+    """Oracle: the former `enumerate_v4`, which met each field from every
+    pair of its discriminants and kept the first sorted triple."""
+    from nilcount.counting import V4Field, _disc_radical, _third_discriminants
+    discs = np.array(fundamental_discriminants(max(8, x // 9)))
+    sizes = np.abs(discs)
+    seen, fields = set(), []
+    key = lambda d: (abs(d), d)
+    for i, d1 in enumerate(discs.tolist()):
+        if d1 * d1 * 3 > x:
+            break
+        d2s = discs[i + 1:np.searchsorted(sizes, x // (3 * abs(d1)), "right")]
+        d3s = _third_discriminants(d1, d2s)
+        hits = np.abs(d1 * d2s * d3s) <= x
+        for d2, d3 in zip(d2s[hits].tolist(), d3s[hits].tolist()):
+            triple = tuple(sorted((d1, d2, d3), key=key))
+            if triple in seen:
+                continue
+            seen.add(triple)
+            a1 = _disc_radical(triple[0])
+            a12 = lcm(_disc_radical(d1), _disc_radical(d2))
+            fields.append(V4Field(triple, abs(d1 * d2 * d3), (a1, a12 // a1)))
+    fields.sort(key=lambda f: (f.discriminant, f.triple))
+    return fields
+
+
+@pytest.mark.parametrize("x", [1, 2, 143, 144, 145, 225, 256, 500, 1000,
+                               3000, 10 ** 4, 12345, 10 ** 5, 2 * 10 ** 5,
+                               5 * 10 ** 5, 10 ** 6 - 1, 10 ** 6])
+def test_v4_each_field_once_matches_the_pair_search(x):
+    assert enumerate_v4(x) == _v4_with_duplicates(x)
 
 
 def test_v4_fiber_report():

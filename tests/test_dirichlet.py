@@ -10,7 +10,7 @@ from nilcount.dirichlet import (FactorSpec, coefficient_sieve,
                                 factor_identity_check, multi_factor_sum,
                                 prime_sieve, running_beta, series_csv_rows,
                                 slope_estimate, squarefree_sieve)
-from nilcount.errors import BudgetExceeded, InsufficientData
+from nilcount.errors import LIMITS, BudgetExceeded, InsufficientData
 
 
 def is_squarefree(n):
@@ -344,7 +344,7 @@ def test_floor_count_rule_boundary(monkeypatch, limit, counted):
                                   for x in series.checkpoints)
     # the rule ignores the sieve budget: with the limit above it, the same
     # way answers, as the floor count's own tables stay small
-    monkeypatch.setattr(dirichlet, "SIEVE_BUDGET", limit - 1)
+    monkeypatch.setitem(LIMITS, "sieve entries", limit - 1)
     calls.clear()
     assert multi_factor_sum([spec], limit) == series
     assert bool(calls) == counted

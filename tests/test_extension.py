@@ -3,7 +3,8 @@ import pytest
 from nilcount import extension
 from nilcount.catalog import (abelian, cyclic, dihedral4_regular,
                               dihedral4_s4, generalized_quaternion, resolve)
-from nilcount.errors import CapExceeded, NotAction, QuotientMismatch
+from nilcount.errors import (LIMITS, BudgetExceeded, NotAction,
+                             QuotientMismatch)
 from nilcount.extension import (ExtensionData, central_double_quotients,
                                 conjugation_action, fiber_product,
                                 find_isomorphism, fingerprint, is_isomorphic,
@@ -145,8 +146,8 @@ def test_find_isomorphism_witness_is_homomorphism():
 def test_is_isomorphic_symmetric_and_cap(monkeypatch):
     g1, g2 = resolve("Heis27").group(), abelian(3, 3, 3)
     assert is_isomorphic(g1, g2) == is_isomorphic(g2, g1) == False
-    monkeypatch.setattr(extension, "ISO_CAP", 8)
-    with pytest.raises(CapExceeded):
+    monkeypatch.setitem(LIMITS, "isomorphism order", 8)
+    with pytest.raises(BudgetExceeded):
         is_isomorphic(g1, g2)
 
 

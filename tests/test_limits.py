@@ -1,0 +1,40 @@
+"""Every size limit in `errors.LIMITS`, shrunk, refuses at its entry point."""
+
+import pytest
+
+from nilcount.catalog import abelian, resolve
+from nilcount.counting import enumerate_v4
+from nilcount.dirichlet import FactorSpec, multi_factor_sum, prime_sieve
+from nilcount.errors import LIMITS, BudgetExceeded
+from nilcount.extension import find_isomorphism
+from nilcount.malle import BaseFieldData
+from nilcount.series import enumerate_refinements, optimize_d
+
+Q = BaseFieldData.rationals()
+
+# limit name -> (shrunk limit, the call it refuses, the refused value)
+CASES = {
+    "group order": (4, lambda: resolve("C8"), 8),
+    "enumeration order": (4, lambda: enumerate_refinements(abelian(4, 2)), 8),
+    "listed chains": (100, lambda: enumerate_refinements(
+        abelian(2, 2, 2, 2, 2)), 101),
+    "search nodes": (1, lambda: optimize_d(resolve("D4_S8").group(), Q), 2),
+    "isomorphism order": (4, lambda: find_isomorphism(abelian(4, 2),
+                                                      abelian(2, 2, 2)), 8),
+    "sieve entries": (99, lambda: prime_sieve(100), 100),
+    "tuple entries": (5, lambda: multi_factor_sum(
+        [FactorSpec(3, 1, 1), FactorSpec(3, 2, 1)], 10 ** 4), 6),
+    "biquadratic discriminant": (999, lambda: enumerate_v4(1000), 1000),
+}
+
+
+def test_every_limit_has_a_case():
+    assert set(CASES) == set(LIMITS)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_shrunk_limit_refuses(monkeypatch, name):
+    limit, call, value = CASES[name]
+    monkeypatch.setitem(LIMITS, name, limit)
+    with pytest.raises(BudgetExceeded, match=f" {value} exceeds {limit}$"):
+        call()

@@ -3,8 +3,9 @@ from itertools import permutations
 
 import pytest
 
-from nilcount.errors import BudgetExceeded, DegreeMismatch, NotNormal, NotPrime
-from nilcount.permcore import (MAX_ORDER, GroupTable, PermGroup, Permutation,
+from nilcount.errors import (LIMITS, BudgetExceeded, DegreeMismatch, NotNormal,
+                             NotPrime)
+from nilcount.permcore import (GroupTable, PermGroup, Permutation,
                                abelianization_rank,
                                center, conjugacy_classes, cycle_string,
                                element_order, exponent, parse_generators,
@@ -243,7 +244,7 @@ def test_catalog_invariants_against_sympy():
 
 
 def test_table_budget_guards_before_building():
-    assert MAX_ORDER == 4096  # a table of 2^24 entries
+    assert LIMITS["group order"] == 4096  # a table of 2^24 entries
     # the elements of S_8, listed directly: generating them is refused
     G = PermGroup(8, parse_generators(S8),
                   map(Permutation, permutations(range(8))))

@@ -15,7 +15,7 @@ from nilcount import series
 from nilcount.catalog import (abelian, cyclic, dihedral4_regular,
                               dihedral4_s4, generalized_quaternion, get_group,
                               nilpotent_catalog, resolve)
-from nilcount.errors import (BudgetExceeded, CapExceeded, InvalidChain,
+from nilcount.errors import (LIMITS, BudgetExceeded, InvalidChain,
                              NotNilpotent, PropertyViolated, TrivialGroup)
 from nilcount.malle import BaseFieldData, b_constant, ind, min_index
 from nilcount.permcore import (GroupTable, PermGroup, bits, mulclose,
@@ -177,7 +177,7 @@ def test_optimize_not_nilpotent_or_trivial():
         optimize_d(resolve("S3").group(), Q)
     with pytest.raises(TrivialGroup):
         optimize_d(cyclic(1), Q)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(BudgetExceeded):
         enumerate_refinements(abelian(4, 2), cap=4)
 
 
@@ -236,9 +236,9 @@ def test_optimize_d_exact_above_the_old_cap():
 def test_node_budget_raises(monkeypatch):
     # the search makes 5 expansions on D4_S8 (one subgroup twice)
     G = resolve("D4_S8").group()
-    monkeypatch.setattr(series, "NODE_BUDGET", 5)
+    monkeypatch.setitem(LIMITS, "search nodes", 5)
     assert optimize_d(G, Q).d_group == 5
-    monkeypatch.setattr(series, "NODE_BUDGET", 4)
+    monkeypatch.setitem(LIMITS, "search nodes", 4)
     with pytest.raises(BudgetExceeded):
         optimize_d(G, Q)
 
@@ -256,6 +256,16 @@ def test_enumeration_expands_each_state_once(monkeypatch):
     assert enumerate_refinements(G) == before
     # one call per subgroup below the top: 1 + 15 + 35 + 15
     assert len(calls) == len(set(calls)) == 66
+
+
+def test_listed_chains_limit_boundary(monkeypatch):
+    # C2^5 has 9,765 chains; C2^7, within the order cap, has 78,129,765
+    G = abelian(2, 2, 2, 2, 2)
+    monkeypatch.setitem(LIMITS, "listed chains", 9764)
+    with pytest.raises(BudgetExceeded, match="listed chains 9765 exceeds 9764"):
+        enumerate_refinements(G)
+    monkeypatch.setitem(LIMITS, "listed chains", 9765)
+    assert len(enumerate_refinements(G)) == 9765
 
 
 def test_refinement_json():
