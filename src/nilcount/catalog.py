@@ -18,8 +18,7 @@ from typing import Callable
 from .errors import require
 from .extension import regular_permutation_group
 from .nilpotent import natural_product
-from .permcore import (PermGroup, cycle_string, orbit_sizes, parse_generators,
-                       product_rows)
+from .permcore import PermGroup, orbit_sizes, parse_generators, product_rows
 
 
 def cyclic(n: int) -> PermGroup:
@@ -106,9 +105,6 @@ class CatalogEntry:
 
     def group(self) -> PermGroup:
         return self.build()
-
-    def generator_strings(self) -> list[str]:
-        return [cycle_string(g) for g in self.build().generators]
 
 
 _ENTRIES: list[CatalogEntry] = [

@@ -21,6 +21,7 @@ from .counting import (count_quadratic_at, enumerate_cyclic_ell,
 from .dirichlet import (FactorSpec, default_checkpoints, multi_factor_sum,
                         series_csv_rows, slope_estimate)
 from .errors import NilcountError
+from .intmath import iroot
 from .malle import BaseFieldData, b_constant, min_index
 from .nilpotent import is_nilpotent, sylow_decompose
 from .permcore import cycle_string
@@ -28,17 +29,6 @@ from .series import all_min_index_central, optimize_d, refinement_to_json
 from .suites import SUITES, get_suite
 
 SCHEMA = "nilcount-report-1"
-
-
-def _env_default(name: str, fallback):
-    raw = os.environ.get(f"NILCOUNT_{name}")
-    if raw is None or fallback is None:
-        return fallback if raw is None else raw
-    try:
-        return type(fallback)(raw)
-    except ValueError:
-        raise ValueError(f"NILCOUNT_{name}={raw!r} is not a valid "
-                         f"{type(fallback).__name__}") from None
 
 
 def _field_data(arg: str) -> BaseFieldData:
@@ -183,7 +173,9 @@ def cmd_count(args) -> int:
             scale = math.exp(math.log(x) / (ell - 1))
         summary["ratio_x_alpha"] = len(records) / scale
         if args.out:
-            rows = [(rec.group, rec.discriminant, rec.discriminant,
+            # |disc| = f^(ell - 1) for the conductor f
+            rows = [(rec.group, rec.discriminant,
+                     iroot(rec.discriminant, ell - 1),
                      "|".join(map(str, rec.ramified_tuple))) for rec in records]
     elif kind == "v4":
         fields = enumerate_v4(x)
@@ -220,7 +212,7 @@ def cmd_catalog(args) -> int:
             "name": name,
             "degree": G.degree,
             "order": G.order,
-            "generators": entry.generator_strings(),
+            "generators": [cycle_string(g) for g in G.generators],
             "description": entry.description,
             "expected": entry.expected,
         })
@@ -247,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--group", required=True,
                        help="catalog name, CnxCm pattern, or cycle notation "
                             "like '(1,2,3,4);(1,3)'")
-    p_inv.add_argument("--field", default=_env_default("FIELD", "Q"),
+    p_inv.add_argument("--field", default="Q",
                        help="'Q' or a path to base-field JSON")
     # accepted and ignored: optimize_d is exact at every order
     p_inv.add_argument("--exhaustive-cap", type=int, help=argparse.SUPPRESS)
@@ -256,27 +248,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run falsifier suites")
     p_ver.add_argument("ids", nargs="+",
                        help="suite ids (e.g. 4.7 5.12) or 'all'")
-    p_ver.add_argument("--seed", type=int, default=_env_default("SEED", 42))
+    p_ver.add_argument("--seed", type=int, default=42)
     p_ver.set_defaults(func=cmd_verify)
 
     p_ds = sub.add_parser("dseries", help="restricted Euler product sums")
     p_ds.add_argument("--specs", required=True,
                       help="comma-separated ell:d:m factors, e.g. '3:1:4'")
-    p_ds.add_argument("--max-x", type=int,
-                      default=_env_default("MAX_X", 10 ** 6))
+    p_ds.add_argument("--max-x", type=int, default=10 ** 6)
     p_ds.add_argument("--checkpoints", type=int, default=None,
                       help="keep only the last N geometric checkpoints")
-    p_ds.add_argument("--out", default=_env_default("OUT", None),
-                      help="CSV output path")
+    p_ds.add_argument("--out", help="CSV output path")
     p_ds.set_defaults(func=cmd_dseries)
 
     p_ct = sub.add_parser("count", help="field counting runs")
     p_ct.add_argument("--kind", required=True,
                       help="quadratic | cyclic3 | cyclic5 | ... | v4")
-    p_ct.add_argument("--max-x", type=int,
-                      default=_env_default("MAX_X", 10 ** 6))
-    p_ct.add_argument("--out", default=_env_default("OUT", None),
-                      help="CSV output path")
+    p_ct.add_argument("--max-x", type=int, default=10 ** 6)
+    p_ct.add_argument("--out", help="CSV output path")
     p_ct.set_defaults(func=cmd_count)
 
     p_cat = sub.add_parser("catalog", help="list the named group catalog")
@@ -287,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         try:
-            # NILCOUNT_* defaults are parsed here, inside the error report
             args = build_parser().parse_args(argv)
             code = args.func(args)
         except BrokenPipeError:

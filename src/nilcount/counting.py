@@ -30,28 +30,6 @@ TAME_INDEX = 2
 
 
 @dataclass(frozen=True)
-class RamificationProfile:
-    """A prime ell with disjoint prime sets S (must ramify) and T (may ramify)."""
-
-    ell: int
-    S: frozenset[int]
-    T: frozenset[int] = frozenset()
-
-    def __post_init__(self):
-        if not is_prime(self.ell):
-            raise ValueError(f"{self.ell} is not prime")
-        if self.S & self.T:
-            raise ValueError("S and T must be disjoint")
-        for p in self.S | self.T:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-
-    @property
-    def t(self) -> int:
-        return character_rank(self.ell, self.S)
-
-
-@dataclass(frozen=True)
 class FieldRecord:
     """One enumerated field: catalog group id, |disc|, and the tuple of
     products of primes first ramified at each chain layer."""
@@ -243,10 +221,6 @@ def enumerate_cyclic_ell(ell: int, x: int) -> list[FieldRecord]:
         records.extend([rec] * count)
     records.sort(key=lambda r: r.discriminant)
     return records
-
-
-def count_cyclic_ell(ell: int, x: int) -> int:
-    return len(enumerate_cyclic_ell(ell, x))
 
 
 # biquadratic fields and the fiber bound

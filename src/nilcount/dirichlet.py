@@ -377,13 +377,15 @@ def slope_estimate(series: SumSeries) -> SlopeReport:
     the two estimates do not contaminate each other.  The fitted constant is
     reported for orientation only.
     """
-    xs = np.array(series.checkpoints, dtype=float)
-    vals = np.array([float(v) for v in series.values])
+    xs, vals = _floats(series.checkpoints), _floats(series.values)
     if len(xs) < 12 or xs[-1] < 1e4 * xs[0]:
         raise InsufficientData(
             "need at least 12 checkpoints spanning 4 decades")
     if np.any(vals <= 0):
         raise InsufficientData("partial sums must be positive to take logs")
+    if not (np.isfinite(xs).all() and np.isfinite(vals).all()):
+        raise InsufficientData("checkpoints or partial sums exceed the "
+                               "float range")
 
     in_decade = xs >= xs[-1] / 10
     lx, lv = np.log(xs[in_decade]), np.log(vals[in_decade])
@@ -404,12 +406,24 @@ def slope_estimate(series: SumSeries) -> SlopeReport:
 
 def running_beta(series: SumSeries) -> list[float | None]:
     """Per-checkpoint beta estimate over the trailing 60% window up to that
-    point (None while there is not enough data)."""
+    point (None while there is not enough data, or while a checkpoint or a
+    sum is past the float range)."""
     alpha = float(series.alpha_pred)
-    xs = np.array(series.checkpoints, dtype=float)
-    vals = np.array([float(v) for v in series.values])
-    return [None if n < 4 or np.any(vals[:n] <= 0)
+    xs, vals = _floats(series.checkpoints), _floats(series.values)
+    usable = (vals > 0) & np.isfinite(vals) & np.isfinite(xs)
+    return [None if n < 4 or not usable[:n].all()
             else float(_beta_fit(xs, vals, alpha, n)[0]) for n in range(1, len(xs) + 1)]
+
+
+def _floats(values: Sequence[int]) -> np.ndarray:
+    """Exact integers as floats, inf for one past the float range."""
+    out = []
+    for v in values:
+        try:
+            out.append(float(v))
+        except OverflowError:
+            out.append(np.inf)
+    return np.array(out)
 
 
 def _beta_fit(xs, vals, alpha: float, n: int):
@@ -518,11 +532,15 @@ def euler_factorization_check(spec: FactorSpec, n_terms: int = 10_000) -> bool:
 
 
 def series_csv_rows(series: SumSeries) -> list[tuple]:
-    """Rows (x, S(x), S(x)/x^alpha, running beta) for CSV emission."""
+    """Rows (x, S(x), S(x)/x^alpha, running beta) for CSV emission; the
+    ratio is empty where x or S(x) is past the float range."""
     alpha = float(series.alpha_pred)
     betas = running_beta(series)
     rows = []
     for x, v, b in zip(series.checkpoints, series.values, betas):
-        rows.append((x, v, float(v) / x ** alpha,
-                     "" if b is None else f"{b:.6f}"))
+        try:
+            ratio = float(v) / x ** alpha
+        except OverflowError:
+            ratio = ""
+        rows.append((x, v, ratio, "" if b is None else f"{b:.6f}"))
     return rows

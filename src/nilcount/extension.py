@@ -50,10 +50,6 @@ class ExtensionData:
         H, kappa = quotient_with_map(G, kernel)
         return cls(G, kernel, H, kappa, kernel <= center(G))
 
-    @property
-    def kernel_order(self) -> int:
-        return len(self.kernel)
-
 
 @dataclass(frozen=True)
 class PairProduct:
@@ -62,9 +58,6 @@ class PairProduct:
 
     pairs: tuple[tuple[Permutation, Permutation], ...]
     group: PermGroup
-
-
-FiberProduct = SemidirectProduct = PairProduct
 
 
 def _pair_product(X: PermGroup, Y: PermGroup, pairs: list[tuple[int, int]],

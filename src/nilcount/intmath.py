@@ -4,21 +4,37 @@ from __future__ import annotations
 
 from math import isqrt, prod
 
-_FLOAT_EXACT = 1 << 52
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86 (2017))
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Exact primality: trial division by the bases, then deterministic
+    Miller-Rabin; ValueError for a candidate beyond its proven range."""
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < _MR_BASES[-1] ** 2:
+        return n > 1
+    if n >= _MR_EXACT:
+        raise ValueError(f"primality of {n} is beyond the proven "
+                         f"Miller-Rabin range {_MR_EXACT}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        y = pow(a, d, n)
+        if y == 1 or y == n - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -56,25 +72,17 @@ def omega(n: int) -> int:
 
 
 def iroot(x: int, d: int) -> int:
-    """Exact floor of x^(1/d) for d >= 1 (0 for x < 1).
-
-    Below 2^52 a float estimate is corrected by at most a step or two, which
-    keeps the many small calls of the sieves fast; above it integer Newton
-    iteration from an overestimate, which is exact for any size of x.
-    """
+    """Exact floor of x^(1/d) for d >= 1 (0 for x < 1), by integer Newton
+    iteration from an overestimate; 1 <= x < 2^d answers 1 before any power
+    is formed."""
     if d == 1:
         return x
     if x < 1:
         return 0
     if d == 2:
         return isqrt(x)
-    if x < _FLOAT_EXACT:
-        r = int(round(x ** (1.0 / d)))
-        while r ** d > x:
-            r -= 1
-        while (r + 1) ** d <= x:
-            r += 1
-        return r
+    if x.bit_length() <= d:  # 1 <= x < 2^d
+        return 1
     r = 1 << -(-x.bit_length() // d)  # 2^ceil(bits/d) > x^(1/d)
     while True:
         y = ((d - 1) * r + x // r ** (d - 1)) // d

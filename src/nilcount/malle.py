@@ -131,10 +131,6 @@ class KClass:
     classes: tuple[ConjClass, ...]
     min_index: int
 
-    @property
-    def element_order(self) -> int:
-        return self.classes[0].element_order
-
 
 def ind(g: Permutation) -> int:
     """Degree minus the number of orbits; zero exactly for the identity."""

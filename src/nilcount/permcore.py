@@ -481,11 +481,6 @@ def _indices(T: GroupTable, elements: Iterable[Permutation]) -> set[int] | None:
     return None if None in idx else idx
 
 
-def is_normal(G: PermGroup, N: Iterable[Permutation]) -> bool:
-    nidx = _indices(G.table, N)
-    return nidx is not None and G.table.is_normal(nidx)
-
-
 def commutator_subgroup(G: PermGroup) -> frozenset[Permutation]:
     return G.table.subset(G.table.commutator())
 
@@ -522,10 +517,6 @@ def quotient_with_map(G: PermGroup, N: Iterable[Permutation]
 
 def quotient(G: PermGroup, N: Iterable[Permutation]) -> PermGroup:
     return quotient_with_map(G, N)[0]
-
-
-def element_order(g: Permutation) -> int:
-    return g.order()
 
 
 def exponent(G: PermGroup) -> int:

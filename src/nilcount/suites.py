@@ -356,7 +356,3 @@ def get_suite(suite_id: str) -> Callable[..., SuiteResult]:
 
 def run_suite(suite_id: str, seed: int = 42) -> SuiteResult:
     return get_suite(suite_id)(seed=seed)
-
-
-def run_all(seed: int = 42) -> list[SuiteResult]:
-    return [SUITES[sid](seed=seed) for sid in sorted(SUITES)]

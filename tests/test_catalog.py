@@ -7,6 +7,7 @@ from nilcount.catalog import (CATALOG, abelian, cyclic, get_group,
 from nilcount.extension import fingerprint, is_isomorphic
 from nilcount.malle import BaseFieldData, b_constant, min_index
 from nilcount.nilpotent import is_nilpotent, natural_product
+from nilcount.permcore import cycle_string
 from nilcount.series import (all_min_index_central, d_constant,
                              enumerate_refinements, optimize_d)
 
@@ -48,7 +49,7 @@ def test_name_resolution():
 
 def test_generator_strings_round_trip():
     for name, entry in CATALOG.items():
-        strings = entry.generator_strings()
+        strings = [cycle_string(g) for g in entry.group().generators]
         joined = ";".join(strings)
         _, G = get_group(joined, degree=entry.group().degree)
         assert G.order == entry.group().order, name

@@ -159,6 +159,17 @@ def test_count_cyclic3_with_csv(tmp_path, capsys):
     assert len(rows) - 1 == 16
 
 
+def test_count_cyclic3_conductor_column(tmp_path, capsys):
+    # |disc| = f^2 for the conductor f of a cyclic cubic field
+    out = tmp_path / "c3.csv"
+    code, _ = run_cli(capsys, "count", "--kind", "cyclic3",
+                      "--max-x", "1000", "--out", str(out))
+    assert code == 0
+    rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+    assert [int(r[2]) for r in rows] == [7, 9, 13, 19, 31]
+    assert all(int(r[1]) == int(r[2]) ** 2 for r in rows)
+
+
 def test_count_v4(capsys):
     code, rep = run_cli(capsys, "count", "--kind", "v4", "--max-x", "10000")
     assert code == 0
@@ -194,13 +205,6 @@ def test_error_reporting_returns_code_2(capsys):
     assert code == 2 or "error" in rep
 
 
-def test_bad_environment_default_is_error_report(capsys, monkeypatch):
-    monkeypatch.setenv("NILCOUNT_MAX_X", "1e6")
-    code, rep = run_cli(capsys, "dseries", "--specs", "3:1:4")
-    assert code == 2
-    assert "NILCOUNT_MAX_X" in rep["error"]
-
-
 def test_count_v4_enumerates_once(tmp_path, capsys, monkeypatch):
     from nilcount import cli, counting
     calls = []
@@ -230,6 +234,59 @@ def test_huge_max_x_is_typed_error(capsys):
     # conductors stay small at degree 101, but x itself exceeds the floats
     code, rep = run_cli(capsys, "count", "--kind", "cyclic101", "--max-x", huge)
     assert code == 0 and 0 < rep["ratio_x_alpha"] < 1
+
+
+def test_dseries_weight_past_the_float_range(tmp_path, capsys):
+    # S(x) = sum_k N_k m^k; with m = 10^80 the top terms pass 2^1024
+    m, x = 10 ** 80, 100000
+    out = tmp_path / "big.csv"
+    code = main(["dseries", "--specs", f"3:1:{m}", "--max-x", str(x),
+                 "--out", str(out)])
+    stdout, err = capsys.readouterr()
+    rep = json.loads(stdout)
+    assert code == 0 and err == "" and "slope_note" in rep
+    # oracle: omega of each squarefree n <= x whose primes are 3 or 1 mod 3
+    spf = list(range(x + 1))
+    for p in range(2, 317):
+        if spf[p] == p:
+            for k in range(p * p, x + 1, p):
+                spf[k] = min(spf[k], p)
+    total = 0
+    for n in range(1, x + 1):
+        k, r = 0, n
+        while r > 1 and k >= 0:
+            p = spf[r]
+            r //= p
+            k = k + 1 if (p == 3 or p % 3 == 1) and r % p else -1
+        if k >= 0:
+            total += m ** k
+    assert rep["final_sum"] == total
+    rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+    assert rows[-1] == [str(x), str(total), "", ""]
+    assert rows[0][2] != ""  # 6 * 10^240 still fits a float
+
+
+def test_dseries_huge_d_answers_without_forming_2_to_the_d(capsys):
+    code, rep = run_cli(capsys, "dseries", "--specs", "3:1000000000000:1",
+                        "--max-x", "1000")
+    assert code == 0 and rep["final_sum"] == 1
+    # checkpoints past the float range leave the slope fit out
+    code, rep = run_cli(capsys, "dseries", "--specs", "3:1000000000000:1",
+                        "--max-x", str(10 ** 400))
+    assert code == 0 and rep["final_sum"] == 1
+    assert "float range" in rep["slope_note"]
+
+
+def test_large_prime_ell_answers(capsys):
+    code, rep = run_cli(capsys, "count", "--kind",
+                        f"cyclic{2 ** 61 - 1}", "--max-x", "1000")
+    assert code == 0 and rep["counts"] == [[1000, 0]]
+    # no prime p = 1 mod 2^61 - 1 lies below 10^6
+    code, rep = run_cli(capsys, "dseries", "--specs", f"{2 ** 61 - 1}:1:1")
+    assert code == 0 and rep["final_sum"] == 1
+    ell = 999999999989 * 1000000000039
+    code, rep = run_cli(capsys, "count", "--kind", f"cyclic{ell}")
+    assert code == 2 and rep["error"].startswith("ValueError")
 
 
 def test_dseries_past_the_floor_count_is_typed_error(capsys):

@@ -31,7 +31,7 @@ def test_extension_from_kernel():
     q8 = generalized_quaternion(4)
     ext = center_extension(q8)
     assert ext.central
-    assert ext.kernel_order == 2
+    assert len(ext.kernel) == 2
     assert ext.quotient.order == 4
     assert all(g.order() in (1, 2) for g in ext.quotient.elements)  # V4
     ext3 = s3_extension()
@@ -292,11 +292,10 @@ def test_find_isomorphism_pinned_witnesses():
 
 
 def test_pair_product_classes_are_one():
-    from nilcount.extension import FiberProduct, PairProduct, SemidirectProduct
-    assert FiberProduct is SemidirectProduct is PairProduct
+    from nilcount.extension import PairProduct
     A, H = cyclic(3), cyclic(2)
     sd = semidirect(A, H, {h: {a: a for a in A.elements} for h in H.elements})
-    assert isinstance(sd, FiberProduct) and len(sd.pairs) == 6
+    assert isinstance(sd, PairProduct) and len(sd.pairs) == 6
 
 
 def reference_regular_permutation_group(items, mul):

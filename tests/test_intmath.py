@@ -55,3 +55,35 @@ def test_valuation_radical_omega_against_sympy():
             e = f.get(p, 0)
             assert valuation(n, p) == (e, n // p ** e)
             assert valuation(-n * p ** 3, p) == (e + 3, -n // p ** e)
+
+
+def test_iroot_is_one_below_two_to_the_d():
+    # the guard answers before any power of size 2^d is formed
+    assert iroot(1000, 10 ** 12) == 1
+    assert iroot(1000, 2 ** 61 - 2) == 1
+    for d in (3, 10, 100):
+        assert iroot(2 ** d - 1, d) == 1 and iroot(2 ** d, d) == 2
+
+
+def test_is_prime_against_sympy_below_10_5():
+    from sympy import isprime
+    assert [n for n in range(10 ** 5) if is_prime(n)] == [
+        n for n in range(10 ** 5) if isprime(n)]
+
+
+@pytest.mark.parametrize("n", [
+    3825123056546413051,  # strong pseudoprime to the prime bases 2 .. 23
+    318665857834031151167461,  # strong pseudoprime to the bases 2 .. 37
+    999999999989 * 1000000000039,
+    2 ** 61 - 1,
+    3317044064679887385961979,  # just below the proven range
+])
+def test_is_prime_large_against_sympy(n):
+    from sympy import isprime
+    assert is_prime(n) == isprime(n)
+
+
+def test_is_prime_refuses_past_its_proven_range():
+    with pytest.raises(ValueError, match="Miller-Rabin"):
+        is_prime(2 ** 89 - 1)
+    assert not is_prime(2 ** 90)  # a small factor settles it at any size

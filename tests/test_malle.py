@@ -66,7 +66,7 @@ def test_k_classes_trivial_action():
 def test_k_classes_involutions_stay_distinct():
     G = abelian(4, 2)
     kcs = k_classes(G, Q)
-    order2 = [kc for kc in kcs if kc.element_order == 2]
+    order2 = [kc for kc in kcs if kc.classes[0].element_order == 2]
     assert len(order2) == 3
     assert all(len(kc.classes) == 1 for kc in order2)
 
