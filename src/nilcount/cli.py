@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -44,6 +45,36 @@ def _bound_string(a: Fraction, log_exp: Fraction) -> str:
     if log_exp == 1:
         return f"O({x_part} log(x))"
     return f"O({x_part} log(x)^{{{log_exp}}})"
+
+
+def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
+    """Write a CSV sidecar, every row formatted before the file is opened,
+    so that a row that cannot be written leaves no partial file."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    text = buf.getvalue()
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
+def _require_printable(specs: list[FactorSpec], checkpoints, values) -> None:
+    """Refuse partial sums longer than Python's limit on writing an integer
+    as decimal text (4300 digits by default), which nilcount does not lift."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:  # the limit is off
+        return
+    bound = 10 ** limit
+    for x, v in zip(checkpoints, values):
+        if abs(v) >= bound:
+            weights = ", ".join(t if len(t) <= 12
+                                else f"{t[:6]}... ({len(t)} digits)"
+                                for t in (str(s.m) for s in specs))
+            raise ValueError(
+                f"S({x}) has more than {limit} digits, the limit on writing "
+                f"an integer as text, at weight m = {weights}; lower the "
+                "weight or --max-x")
 
 
 def cmd_invariants(args) -> int:
@@ -111,12 +142,7 @@ def cmd_dseries(args) -> int:
                              f"got {args.checkpoints}")
         checkpoints = checkpoints[-args.checkpoints:]
     series = multi_factor_sum(specs, args.max_x, checkpoints=checkpoints)
-    rows = series_csv_rows(series)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "S", "S_over_x_alpha", "running_beta"])
-            w.writerows(rows)
+    _require_printable(specs, series.checkpoints, series.values)
     summary = {
         "schema": SCHEMA,
         "specs": [f"{s.ell}:{s.d}:{s.m}" for s in specs],
@@ -136,7 +162,11 @@ def cmd_dseries(args) -> int:
         })
     except NilcountError as e:
         summary["slope_note"] = str(e)
-    print(json.dumps(summary, indent=2))
+    report = json.dumps(summary, indent=2)
+    if args.out:
+        _write_csv(args.out, ["x", "S", "S_over_x_alpha", "running_beta"],
+                   series_csv_rows(series))
+    print(report)
     return 0
 
 
@@ -196,10 +226,8 @@ def cmd_count(args) -> int:
     else:
         raise ValueError(f"unknown count kind {kind!r}")
     if args.out and rows:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["group", "discriminant", "conductor", "tuple"])
-            w.writerows(rows)
+        _write_csv(args.out, ["group", "discriminant", "conductor", "tuple"],
+                   rows)
     print(json.dumps(summary, indent=2))
     return 0
 

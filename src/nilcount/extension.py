@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping
+from operator import add
+from typing import Callable, Hashable, Mapping, Sequence
 
 from .errors import (NotAction, PropertyViolated, QuotientMismatch,
                      VerificationFailed, require)
@@ -26,7 +27,9 @@ def regular_permutation_group(items: list, mul: Callable
                               ) -> tuple[PermGroup, dict[Hashable, Permutation]]:
     """Realize an explicitly listed group through left translation: item i
     of the sorted `items` maps to element i.  `items` must be a group under
-    `mul` with the least item as its identity, or PropertyViolated."""
+    `mul` with the least item as its identity, or PropertyViolated.  Used
+    for the catalog presentations; pair products build their table by
+    index arithmetic (`_pair_product`)."""
     items = sorted(items)
     index = {x: i for i, x in enumerate(items)}
     group = PermGroup.regular([[index.get(mul(x, y), -1) for y in items]
@@ -61,11 +64,32 @@ class PairProduct:
 
 
 def _pair_product(X: PermGroup, Y: PermGroup, pairs: list[tuple[int, int]],
-                  mul: Callable) -> PairProduct:
-    """Realize index pairs (x, y) of X and Y under `mul` as a pair product."""
-    group, _ = regular_permutation_group(pairs, mul)
+                  left: Sequence[Sequence[int]]) -> PairProduct:
+    """Realize index pairs of X and Y as a pair product.  `pairs` are in
+    canonical order, (0, 0) first, and pairs[k] = (i, j) times (x, y) is
+    (left[k][x], j y): `left[k]` is the row of X that gives the first
+    component, and the second multiplies in Y's table.
+
+    The Cayley table is index arithmetic: pair (x, y) is number
+    pos[x |Y| + y], or -1 outside the pairs (a table `PermGroup.regular`
+    refuses).  Row k maps `pos` over the sums of left[k] gathered at the
+    pairs' first components and scaled by |Y|, and of Y's row j gathered at
+    their second components; consecutive pairs that share a row of `left`
+    (a fiber product's) gather it once."""
+    n = Y.order
+    pos = [-1] * (X.order * n)
+    for k, (i, j) in enumerate(pairs):
+        pos[i * n + j] = k
+    xs, ys = [i for i, _ in pairs], [j for _, j in pairs]
+    ygot = [list(map(row.__getitem__, ys)) for row in Y.table.mul]
+    rows, last, xgot = [], None, ()
+    for j, row in zip(ys, left):
+        if row is not last:
+            last, xgot = row, list(map(n.__mul__, map(row.__getitem__, xs)))
+        rows.append(tuple(map(pos.__getitem__, map(add, xgot, ygot[j]))))
     ex, ey = X.elements, Y.elements
-    return PairProduct(tuple((ex[i], ey[j]) for i, j in sorted(pairs)), group)
+    return PairProduct(tuple((ex[i], ey[j]) for i, j in pairs),
+                       PermGroup.regular(rows))
 
 
 def _fiber_pairs(G1: PermGroup, kappa1: Mapping, G2: PermGroup,
@@ -83,9 +107,8 @@ def fiber_product_maps(G1: PermGroup, kappa1: Mapping, G2: PermGroup,
     pairs = _fiber_pairs(G1, kappa1, G2, kappa2)
     if len(pairs) * H.order != G1.order * G2.order:
         raise PropertyViolated("fiber product order is off; maps not onto H?")
-    m1, m2 = G1.table.mul, G2.table.mul
-    return _pair_product(G1, G2, pairs,
-                         lambda p, q: (m1[p[0]][q[0]], m2[p[1]][q[1]]))
+    m1 = G1.table.mul
+    return _pair_product(G1, G2, pairs, [m1[i] for i, _ in pairs])
 
 
 def fiber_product(E1: ExtensionData, E2: ExtensionData) -> PairProduct:
@@ -145,9 +168,10 @@ def semidirect(A: PermGroup, H: PermGroup,
            for h1 in range(H.order) for h2 in range(H.order) for a in range(n)):
         raise NotAction("psi is not multiplicative in h")
 
+    # (a1, h1)(a2, h2) has first component mA[a1][act[h1][a2]]
     pairs = [(a, h) for a in range(n) for h in range(H.order)]
-    return _pair_product(A, H, pairs, lambda p, q: (mA[p[0]][act[p[1]][q[0]]],
-                                                    mH[p[1]][q[1]]))
+    return _pair_product(A, H, pairs, [tuple(map(mA[a].__getitem__, act[h]))
+                                       for a, h in pairs])
 
 
 def fingerprint(G: PermGroup) -> tuple:
@@ -156,13 +180,16 @@ def fingerprint(G: PermGroup) -> tuple:
     T = G.table
     return (G.order, tuple(sorted(Counter(T.order).items())), len(T.center()),
             tuple(sorted(len(c) for c in T.classes)),
-            G.order // len(T.commutator()))
+            G.order // len(T.commutator))
 
 
-def _element_invariants(T: GroupTable) -> list[tuple[int, int]]:
-    """(element order, class size) per element index."""
+def _element_invariants(T: GroupTable) -> list[tuple[int, int, bool]]:
+    """(element order, class size, membership in the commutator subgroup)
+    per element index.  An isomorphism preserves all three: it maps classes
+    to classes and the characteristic subgroup G' onto G'."""
     size = {i: len(c) for c in T.classes for i in c}
-    return [(o, size[i]) for i, o in enumerate(T.order)]
+    comm = T.commutator
+    return [(o, size[i], i in comm) for i, o in enumerate(T.order)]
 
 
 def find_isomorphism(G1: PermGroup, G2: PermGroup) -> dict[Permutation, Permutation] | None:
@@ -173,6 +200,12 @@ def find_isomorphism(G1: PermGroup, G2: PermGroup) -> dict[Permutation, Permutat
     returned, so the result is deterministic.  Each chosen image extends the
     partial map from <g_1..g_i-1> to <g_1..g_i> along the Cayley graph, and
     the extension is undone on backtracking.
+
+    Every new image must share its preimage's invariants (element order,
+    class size, membership in G'); any other image is a clash like a
+    conflicting or reused one.  No isomorphism is cut that way, and the
+    candidates keep their order, so the first witness is the one the
+    search without this check finds; only dead branches end sooner.
     """
     if G1.order != G2.order:
         return None
@@ -182,8 +215,9 @@ def find_isomorphism(G1: PermGroup, G2: PermGroup) -> dict[Permutation, Permutat
     m1, m2 = G1.table.mul, G2.table.mul
     gens = G1.table.generating_set()
     inv1 = _element_invariants(G1.table)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for g, key in enumerate(_element_invariants(G2.table)):
+    inv2 = _element_invariants(G2.table)
+    buckets: dict[tuple[int, int, bool], list[int]] = {}
+    for g, key in enumerate(inv2):
         buckets.setdefault(key, []).append(g)
     phi = [0] + [-1] * (G1.order - 1)
     used = [True] + [False] * (G2.order - 1)
@@ -197,7 +231,7 @@ def find_isomorphism(G1: PermGroup, G2: PermGroup) -> dict[Permutation, Permutat
             # edges by earlier generators stay inside the old domain
             for a, b in (new if k < size else pairs):
                 y, fy = m1[x][a], m2[phi[x]][b]
-                if phi[y] < 0 and not used[fy]:
+                if phi[y] < 0 and not used[fy] and inv1[y] == inv2[fy]:
                     phi[y], used[fy] = fy, True
                     domain.append(y)
                 elif phi[y] != fy:
@@ -223,7 +257,9 @@ def find_isomorphism(G1: PermGroup, G2: PermGroup) -> dict[Permutation, Permutat
             chosen.pop()
         return False
 
-    if not dfs(0):
+    found = dfs(0)
+    del dfs  # a recursive closure is a reference cycle: free it now
+    if not found:
         return None
     if len(domain) != G1.order:
         raise PropertyViolated("witness map does not cover the group")

@@ -339,10 +339,14 @@ class GroupTable:
             H = self.closure(gens, H)
         return H
 
-    def commutator(self) -> set[int]:
+    @cached_property
+    def commutator(self) -> frozenset[int]:
+        """The commutator subgroup [G, G]: the normal closure of the
+        commutators of the generators."""
         mul, inv = self.mul, self.inv
-        return self.normal_closure(mul[mul[inv[a]][inv[b]]][mul[a][b]]
-                                   for a in self.gens for b in self.gens)
+        return frozenset(self.normal_closure(
+            mul[mul[inv[a]][inv[b]]][mul[a][b]]
+            for a in self.gens for b in self.gens))
 
     def subset(self, idx: Iterable[int]) -> frozenset[Permutation]:
         return frozenset(map(self.elements.__getitem__, idx))
@@ -482,7 +486,7 @@ def _indices(T: GroupTable, elements: Iterable[Permutation]) -> set[int] | None:
 
 
 def commutator_subgroup(G: PermGroup) -> frozenset[Permutation]:
-    return G.table.subset(G.table.commutator())
+    return G.table.subset(G.table.commutator)
 
 
 def quotient_with_map(G: PermGroup, N: Iterable[Permutation]

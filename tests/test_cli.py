@@ -266,6 +266,34 @@ def test_dseries_weight_past_the_float_range(tmp_path, capsys):
     assert rows[0][2] != ""  # 6 * 10^240 still fits a float
 
 
+def test_dseries_sums_past_the_digit_limit_are_refused(tmp_path, capsys):
+    # S(1000) with m = 10^2000 passes 4300 digits: refused after the sum,
+    # before --out is opened, so an earlier file stays as it was
+    out = tmp_path / "w.csv"
+    out.write_text("earlier\n")
+    m = "1" + "0" * 2000
+    code, rep = run_cli(capsys, "dseries", "--specs", f"3:1:{m}",
+                        "--max-x", "100000", "--out", str(out))
+    assert code == 2
+    assert rep["error"] == (
+        "ValueError: S(1000) has more than 4300 digits, the limit on "
+        "writing an integer as text, at weight m = 100000... (2001 digits); "
+        "lower the weight or --max-x")
+    assert out.read_text() == "earlier\n"
+    fresh = tmp_path / "fresh.csv"
+    code, rep = run_cli(capsys, "dseries", "--specs", f"3:1:4,5:1:{m}",
+                        "--max-x", "100000", "--out", str(fresh))
+    assert code == 2 and "weight m = 4, 100000... (2001 digits)" in rep["error"]
+    assert not fresh.exists()
+    # below the limit the sums are written in full: omega <= 4 up to 1e5,
+    # so S(1e5) has about 4000 digits at m = 10^1000
+    code, rep = run_cli(capsys, "dseries", "--specs", f"3:1:{10 ** 1000}",
+                        "--max-x", "100000", "--out", str(fresh))
+    assert code == 0 and 4000 < len(str(rep["final_sum"])) <= 4300
+    assert fresh.read_text().splitlines()[-1].split(",")[1] == str(
+        rep["final_sum"])
+
+
 def test_dseries_huge_d_answers_without_forming_2_to_the_d(capsys):
     code, rep = run_cli(capsys, "dseries", "--specs", "3:1000000000000:1",
                         "--max-x", "1000")

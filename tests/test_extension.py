@@ -57,6 +57,18 @@ def test_fiber_product_orders():
     assert len(fp3.pairs) == 18
 
 
+def test_fiber_product_refuses_maps_that_are_not_homomorphisms():
+    from nilcount.errors import PropertyViolated
+    G, H = cyclic(4), cyclic(2)
+    e, h = H.elements
+    parity = {g: (e, h)[i % 2] for i, g in enumerate(G.elements)}
+    halves = {g: (e, h)[i // 2] for i, g in enumerate(G.elements)}
+    # both maps have fibers of size 2, so the order test passes; the
+    # product (0, 1)(0, 1) = (0, 2) of pairs has kappa values e and h
+    with pytest.raises(PropertyViolated, match="Cayley table"):
+        extension.fiber_product_maps(G, parity, G, halves, H)
+
+
 def test_fiber_product_quotient_mismatch():
     q8 = generalized_quaternion(4)
     with pytest.raises(QuotientMismatch):
@@ -291,6 +303,109 @@ def test_find_isomorphism_pinned_witnesses():
                 assert phi[a * b] == phi[a] * phi[b]
 
 
+def two_part_invariants(T):
+    """(element order, class size) per element index."""
+    size = {i: len(c) for c in T.classes for i in c}
+    return [(o, size[i]) for i, o in enumerate(T.order)]
+
+
+def unpruned_find_isomorphism(G1, G2):
+    """The search before the per-image invariant check, kept verbatim as an
+    oracle (its two-part `_element_invariants` is `two_part_invariants`
+    here): candidates bucketed by (order, class size) only, and a new image
+    refused only when it clashes or is already used."""
+    from nilcount.errors import PropertyViolated, require
+    if G1.order != G2.order:
+        return None
+    require("isomorphism order", G1.order)
+    if fingerprint(G1) != fingerprint(G2):
+        return None
+    m1, m2 = G1.table.mul, G2.table.mul
+    gens = G1.table.generating_set()
+    inv1 = two_part_invariants(G1.table)
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for g, key in enumerate(two_part_invariants(G2.table)):
+        buckets.setdefault(key, []).append(g)
+    phi = [0] + [-1] * (G1.order - 1)
+    used = [True] + [False] * (G2.order - 1)
+    domain = [0]  # the subgroup generated so far, where phi is defined
+    chosen: list[int] = []
+
+    def extend(i: int) -> bool:
+        """Extend phi by gens[i] -> chosen[i]; on a clash, undo and fail."""
+        size, new, pairs = len(domain), [(gens[i], chosen[i])], list(zip(gens, chosen))
+        for k, x in enumerate(domain):  # grows while it is scanned
+            # edges by earlier generators stay inside the old domain
+            for a, b in (new if k < size else pairs):
+                y, fy = m1[x][a], m2[phi[x]][b]
+                if phi[y] < 0 and not used[fy]:
+                    phi[y], used[fy] = fy, True
+                    domain.append(y)
+                elif phi[y] != fy:
+                    retract(size)
+                    return False
+        return True
+
+    def retract(size: int) -> None:
+        for y in domain[size:]:
+            used[phi[y]], phi[y] = False, -1
+        del domain[size:]
+
+    def dfs(i: int) -> bool:
+        if i == len(gens):
+            return True
+        for b in buckets.get(inv1[gens[i]], ()):
+            chosen.append(b)
+            size = len(domain)
+            if extend(i):
+                if dfs(i + 1):
+                    return True
+                retract(size)
+            chosen.pop()
+        return False
+
+    if not dfs(0):
+        return None
+    if len(domain) != G1.order:
+        raise PropertyViolated("witness map does not cover the group")
+    return {g: G2.elements[f] for g, f in zip(G1.elements, phi)}
+
+
+def test_pruned_search_returns_the_unpruned_witness(monkeypatch):
+    from nilcount.suites import run_suite
+    calls = []
+    real = extension.find_isomorphism
+
+    def record(G1, G2):
+        out = real(G1, G2)
+        calls.append((G1, G2, out))
+        return out
+    monkeypatch.setattr(extension, "find_isomorphism", record)
+    counts = []
+    for sid in ("4.5", "4.7"):
+        assert run_suite(sid).passed
+        counts.append(len(calls) - sum(counts))
+    assert counts == [92, 217]
+    assert sum(out is None for _, _, out in calls) == 36
+    for G1, G2, out in calls:
+        assert out == unpruned_find_isomorphism(G1, G2)
+
+
+def test_pruned_search_on_the_heis27_fiber_product():
+    # G x_H G against G x_H (A x| H) for the centre of Heis27: order 81,
+    # exponent 3, where the first two generators of G1 span the centre
+    ext = center_extension(resolve("Heis27").group())
+    sd = semidirect(PermGroup.from_elements(ext.kernel), ext.quotient,
+                    conjugation_action(ext))
+    kappa_sd = {g: h for g, (a, h) in zip(sd.group.elements, sd.pairs)}
+    G1 = fiber_product(ext, ext).group
+    G2 = extension.fiber_product_maps(ext.group, ext.kappa, sd.group,
+                                      kappa_sd, ext.quotient).group
+    assert G1.order == G2.order == 81 and G1.table.exponent == 3
+    phi = find_isomorphism(G1, G2)
+    assert phi is not None and phi == unpruned_find_isomorphism(G1, G2)
+
+
 def test_pair_product_classes_are_one():
     from nilcount.extension import PairProduct
     A, H = cyclic(3), cyclic(2)
@@ -318,10 +433,25 @@ def assert_same_group(G, R):
     assert G.table.mul == R.table.mul
 
 
+def fiber_reference(G1, kappa1, G2, kappa2, H):
+    """The pairs and the multiplication of the earlier fiber product."""
+    m1, m2 = G1.table.mul, G2.table.mul
+    pairs = extension._fiber_pairs(G1, kappa1, G2, kappa2)
+    return pairs, lambda p, q: (m1[p[0]][q[0]], m2[p[1]][q[1]])
+
+
+def semidirect_reference(A, H, psi):
+    """The pairs and the multiplication of the earlier semidirect product."""
+    TA, mA, mH = A.table, A.table.mul, H.table.mul
+    act = [[TA.idx[psi[h][a]] for a in A.elements] for h in H.elements]
+    pairs = [(a, h) for a in range(A.order) for h in range(H.order)]
+    return pairs, lambda p, q: (mA[p[0]][act[p[1]][q[0]]], mH[p[1]][q[1]])
+
+
 def test_regular_realizations_match_translation_reference(monkeypatch):
     from nilcount import catalog
     from nilcount.suites import run_suite
-    realized, cyclic_products = [], []
+    realized, products, cyclic_products = [], [], []
     real = extension.regular_permutation_group
     cyclic_product = extension._cyclic_product
 
@@ -329,6 +459,14 @@ def test_regular_realizations_match_translation_reference(monkeypatch):
         out = real(items, mul)
         realized.append((items, mul, out))
         return out
+
+    def recorder(build, reference, second):
+        """Record X, Y (argument `second`), the reference and the result."""
+        def run(*args):
+            out = build(*args)
+            products.append((args[0], args[second], reference(*args), out))
+            return out
+        return run
 
     def record_cyclic(ell, K):
         out = cyclic_product(ell, K)
@@ -338,15 +476,27 @@ def test_regular_realizations_match_translation_reference(monkeypatch):
     for name in ("Q8", "Q16", "Q32", "D4_S8", "Heis27"):
         resolve(name).group()
     assert len(realized) == 5
-    monkeypatch.setattr(extension, "regular_permutation_group", record)
+    # pair products are tables of index arithmetic, not realized items:
+    # record them where they are built
+    monkeypatch.setattr(extension, "fiber_product_maps", recorder(
+        extension.fiber_product_maps, fiber_reference, 2))
+    monkeypatch.setattr(extension, "semidirect", recorder(
+        extension.semidirect, semidirect_reference, 1))
     monkeypatch.setattr(extension, "_cyclic_product", record_cyclic)
     for sid in ("4.5", "4.7"):
         assert run_suite(sid).passed
-    assert len(realized) > 5 and cyclic_products
+    assert len(products) >= 138 and cyclic_products
     for items, mul, (group, to_item) in realized:
         ref, to_perm = reference_regular_permutation_group(items, mul)
         assert_same_group(group, ref)
         assert to_item == to_perm
+    for X, Y, (pairs, mul), product in products:
+        ref, to_perm = reference_regular_permutation_group(pairs, mul)
+        assert_same_group(product.group, ref)
+        pairs = sorted(pairs)
+        assert [to_perm[p] for p in pairs] == list(product.group.elements)
+        assert product.pairs == tuple((X.elements[i], Y.elements[j])
+                                      for i, j in pairs)
     for ell, K, group in cyclic_products:
         mK = K.table.mul
         ref, to_perm = reference_regular_permutation_group(

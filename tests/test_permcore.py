@@ -224,6 +224,18 @@ def test_group_table_is_cached_on_the_group():
     assert H._table is not None and H.table.mul == G.table.mul
 
 
+def test_commutator_subgroup_is_cached_and_matches_enumeration():
+    from nilcount.catalog import resolve
+    from nilcount.permcore import commutator_subgroup
+    for name in ("Q8", "D4_S4", "Heis27", "S3", "C4xC2_S8"):
+        G = resolve(name).group()
+        T = G.table
+        assert T.commutator is T.commutator, name
+        comms = [a.inverse() * b.inverse() * a * b
+                 for a in G.elements for b in G.elements]
+        assert commutator_subgroup(G) == brute_closure(comms), name
+
+
 def test_from_elements_rejects_unclosed_sets():
     d4 = PermGroup.generate(parse_generators("(1,2,3,4);(1,3)"))
     r = parse_permutation("(1,2,3,4)")
