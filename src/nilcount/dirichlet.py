@@ -16,6 +16,7 @@ is refused only by the arrays it builds (the "sieve entries" limit).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
@@ -49,10 +50,19 @@ class FactorSpec:
 
     @classmethod
     def parse(cls, text: str) -> "FactorSpec":
-        """Parse "ell:d:m", e.g. "3:1:4"."""
+        """Parse "ell:d:m", e.g. "3:1:4".  A field longer than Python's limit
+        on reading an integer from text (4300 digits by default), which
+        nilcount does not lift, is refused by name."""
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"expected ell:d:m, got {text!r}")
+        limit = sys.get_int_max_str_digits()  # 0 when the limit is off
+        for name, t in zip(("ell", "d", "m"), parts):
+            if limit and len(t) > limit:
+                raise ValueError(
+                    f"{name} = {t[:6]}... ({len(t)} digits) has more than "
+                    f"{limit} digits, the limit on reading an integer from "
+                    f"text; lower {name}")
         return cls(int(parts[0]), int(parts[1]), int(parts[2]))
 
 

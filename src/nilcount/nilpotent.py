@@ -35,8 +35,7 @@ def natural_product(G1: PermGroup, G2: PermGroup) -> PermGroup:
     id1, id2 = G1.identity, G2.identity
     gens = ([pair_perm(g, id2) for g in G1.generators]
             + [pair_perm(id1, g) for g in G2.generators])
-    elements = [pair_perm(a, b) for a in G1.elements for b in G2.elements]
-    return PermGroup(n1 * n2, gens, elements)
+    return PermGroup.generate(gens)
 
 
 def sylow_subgroup_sets(G: PermGroup) -> dict[int, frozenset[Permutation]]:

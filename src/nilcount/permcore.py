@@ -6,10 +6,9 @@ algorithm runs on the group's `GroupTable`, cached on the instance: the same
 elements in the same order with integer product and inverse tables.  A group
 given by its Cayley table (`PermGroup.regular`: quotients, pair and cyclic
 products, presentations) is that table's regular action, and the table is
-its `mul`; any other group fills `mul` from a base on first use.
-Full-degree products are formed only to close generators (`mulclose`) and
-to check a claimed element set (`from_elements`), never for a group given
-by its table.
+its `mul`.  Any other group is generated (`PermGroup.generate`): `mulclose`,
+the only code forming full-degree products, closes it, and `mul` is
+gathered along the closure's walk, by index arithmetic, on first use.
 
 The "group order" limit of `errors.LIMITS` (4096) bounds every group.
 """
@@ -19,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -122,46 +121,45 @@ class Permutation:
         return f"Permutation({cycle_string(self)!r}, degree={self.degree})"
 
 
-def mulclose(gens: Iterable[Permutation]) -> set[Permutation]:
-    """Closure of the generators under composition (BFS over new products),
-    refused at its first element past the group-order limit."""
+def mulclose(gens: Iterable[Permutation]) -> tuple[dict, list]:
+    """Closure of the generators under composition, a BFS over new products
+    refused at its first element past the group-order limit.  Returns the
+    elements numbered as found (the identity is 0), and `left`, where
+    left[a][k] numbers gens[a] * element k."""
     gens, most = list(gens), LIMITS["group order"]
     if not gens:
         raise ValueError("need at least one generator")
-    els: set[Permutation] = {Permutation.identity(gens[0].degree)}
-    els.update(gens)
-    frontier = list(els)
-    while frontier:
+    frontier = [Permutation.identity(gens[0].degree)]
+    index, left = {frontier[0]: 0}, [[] for _ in gens]
+    while frontier:  # numbered layer by layer, in order: row[k] is element k's
         new = []
-        for a in gens:
-            for b in frontier:
-                c = a * b
-                if c not in els:
-                    els.add(c)
+        for g, row in zip(gens, left):
+            for x in frontier:
+                c = g * x
+                k = index.get(c)
+                if k is None:
+                    k = index[c] = len(index)
                     new.append(c)
-                    if len(els) > most:  # compared inline: a hot loop
-                        require("group order", len(els))
+                    if k >= most:  # compared inline: a hot loop
+                        require("group order", k + 1)
+                row.append(k)
         frontier = new
-    return els
+    return index, left
 
 
-def _base_table(elements: Sequence[Permutation]) -> list[tuple[int, ...]]:
-    """`mul` filled from a base, the points (taken in order) whose images
-    separate the elements: each product is one lookup of the base images of
-    b under a, and a product outside the elements raises KeyError."""
-    base, keys = [], [()] * len(elements)
-    for p in range(elements[0].degree):
-        trial = [k + (g.images[p],) for k, g in zip(keys, elements)]
-        if len(set(trial)) > len(set(keys)):
-            base.append(p)
-            keys = trial
-            if len(set(keys)) == len(elements):
-                break
-    base = base or [0]
-    cols = [itemgetter(*base)(g.images) for g in elements]
-    at = {c: i for i, c in enumerate(cols)}
-    get = [itemgetter(*c) if len(base) > 1 else itemgetter(c) for c in cols]
-    return [tuple([at[g(a.images)] for g in get]) for a in elements]
+def _gathered_rows(rank: list[int], left: list) -> list[tuple[int, ...]]:
+    """The Cayley table of a `mulclose` walk, `rank` listing the found numbers
+    in canonical order.  Row gens[a] * x is left[a] read along row x, and each
+    element but the identity is such a product of one found before it."""
+    pos = sorted(range(len(rank)), key=rank.__getitem__)  # rank's inverse
+    lefts = [[pos[row[k]] for k in rank] for row in left]
+    mul = [()] * len(rank)
+    mul[0] = tuple(range(len(rank)))  # the identity is least and found first
+    for p in pos:  # in the order found: row p is filled by now
+        for lf in lefts:
+            if not mul[lf[p]]:
+                mul[lf[p]] = itemgetter(*mul[p])(lf)  # n >= 2 here: a tuple
+    return mul
 
 
 def orbit_sizes(gens: Sequence[Permutation]) -> list[int]:
@@ -197,26 +195,27 @@ class GroupTable:
     """Cayley table of a group: the elements in canonical order (identity at
     0), `idx`, `mul[i][j]` = index of elements[i] * elements[j], `inv`, and
     per element `order` and `ind` (degree minus orbit count); `gens` are the
-    generator indices.  `mul` is the given table, or else filled from a base
-    (`_base_table`).  A group past the order limit is refused before
-    anything is allocated.
+    generator indices (greedy when none are given).  A group past the order
+    limit is refused before `mul` is read.
 
     `minimal` is the bitmask of the minimal-index elements and
     `critical_prime` their common prime order; `is_subgroup` is the one
     closure test for an index set.
     """
 
-    def __init__(self, elements: Sequence[Permutation],
-                 generators: Sequence[Permutation] | None = None,
-                 mul: list[tuple[int, ...]] | None = None):
+    def __init__(self, elements: Sequence[Permutation], mul: list[tuple[int, ...]],
+                 generators: Sequence[Permutation] | None = None):
         require("group order", len(elements))
         self.elements = elements = tuple(elements)
         self.idx = {g: i for i, g in enumerate(elements)}
-        self.mul = mul = _base_table(elements) if mul is None else mul
+        self.mul = mul
         self.inv = [row.index(0) for row in mul]
         self.gens = (self.generating_set() if generators is None
                      else [self.idx[g] for g in generators])
-        self.order = [len(self.cyclic(i)) for i in range(len(elements))]
+        self.order = order = [0] * len(elements)
+        for powers in (self.cyclic(i) for i, o in enumerate(order) if not o):
+            for k, p in enumerate(powers):  # g^k has order |g| / gcd(|g|, k)
+                order[p] = len(powers) // gcd(len(powers), k)
 
     @cached_property
     def ind(self) -> list[int]:
@@ -357,49 +356,48 @@ class PermGroup:
 
     `elements` is sorted lexicographically by image table, so the identity is
     always `elements[0]` and iteration order is canonical.  `table`, the
-    group's `GroupTable`, is built with the group or on first use, and cached.
+    group's `GroupTable`, comes with a group built from its table; a
+    generated group keeps its closure's walk and gathers it on first use.
     """
 
     __slots__ = ("degree", "generators", "elements", "_elemset", "_table")
 
-    def __init__(self, degree: int, generators: Sequence[Permutation],
-                 elements: Iterable[Permutation],
-                 table: GroupTable | None = None):
-        self.degree = degree
+    def __init__(self, generators: Sequence[Permutation],
+                 elements: Sequence[Permutation], table: GroupTable | tuple):
+        self.degree = elements[0].degree
         self.generators = tuple(generators)
-        self.elements = tuple(sorted(elements))
+        self.elements = tuple(elements)
         self._elemset = frozenset(self.elements)
-        self._table = table
-        if not self.elements or not self.elements[0].is_identity():
-            raise ValueError("element list must contain the identity")
+        self._table = table  # the GroupTable, or the walk it is gathered from
 
     @classmethod
     def generate(cls, gens: Sequence[Permutation]) -> "PermGroup":
         gens = list(gens)
-        elements = mulclose(gens)  # DegreeMismatch at the first product
-        return cls(gens[0].degree, gens, elements)
+        index, left = mulclose(gens)  # DegreeMismatch at the first product
+        found = list(index)
+        rank = sorted(range(len(found)), key=lambda k: found[k].images)
+        return cls(gens, [found[k] for k in rank], (rank, left))
 
     @classmethod
     def from_elements(cls, elements: Iterable[Permutation]) -> "PermGroup":
-        """Build a group from a set already closed under composition.
-
-        The table is filled assuming closure, then checked in the columns of
-        the greedy generators, which reach every element: a set closed under
-        right multiplication by them is the group they generate.
-        """
-        elems = sorted(set(elements))
+        """The group with these elements, by the greedy closure: each element,
+        in canonical order, that the ones before it do not generate is closed
+        with them (the greedy `GroupTable.generating_set`), and ValueError as
+        soon as a closure leaves the set."""
+        members = set(elements)
+        elems = sorted(members)
         if not elems:
             raise ValueError("empty element collection")
         if len({g.degree for g in elems}) > 1:
             raise DegreeMismatch("elements of different degrees")
-        try:
-            table = GroupTable(elems) if elems[0].is_identity() else None
-        except (KeyError, ValueError, PropertyViolated):
-            table = None
-        if table is None or any(x * elems[g] != elems[table.mul[j][g]]
-                                for g in table.gens for j, x in enumerate(elems)):
-            raise ValueError("element collection is not multiplicatively closed")
-        return cls(elems[0].degree, [elems[g] for g in table.gens], elems, table)
+        gens, group = [], cls.generate([Permutation.identity(elems[0].degree)])
+        for g in elems:
+            if g not in group:
+                gens.append(g)
+                group = cls.generate(gens)
+                if not group._elemset <= members:
+                    raise ValueError("element collection is not multiplicatively closed")
+        return group
 
     @classmethod
     def regular(cls, rows: Sequence[Sequence[int]],
@@ -415,19 +413,20 @@ class PermGroup:
             raise PropertyViolated("not a Cayley table on 0..n-1 with identity 0")
         rows = [tuple(r) for r in rows]
         els = [Permutation.trusted(r) for r in rows]
-        T = GroupTable(els, generators and [els[g] for g in generators], rows)
+        T = GroupTable(els, rows, generators and [els[g] for g in generators])
         if len(T.closure(T.gens)) < len(rows):
             raise PropertyViolated("the generators miss an element")
         for g in set(T.gens) - {0}:  # Light's test: a(gx) = (ag)x
             get = itemgetter(*rows[g])  # a -> a(gx) over all x, as a tuple
             if any(get(r) != rows[r[g]] for r in rows):
                 raise PropertyViolated("rows fail Light's associativity test")
-        return cls(len(rows), [els[g] for g in T.gens], els, T)
+        return cls([els[g] for g in T.gens], els, T)
 
     @property
     def table(self) -> GroupTable:
-        if self._table is None:
-            self._table = GroupTable(self.elements, self.generators)
+        if not isinstance(self._table, GroupTable):  # the walk: gather it
+            rows = _gathered_rows(*self._table)
+            self._table = GroupTable(self.elements, rows, self.generators)
         return self._table
 
     @property

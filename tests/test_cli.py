@@ -294,6 +294,21 @@ def test_dseries_sums_past_the_digit_limit_are_refused(tmp_path, capsys):
         rep["final_sum"])
 
 
+def test_dseries_spec_fields_past_the_digit_limit_are_refused(capsys):
+    # int() would refuse them with Python's own advice to lift the limit
+    for spec, field in ((f"3:1:1{'0' * 4400}", "m = 100000... (4401 digits)"),
+                        (f"1{'0' * 4300}:1:1", "ell = 100000... (4301 digits)")):
+        code, rep = run_cli(capsys, "dseries", "--specs", spec,
+                            "--max-x", "1000")
+        assert code == 2
+        assert rep["error"] == (
+            f"ValueError: {field} has more than 4300 digits, the limit on "
+            f"reading an integer from text; lower {field.split()[0]}")
+    code, rep = run_cli(capsys, "dseries", "--specs", f"3:1:{'9' * 4300}",
+                        "--max-x", "1")  # at the limit the field is read
+    assert code == 0 and rep["final_sum"] == 1
+
+
 def test_dseries_huge_d_answers_without_forming_2_to_the_d(capsys):
     code, rep = run_cli(capsys, "dseries", "--specs", "3:1000000000000:1",
                         "--max-x", "1000")
@@ -431,6 +446,21 @@ def test_oversized_raw_cycles_refused_before_closing(capsys):
     code, rep = run_cli(capsys, "invariants", "--group", "(4999,5000)")
     assert code == 1 and rep["transitive"] is False
     assert (rep["degree"], rep["order"]) == (5000, 2)
+
+
+def test_intransitive_report_builds_no_table(capsys):
+    # 12 disjoint transpositions generate C2^12 on 24 points: the report
+    # needs its order and orbits, not its table of 2^24 entries (about
+    # 130 MiB when built)
+    spec = ";".join(f"({i},{i + 1})" for i in range(1, 24, 2))
+    tracemalloc.start()
+    try:
+        code, rep = run_cli(capsys, "invariants", "--group", spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and rep["transitive"] is False and rep["order"] == 4096
+    assert peak < 16 << 20
 
 
 def test_long_orbit_raw_cycles_refused_before_closing(capsys):

@@ -258,7 +258,8 @@ def reference_find_isomorphism(G1, G2):
     for e in G1.elements:
         if e not in have:
             gens.append(e)
-            have = mulclose(gens)
+            have = mulclose(gens)[0]  # the elements, numbered
+    assert gens == [G1.elements[g] for g in G1.table.generating_set()]
     inv1, inv2 = invariants(G1), invariants(G2)
 
     def build(prefix, images):

@@ -1,7 +1,14 @@
+import importlib.util
+import sys
 import tracemalloc
+from functools import cache
 from itertools import permutations
+from operator import itemgetter
+from pathlib import Path
+from typing import Sequence
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilcount.errors import (LIMITS, BudgetExceeded, DegreeMismatch, NotNormal,
                              NotPrime)
@@ -219,9 +226,8 @@ def test_group_table_agrees_with_permutation_products():
 def test_group_table_is_cached_on_the_group():
     G = generalized_quaternion(4)
     assert G.table is G.table
-    # from_elements fills the table while it checks closure
     H = PermGroup.from_elements(G.elements)
-    assert H._table is not None and H.table.mul == G.table.mul
+    assert H.table.mul == G.table.mul
 
 
 def test_commutator_subgroup_is_cached_and_matches_enumeration():
@@ -243,6 +249,8 @@ def test_from_elements_rejects_unclosed_sets():
         PermGroup.from_elements([d4.identity, r])  # missing r^2, r^3
     with pytest.raises(ValueError):
         PermGroup.from_elements([r, r * r])  # no identity
+    with pytest.raises(DegreeMismatch):
+        PermGroup.from_elements([Permutation.identity(3), r])
 
 
 def test_catalog_invariants_against_sympy():
@@ -257,12 +265,144 @@ def test_catalog_invariants_against_sympy():
 
 def test_table_budget_guards_before_building():
     assert LIMITS["group order"] == 4096  # a table of 2^24 entries
-    # the elements of S_8, listed directly: generating them is refused
-    G = PermGroup(8, parse_generators(S8),
-                  map(Permutation, permutations(range(8))))
-    assert G.order == 40320
-    with pytest.raises(BudgetExceeded):
-        G.table
-    assert G._table is None
-    with pytest.raises(BudgetExceeded):
-        GroupTable(G.elements)
+    # the elements of S_8, listed directly: the greedy closure that checks
+    # them is refused at its 4097th element
+    elements = sorted(map(Permutation, permutations(range(8))))
+    with pytest.raises(BudgetExceeded, match="order 4097 exceeds 4096"):
+        PermGroup.from_elements(elements)
+    with pytest.raises(BudgetExceeded):  # before mul is read, or None
+        GroupTable(elements, None)        # would raise TypeError
+
+
+# The element-list route, kept as the oracle of `PermGroup.generate`: the
+# elements sorted, and `mul` filled from a base of points.
+
+def _base_table(elements: Sequence[Permutation]) -> list[tuple[int, ...]]:
+    """`mul` filled from a base, the points (taken in order) whose images
+    separate the elements: each product is one lookup of the base images of
+    b under a, and a product outside the elements raises KeyError."""
+    base, keys = [], [()] * len(elements)
+    for p in range(elements[0].degree):
+        trial = [k + (g.images[p],) for k, g in zip(keys, elements)]
+        if len(set(trial)) > len(set(keys)):
+            base.append(p)
+            keys = trial
+            if len(set(keys)) == len(elements):
+                break
+    base = base or [0]
+    cols = [itemgetter(*base)(g.images) for g in elements]
+    at = {c: i for i, c in enumerate(cols)}
+    get = [itemgetter(*c) if len(base) > 1 else itemgetter(c) for c in cols]
+    return [tuple([at[g(a.images)] for g in get]) for a in elements]
+
+
+def set_closure(gens):
+    """The generated element set, by BFS over new products."""
+    els = {Permutation.identity(gens[0].degree), *gens}
+    frontier = list(els)
+    while frontier:
+        frontier = list({a * b for a in gens for b in frontier} - els)
+        els.update(frontier)
+    return els
+
+
+def reference_pair_product(G1, G2):
+    """The natural product's generators and elements as the element-list
+    route listed them: point (i, j) is i*n2 + j."""
+    n1, n2 = G1.degree, G2.degree
+
+    def pair_perm(g1, g2):
+        return Permutation.trusted(tuple(g1.images[i] * n2 + g2.images[j]
+                                         for i in range(n1) for j in range(n2)))
+
+    id1, id2 = G1.identity, G2.identity
+    gens = ([pair_perm(g, id2) for g in G1.generators]
+            + [pair_perm(id1, g) for g in G2.generators])
+    return gens, [pair_perm(a, b) for a in G1.elements for b in G2.elements]
+
+
+def assert_reference(case, G, elements, generators=None):
+    """G has the sorted elements, the generators (the greedy ones when none
+    are given), the generator indices and the base-filled `mul` of the
+    element-list route."""
+    elements = tuple(sorted(elements))
+    mul = _base_table(elements)
+    T = GroupTable(elements, mul, generators)  # greedy over the oracle's mul
+    assert G.elements == elements, case
+    assert G.generators == tuple(elements[g] for g in T.gens), case
+    assert G.table.gens == T.gens, case
+    assert G.table.mul == mul, case
+
+
+def _workloads():
+    """The benchmark's job lists, read only (the module imports nothing
+    from nilcount)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_catalog_and_benchmark_groups_match_the_element_list_route():
+    from nilcount.catalog import get_group, resolve
+    for name, G in _catalog_groups():
+        assert_reference(name, G, set_closure(G.generators), G.generators)
+    wl = _workloads()
+    for name in wl.ABELIAN_PATTERNS:
+        G = resolve(name).group()
+        assert_reference(name, G, set_closure(G.generators), G.generators)
+    for name, factors in wl.PRODUCTS.items():
+        gens = parse_generators(wl.natural_product(*factors))
+        G = get_group(wl.natural_product(*factors))[1]
+        assert_reference(name, G, set_closure(gens), gens)
+
+
+def test_natural_products_and_sylow_factors_match_the_element_list_route():
+    from nilcount.catalog import resolve
+    from nilcount.nilpotent import natural_product, sylow_decompose
+    from nilcount.suites import _COPRIME_PAIRS
+    for n1, n2 in _COPRIME_PAIRS:
+        G1, G2 = resolve(n1).group(), resolve(n2).group()
+        gens, elements = reference_pair_product(G1, G2)
+        assert_reference((n1, n2), natural_product(G1, G2), elements, gens)
+    for name in ("Q8xC3_S24", "D4xC3_S12"):
+        for ell, F in sylow_decompose(resolve(name).group()).factors:
+            assert_reference((name, ell), F, F.elements)  # greedy generators
+
+
+FIXED = settings(derandomize=True, database=None, max_examples=100,
+                 deadline=None)
+
+
+@cache
+def _d4xc3():
+    from nilcount.catalog import resolve
+    return resolve("D4xC3_S12").group()  # order 24 on 12 points
+
+
+@FIXED
+@given(st.lists(st.integers(0, 23), min_size=1, max_size=4))
+def test_random_generating_sets_give_the_reference_table(picks):
+    gens = [_d4xc3().elements[i] for i in picks]
+    G = PermGroup.generate(gens)
+    assert_reference(picks, G, set_closure(gens), gens)
+    H = PermGroup.from_elements(G.elements)
+    assert (H.elements, H.table.mul) == (G.elements, G.table.mul)
+    assert_reference(picks, H, G.elements)
+
+
+@FIXED
+@given(st.sets(st.integers(0, 23), min_size=1))
+def test_from_elements_refuses_sets_that_are_not_groups(picks):
+    members = {_d4xc3().elements[i] for i in picks}
+    if set_closure(list(members)) == members:
+        assert PermGroup.from_elements(members).order == len(members)
+    else:
+        with pytest.raises(ValueError, match="not multiplicatively closed"):
+            PermGroup.from_elements(members)
+    if members - {_d4xc3().identity}:
+        with pytest.raises(ValueError, match="not multiplicatively closed"):
+            PermGroup.from_elements(members - {_d4xc3().identity})
+

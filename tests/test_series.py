@@ -110,7 +110,7 @@ def test_refinement_data_validation():
     with pytest.raises(InvalidChain):
         # the step V4 > <s> is not central: [s, r] lands outside <s>
         refinement_data(d4, [frozenset(d4.elements),
-                             frozenset(mulclose([s, r * r])),
+                             frozenset(mulclose([s, r * r])[0]),
                              frozenset({d4.identity, s}),
                              frozenset({d4.identity})])
     # a non-subgroup member
