@@ -31,6 +31,7 @@ SEGMENT = 1 << 23
 OMEGA_MAX = 15  # omega(n) for n < 2^63, as 2*3*5*...*53 > 2^63
 _POISON = -64  # below -OMEGA_MAX: stays negative whatever is added to it
 CHECKPOINT_START = 1000
+PAIR_BLOCK = 1 << 13  # (floor value, prime) pairs gathered at once
 
 
 @dataclass(frozen=True)
@@ -214,20 +215,26 @@ def _floor_prefix_sums(spec: FactorSpec, checkpoints: Sequence[int],
       `comp[k - 2]` counts the squarefree B-supported u <= v with
       omega(u) = k >= 2 whose least prime is at least p.  Such a u with
       least prime p is p times a B-prime in (p, v/p] or p times a u' of
-      omega k - 1 with least prime above p, which is comp before the step.
+      omega k - 1 with least prime above p, which is comp before the step;
+      it exceeds p^k, so only the rows with p^k <= v change.
+    Both phases take the primes above t = iroot(max x, 3) in one step
+    (`_prime_pairs`).  Such a p reads only p - 1 and v // p <= x / p, which
+    lie below q^2 for every prime q > t, so no prime above t sieves them;
+    and it adds only to comp[0], as p^3 > x.  So their order does not
+    matter, and all of them read the state that the primes up to t leave.
     Every count is at most max x, so int64 holds it; the weights are
     applied in Python ints by `_weighted`.
     """
     ell, x = spec.ell, max(checkpoints)
-    r = isqrt(x)
+    r, t = isqrt(x), iroot(x, 3)
     # |V| <= size, the length of the concatenation that builds `vals`
     size = r + 1 + sum(isqrt(c) for c in checkpoints if c > r)
     require("sieve entries", (ell - 1) * size, "floor-set class entries")
-    primes = np.flatnonzero(prime_sieve(r)).tolist()
-    b_primes = [p for p in primes if p == ell or p % ell == 1]
+    primes = np.flatnonzero(prime_sieve(r))
+    b_primes = primes[(primes % ell == 1) | (primes == ell)]
     # omega(u) <= kmax for u <= x: the B-primes above r are at least r + 1
     kmax, prod = 0, 1
-    for p in b_primes + [r + 1]:
+    for p in b_primes.tolist() + [r + 1]:
         prod *= p
         if prod > x:
             break
@@ -241,37 +248,92 @@ def _floor_prefix_sums(spec: FactorSpec, checkpoints: Sequence[int],
 
     def cofactors(p: int) -> tuple[int, np.ndarray]:
         """The first position with v >= p^2, and the positions of v // p
-        from there on."""
+        from there on: v // p itself up to r, searched above."""
         start = int(np.searchsorted(vals, p * p))
-        return start, np.searchsorted(vals, vals[start:] // p)
+        cof = vals[start:] // p
+        above = int(np.searchsorted(cof, r, side="right"))
+        cof[above:] = np.searchsorted(vals[r + 1:], cof[above:]) + (r + 1)
+        return start, cof
 
     classes = np.arange(1, ell)
     cls = vals - classes[:, None]  # (ell - 1) x |V|, updated in place
     cls //= ell
     cls += 1  # n = c mod ell in [1, v]
     cls[0] -= vals >= 1  # n = 1 is not counted
-    for p in primes:
-        if p == ell:  # its multiples lie in class 0, which is not kept
-            continue
+    # rows[a] lists, per class c, the row of c / p for a prime p = a mod ell
+    rows = np.zeros((ell, ell - 1), dtype=np.int64)
+    for a in range(1, ell):
+        rows[a] = (classes * pow(a, -1, ell)) % ell - 1
+    removed = np.empty_like(cls)  # one buffer for every prime's gathers
+    sieving = primes != ell  # ell's multiples lie in class 0, not kept
+    for p in primes[sieving & (primes <= t)].tolist():
         start, cof = cofactors(p)
-        rows = (classes * pow(p, -1, ell)) % ell - 1
-        removed = cls[rows[:, None], cof]
-        removed -= cls[rows, p - 1][:, None]
-        cls[:, start:] -= removed
-        del removed  # before the next prime's is made
+        row = rows[p % ell]
+        gone = removed[:, start:]
+        for c, source in enumerate(row.tolist()):  # before any row changes
+            # "clip" writes straight into `out` ("raise" buffers it); every
+            # position is in range
+            cls[source].take(cof, out=gone[c], mode="clip")
+        gone -= cls[row, p - 1][:, None]
+        cls[:, start:] -= gone
+    del removed
+    high = primes[sieving & (primes > t)]
+    high_rows = rows[high % ell].T
+    # per class, the sum of cls[row, p - 1] over the first j + 1 primes
+    below = np.cumsum(cls[high_rows, high - 1], axis=1)
+    for lo, hi, counts, seg, j, cof in _prime_pairs(vals, high):
+        removed = np.add.reduceat(cls[high_rows[:, j], cof], seg, axis=1)
+        removed -= below[:, counts - 1]
+        cls[:, lo:hi] -= removed
     pi_b = cls[0] + (vals >= ell)
     del cls
 
     comp = np.zeros((max(kmax - 1, 1), len(vals)), dtype=np.int64)
-    for p in reversed(b_primes):
+    high = b_primes[b_primes > t]
+    below = np.cumsum(pi_b[high])
+    for lo, hi, counts, seg, j, cof in _prime_pairs(vals, high):
+        comp[0, lo:hi] += np.add.reduceat(pi_b[cof], seg) - below[counts - 1]
+    for p in reversed(b_primes[b_primes <= t].tolist()):
         start, cof = cofactors(p)
-        comp[1:, start:] += comp[:-1, cof]  # a copy, read before any add
-        comp[0, start:] += pi_b[cof] - pi_b[p]
+        for k in range(len(comp) - 1, 0, -1):  # reads row k - 1 before it grows
+            least = p ** (k + 2)  # below every u of row k with least prime p
+            if least <= x:
+                lo = int(np.searchsorted(vals, least))
+                comp[k, lo:] += comp[k - 1].take(cof[lo - start:])
+        comp[0, start:] += pi_b.take(cof) - pi_b[p]
 
     queries = list(queries)
     pos = np.searchsorted(vals, np.array(queries, dtype=np.int64))
     counts = np.vstack([np.ones_like(pos), pi_b[pos], comp[:, pos]]).T.tolist()
     return {q: _weighted(spec, n) for q, n in zip(queries, counts)}
+
+
+def _prime_pairs(vals: np.ndarray, primes: np.ndarray):
+    """The pairs (v, p) of a floor value v in `vals` and a prime p in the
+    ascending `primes` with p^2 <= v, in blocks of at most PAIR_BLOCK pairs
+    (or one floor value), cut only between floor values.
+
+    A value's pairs take a prefix of `primes`.  Each block yields the range
+    [lo, hi) of the positions of its values, `counts` (the number of pairs of
+    each), `seg` (where each value's pairs start in the block, for
+    np.add.reduceat), and per pair the index j of p and the position of
+    v // p.
+    """
+    if not len(primes):
+        return
+    first = int(np.searchsorted(vals, primes[0] * primes[0]))
+    counts = np.searchsorted(primes * primes, vals[first:], side="right")
+    ends = np.cumsum(counts)
+    i = done = 0
+    while i < len(counts):
+        k = max(int(np.searchsorted(ends, done + PAIR_BLOCK, side="right")),
+                i + 1)
+        c, seg = counts[i:k], ends[i:k] - counts[i:k] - done
+        j = np.arange(ends[k - 1] - done) - np.repeat(seg, c)
+        cof = np.searchsorted(vals, np.repeat(vals[first + i:first + k], c)
+                              // primes[j])
+        yield first + i, first + k, c, seg, j, cof
+        i, done = k, int(ends[k - 1])
 
 
 def _sweep_prefix_sums(spec: FactorSpec,

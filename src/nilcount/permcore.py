@@ -219,6 +219,10 @@ class GroupTable:
 
     @cached_property
     def ind(self) -> list[int]:
+        n = self.elements[0].degree
+        if len(self.elements) == n and len({g(0) for g in self.elements}) == n:
+            # regular: each orbit of <g> has |g| points
+            return [n - n // o for o in self.order]
         return [g.degree - len(g.orbits()) for g in self.elements]
 
     @cached_property

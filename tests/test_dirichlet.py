@@ -1,5 +1,10 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,6 +315,43 @@ def test_floor_count_over_union(ell, checkpoints):
         for x, qs in floors.items():
             assert dirichlet._floor_prefix_sums(spec, [x], qs) == \
                 {q: got[q] for q in qs}, (ell, m, x)
+
+
+@pytest.mark.parametrize("x", [p ** 3 + e for p in (97, 101)
+                               for e in (-1, 0, 1)] + [1_060_000])
+def test_floor_count_at_the_cube_split(x):
+    # iroot(x, 3) moves from p - 1 to p at p^3: p leaves the batched step.
+    # At 103 * 101^2 <= x < 102^3, 103 reads v // 103 >= 101^2, which 101
+    # has sieved, so 101 must stay out of the batched step.
+    queries = _floor_values(x)
+    for ell in (2, 3, 7):
+        spec = FactorSpec(ell, 1, 10 ** 12)
+        assert dirichlet._floor_prefix_sums(spec, [x], queries) == \
+            dirichlet._sweep_prefix_sums(spec, queries), (ell, x)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_floor_count_in_blocks(monkeypatch, ell, block):
+    checkpoints = default_checkpoints(300_000)
+    queries = sorted(set().union(*map(_floor_values, checkpoints)))
+    spec = FactorSpec(ell, 1, 4)
+    want = dirichlet._sweep_prefix_sums(spec, queries)
+    monkeypatch.setattr(dirichlet, "PAIR_BLOCK", block)
+    assert dirichlet._floor_prefix_sums(spec, checkpoints, queries) == want
+
+
+def test_series_loads_no_masked_arrays():
+    # np.unique imports numpy.ma lazily (numpy 2), 0.04 s in a first job
+    code = ("import sys\n"
+            "from nilcount.cli import main\n"
+            "main(['dseries', '--specs', '3:1:4', '--max-x', '100000000'])\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(dirichlet.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["final_sum"] == 321859545
 
 
 def test_floor_count_once_per_series(monkeypatch):

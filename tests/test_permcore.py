@@ -359,6 +359,28 @@ def test_catalog_and_benchmark_groups_match_the_element_list_route():
         assert_reference(name, G, set_closure(gens), gens)
 
 
+def test_ind_of_regular_groups_is_read_from_orders():
+    from nilcount.catalog import get_group, resolve
+    from nilcount.nilpotent import natural_product
+    wl = _workloads()
+    groups = _catalog_groups()
+    catalog = dict(groups)
+    groups += [(name, resolve(name).group())
+               for name in wl.ABELIAN_PATTERNS + wl.ABOVE_CAP]
+    groups += [(name, get_group(wl.natural_product(*factors))[1])
+               for name, factors in wl.PRODUCTS.items()]
+    groups += [("Q8xC4", natural_product(catalog["Q8"], catalog["C4"])),
+               ("D4_S4xS3", natural_product(catalog["D4_S4"], catalog["S3"]))]
+    regular = set()
+    for name, G in groups:
+        if G.order == G.degree == len({g(0) for g in G.elements}):
+            regular.add(name)
+        walked = [g.degree - len(g.orbits()) for g in G.elements]
+        assert G.table.ind == walked, name
+    assert {"Q8", "C64", "Q8xC2xC2", "Q8xC4"} <= regular
+    assert not {"S3", "D4_S4", "D4_S4xC4", "D4_S4xS3"} & regular
+
+
 def test_natural_products_and_sylow_factors_match_the_element_list_route():
     from nilcount.catalog import resolve
     from nilcount.nilpotent import natural_product, sylow_decompose
