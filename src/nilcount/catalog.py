@@ -1,8 +1,9 @@
 """Named group catalog shared by the CLI and the verification suites.
 
-Cyclic and abelian groups and presentations (quaternion, dihedral,
-Heisenberg) are built as Cayley tables and realized as their regular action;
-the mixed products Q8xC3_S24 and D4xC3_S12 are natural products.  Every
+Cyclic groups and presentations (quaternion, dihedral, Heisenberg) are
+built as Cayley tables and realized as their regular action, and abelian
+groups as the direct product of cyclic ones (`PermGroup.product`); the mixed
+products Q8xC3_S24 and D4xC3_S12 are natural products.  Every
 entry records its expected invariants where those are pinned.  A pattern
 past `LIMITS["group order"]`, or raw cycles with a longer orbit, are
 refused before any permutation is built.
@@ -18,7 +19,7 @@ from typing import Callable
 from .errors import require
 from .extension import regular_permutation_group
 from .nilpotent import natural_product
-from .permcore import PermGroup, orbit_sizes, parse_generators, product_rows
+from .permcore import PermGroup, orbit_sizes, parse_generators
 
 
 def cyclic(n: int) -> PermGroup:
@@ -92,7 +93,7 @@ def abelian(*orders: int) -> PermGroup:
     if min(orders) < 2:
         raise ValueError("natural product needs degrees > 1")
     gens = [prod(orders[i + 1:]) for i in range(len(orders))]  # C_n by 1
-    return PermGroup.regular(product_rows(*(G.table.mul for G in groups)), gens)
+    return PermGroup.product(*groups, generators=gens)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Group extensions, fiber products, and embedding-problem verification.
 
 Constructions with no natural permutation action (fiber products, semidirect
-products, direct products with a cyclic factor) are built on pairs of
-element indices, multiplied through the factors' Cayley tables, and realized
-as the regular action of that table (`PermGroup.regular`), so the pair in
-canonical position i is element i and kernels and quotient maps stay explicit.
+products) are built on pairs of element indices, multiplied through the
+factors' Cayley tables, and realized as the regular action of that table
+(`PermGroup.regular`), so the pair in canonical position i is element i and
+kernels and quotient maps stay explicit.  Direct products with a cyclic
+factor are `PermGroup.product` of the two groups, numbered the same way.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .errors import (NotAction, PropertyViolated, QuotientMismatch,
                      VerificationFailed, require)
 from .intmath import is_prime
 from .permcore import (GroupTable, PermGroup, Permutation,
-                       abelianization_rank, center, product_rows, quotient,
+                       abelianization_rank, center, quotient,
                        quotient_with_map)
 from .series import _children
 
@@ -329,9 +330,10 @@ class DoubleQuotientReport:
 
 
 def _cyclic_product(ell: int, K: PermGroup) -> PermGroup:
-    """C_ell x K from K's table: element i |K| + g is (i, K.elements[g])."""
-    cyclic = [[(i + j) % ell for j in range(ell)] for i in range(ell)]
-    return PermGroup.regular(product_rows(cyclic, K.table.mul))
+    """C_ell x K from K's table: element i |K| + g is (i, K.elements[g]),
+    C_ell generated by the rotation x -> x + 1 on ell points."""
+    cyclic = PermGroup.generate([Permutation.trusted((*range(1, ell), 0))])
+    return PermGroup.product(cyclic, K)
 
 
 def central_double_quotients(E: ExtensionData) -> DoubleQuotientReport:

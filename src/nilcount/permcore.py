@@ -4,11 +4,14 @@ A `PermGroup` keeps its full element list sorted by image table, identity
 first; that canonical order breaks every tie downstream.  Every group
 algorithm runs on the group's `GroupTable`, cached on the instance: the same
 elements in the same order with integer product and inverse tables.  A group
-given by its Cayley table (`PermGroup.regular`: quotients, pair and cyclic
-products, presentations) is that table's regular action, and the table is
-its `mul`.  Any other group is generated (`PermGroup.generate`): `mulclose`,
-the only code forming full-degree products, closes it, and `mul` is
-gathered along the closure's walk, by index arithmetic, on first use.
+given by its Cayley table is that table's regular action, and the table is
+its `mul`: `PermGroup.regular` checks a table it is handed (quotients, pair
+products, presentations), and `PermGroup.product` joins the tables of built
+groups into their direct product (abelian groups, C_ell x G), a group because
+its factors are, so checked through them.  Any other group is generated
+(`PermGroup.generate`): `mulclose`, the only code forming full-degree
+products, closes it, and `mul` is gathered along the closure's walk, by
+index arithmetic, on first use.
 
 The "group order" limit of `errors.LIMITS` (4096) bounds every group.
 """
@@ -18,7 +21,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from math import gcd, lcm
+from itertools import chain
+from math import gcd, lcm, prod
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -176,14 +180,35 @@ def orbit_sizes(gens: Sequence[Permutation]) -> list[int]:
     return sizes
 
 
-def product_rows(*tables: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Cayley table of the direct product of the groups with these tables;
-    (i_1, ..., i_r) is numbered in mixed radix, the first factor most significant."""
-    rows: list[tuple[int, ...]] = [(0,)]
-    for table in tables:
-        n = len(table)
-        rows = [tuple(a * n + b for a in row for b in t) for row in rows for t in table]
+def _joined_rows(left: Sequence[Sequence[int]], right: Sequence[Sequence[int]],
+                 ints: list[int]) -> list[tuple[int, ...]]:
+    """Cayley table of the direct product of the groups with tables `left`
+    and `right`, (a, b) numbered a |right| + b, entries drawn from `ints`
+    (list(range(n)) or longer), which every row shares.  Row (a, b) is the
+    blocks of b, one per c = left[a][x] in order, where the block of (c, b)
+    is c |right| + right[b][y] over y, gathered from `ints` once per b."""
+    m = len(right)
+    segments = [ints[c * m:(c + 1) * m] for c in range(len(left))]
+    rows: list[tuple[int, ...]] = [()] * (len(left) * m)
+    for b, row in enumerate(right):
+        blocks = [tuple(map(seg.__getitem__, row)) for seg in segments]
+        for a, lrow in enumerate(left):
+            rows[a * m + b] = tuple(chain.from_iterable(map(blocks.__getitem__, lrow)))
     return rows
+
+
+def _product_table(tables: Sequence[Sequence[Sequence[int]]],
+                   ints: list[int]) -> Sequence[Sequence[int]]:
+    """The direct product of the tables in mixed radix, the first factor most
+    significant: two halves of balanced order, each a product in turn."""
+    if len(tables) == 1:
+        return tables[0]
+    orders = [len(t) for t in tables]
+    total, k = prod(orders), 1
+    while k < len(orders) - 1 and prod(orders[:k + 1]) ** 2 <= total:
+        k += 1
+    return _joined_rows(_product_table(tables[:k], ints),
+                        _product_table(tables[k:], ints), ints)
 
 
 def bits(mask: int) -> list[int]:
@@ -408,22 +433,46 @@ class PermGroup:
                 generators: Sequence[int] | None = None) -> "PermGroup":
         """The left regular action of the group with Cayley table `rows` on
         indices: element i is rows[i], in canonical order, and `rows` is
-        `table.mul`.  The one check that `rows` is a group, PropertyViolated
+        `table.mul`.  The one check that a table is a group, PropertyViolated
         if not: row and column 0 are the identity, rows are permutations, and
         generators (greedy, or the given indices) reach all and pass Light's test."""
         points = list(range(len(rows)))
         if not rows or list(rows[0]) != points or any(
                 sorted(r) != points or r[0] != i for i, r in enumerate(rows)):
             raise PropertyViolated("not a Cayley table on 0..n-1 with identity 0")
-        rows = [tuple(r) for r in rows]
+        group = cls._on_table([tuple(r) for r in rows], generators)
+        rows = group.table.mul
+        for g in set(group.table.gens) - {0}:  # Light's test: a(gx) = (ag)x
+            get = itemgetter(*rows[g])  # a -> a(gx) over all x, as a tuple
+            if any(get(r) != rows[r[g]] for r in rows):
+                raise PropertyViolated("rows fail Light's associativity test")
+        return group
+
+    @classmethod
+    def product(cls, *groups: "PermGroup",
+                generators: Sequence[int] | None = None) -> "PermGroup":
+        """The direct product of the groups, acting regularly on its table:
+        (i_1, ..., i_r) is numbered in mixed radix, the first factor most
+        significant, which is canonical order.  Each factor's table was
+        proved a group when the factor was built (`regular`'s check or
+        `generate`'s closure), so their product is one by construction and
+        gets no check of its own, bar the given generators reaching all."""
+        if not groups:
+            raise ValueError("need at least one factor")
+        n = prod(G.order for G in groups)
+        require("group order", n)
+        rows = _product_table([G.table.mul for G in groups], list(range(n)))
+        return cls._on_table(list(rows), generators)
+
+    @classmethod
+    def _on_table(cls, rows: list[tuple[int, ...]],
+                  generators: Sequence[int] | None) -> "PermGroup":
+        """The regular group of a Cayley table known to be a Latin square with
+        identity 0; PropertyViolated if the generators miss an element."""
         els = [Permutation.trusted(r) for r in rows]
         T = GroupTable(els, rows, generators and [els[g] for g in generators])
         if len(T.closure(T.gens)) < len(rows):
             raise PropertyViolated("the generators miss an element")
-        for g in set(T.gens) - {0}:  # Light's test: a(gx) = (ag)x
-            get = itemgetter(*rows[g])  # a -> a(gx) over all x, as a tuple
-            if any(get(r) != rows[r[g]] for r in rows):
-                raise PropertyViolated("rows fail Light's associativity test")
         return cls([els[g] for g in T.gens], els, T)
 
     @property

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from functools import wraps
+from functools import cache, wraps
 from typing import Callable, Iterator
 
 from .catalog import abelian, nilpotent_catalog, resolve
@@ -89,10 +89,12 @@ def _central_prime_extensions(G: PermGroup) -> list[ExtensionData]:
     return [ExtensionData.from_kernel(G, T.subset(s)) for s in ordered]
 
 
-def _extension_cases() -> list[tuple[str, ExtensionData]]:
+@cache
+def _extension_cases() -> tuple[tuple[str, ExtensionData], ...]:
     """Central prime extensions across the catalog, plus an abelian
     non-central kernel (C3 inside S3) and a nonabelian kernel (the 2-Sylow
-    of Q8 x C3)."""
+    of Q8 x C3); built once per process and shared by suites 4.4, 4.5 and
+    4.7, which only read them."""
     cases: list[tuple[str, ExtensionData]] = []
     for name, G in nilpotent_catalog():
         if G.order > 64 or G.order == 1:
@@ -105,7 +107,7 @@ def _extension_cases() -> list[tuple[str, ExtensionData]]:
     q8c3 = resolve("Q8xC3_S24").group()
     two_part = sylow_subgroup_sets(q8c3)[2]
     cases.append(("Q8xC3_S24/Q8", ExtensionData.from_kernel(q8c3, two_part)))
-    return cases
+    return tuple(cases)
 
 
 def _random_profiles(seed: int) -> Iterator[tuple[int, list[int], list[int]]]:

@@ -1,15 +1,20 @@
+import tracemalloc
 from fractions import Fraction
+from math import prod
 
 import pytest
 
+from nilcount import extension
 from nilcount.catalog import (CATALOG, abelian, cyclic, get_group,
                               nilpotent_catalog, resolve)
+from nilcount.errors import BudgetExceeded, PropertyViolated
 from nilcount.extension import fingerprint, is_isomorphic
 from nilcount.malle import BaseFieldData, b_constant, min_index
 from nilcount.nilpotent import is_nilpotent, natural_product
-from nilcount.permcore import cycle_string
+from nilcount.permcore import PermGroup, cycle_string
 from nilcount.series import (all_min_index_central, d_constant,
                              enumerate_refinements, optimize_d)
+from nilcount.suites import run_suite
 
 Q = BaseFieldData.rationals()
 
@@ -94,3 +99,82 @@ def test_abelian_is_the_natural_product_fold():
         assert G.elements == fold.elements, t
         assert G.generators == fold.generators, t
         assert G.table.mul == fold.table.mul, t
+
+
+def product_rows(*tables):
+    """Reference: Cayley table of the direct product of the groups with these
+    tables; (i_1, ..., i_r) is numbered in mixed radix, the first factor most
+    significant."""
+    rows = [(0,)]
+    for table in tables:
+        n = len(table)
+        rows = [tuple(a * n + b for a in row for b in t) for row in rows for t in table]
+    return rows
+
+
+def assert_product_matches_reference(groups, generators=None):
+    """`PermGroup.product` against `regular` of the reference table, which
+    also puts that table through the row check and Light's test."""
+    G = PermGroup.product(*groups, generators=generators)
+    ref = PermGroup.regular(product_rows(*(H.table.mul for H in groups)),
+                            generators)
+    assert G.elements == ref.elements
+    assert G.generators == ref.generators
+    assert G.table.mul == ref.table.mul
+    return G
+
+
+def test_product_matches_the_reference_table():
+    # every ordered factorization up to order 64, with greedy generators and
+    # with abelian's, then nonabelian factors, regular and generated
+    for t in _factorizations(64):
+        groups = [cyclic(n) for n in t]
+        assert_product_matches_reference(groups)
+        assert_product_matches_reference(
+            groups, [prod(t[i + 1:]) for i in range(len(t))])
+    q8, d4, s3 = (resolve(n).group() for n in ("Q8", "D4_S4", "S3"))
+    for groups in ([q8], [d4], [q8, cyclic(2)], [cyclic(2), q8], [d4, q8],
+                   [s3, d4, cyclic(3)], [q8, s3, q8], [resolve("Heis27").group(), s3]):
+        assert_product_matches_reference(groups)
+
+
+def test_product_of_c2_to_the_10_matches_the_reference_table():
+    assert_product_matches_reference([cyclic(2)] * 10)
+
+
+def test_cyclic_products_of_suite_4_7_match_the_reference_table(monkeypatch):
+    built = []
+    cyclic_product = extension._cyclic_product
+
+    def record(ell, K):
+        built.append((ell, K, cyclic_product(ell, K)))
+        return built[-1][2]
+    monkeypatch.setattr(extension, "_cyclic_product", record)
+    assert run_suite("4.7", seed=1).passed
+    assert len(built) == 90
+    for ell, K, G in built:
+        ref = PermGroup.regular(product_rows(cyclic(ell).table.mul, K.table.mul))
+        assert (G.elements, G.generators) == (ref.elements, ref.generators)
+        assert G.table.mul == ref.table.mul
+
+
+def test_product_refuses_past_the_order_limit_and_missing_generators():
+    with pytest.raises(BudgetExceeded, match="group order 4160 exceeds 4096"):
+        PermGroup.product(cyclic(64), cyclic(65))
+    with pytest.raises(PropertyViolated, match="miss"):  # <(1, 0)> misses (0, 1)
+        PermGroup.product(cyclic(2), cyclic(2), generators=[2])
+    with pytest.raises(ValueError):
+        PermGroup.product()
+
+
+def test_product_table_at_the_order_limit_is_compact():
+    # C2^12: `product_rows` and `regular` peaked at 752 MiB here
+    factors = [cyclic(2)] * 12
+    tracemalloc.start()
+    try:
+        G = PermGroup.product(*factors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.order == len(G.table.mul) == 4096
+    assert peak < 200 << 20

@@ -11,7 +11,7 @@ from nilcount.catalog import cyclic, resolve
 from nilcount.extension import find_isomorphism, fingerprint, semidirect
 from nilcount.intmath import _MR_EXACT, iroot, is_prime
 from nilcount.permcore import (PermGroup, Permutation, cycle_string,
-                               parse_generators, product_rows)
+                               parse_generators)
 
 FIXED = settings(derandomize=True, database=None, max_examples=200,
                  deadline=None)
@@ -63,8 +63,7 @@ ISOMORPHISM_TYPE = {
 @cache
 def type_group(name: str) -> PermGroup:
     if name == "Q8xC2":
-        return PermGroup.regular(product_rows(resolve("Q8").group().table.mul,
-                                              cyclic(2).table.mul))
+        return PermGroup.product(resolve("Q8").group(), cyclic(2))
     if name == "C4:C4":  # the generator of H inverts A
         A, H = cyclic(4), cyclic(4)
         inverts = {h: H.table.idx[h] % 2 for h in H.elements}
