@@ -1,11 +1,14 @@
 """Group extensions, fiber products, and embedding-problem verification.
 
+Everything here is index arithmetic over the groups' Cayley tables: a kernel
+is a sorted tuple of element indices, a quotient map lists per element the
+index of its image, and an action is a table over kernel positions.
 Constructions with no natural permutation action (fiber products, semidirect
 products) are built on pairs of element indices, multiplied through the
-factors' Cayley tables, and realized as the regular action of that table
-(`PermGroup.regular`), so the pair in canonical position i is element i and
-kernels and quotient maps stay explicit.  Direct products with a cyclic
-factor are `PermGroup.product` of the two groups, numbered the same way.
+factors' tables, and realized as the regular action of that table
+(`PermGroup.regular`), so the pair in canonical position i is element i.
+Direct products with a cyclic factor are `PermGroup.product` of the two
+groups, numbered the same way.
 """
 
 from __future__ import annotations
@@ -13,14 +16,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from operator import add
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import (NotAction, PropertyViolated, QuotientMismatch,
                      VerificationFailed, require)
 from .intmath import is_prime
 from .permcore import (GroupTable, PermGroup, Permutation,
-                       abelianization_rank, center, quotient,
-                       quotient_with_map)
+                       abelianization_rank, quotient, quotient_with_map)
 from .series import _children
 
 
@@ -40,27 +42,31 @@ def regular_permutation_group(items: list, mul: Callable
 
 @dataclass(frozen=True)
 class ExtensionData:
-    """An extension 1 -> A -> G -> H -> 1 with the quotient map explicit."""
+    """An extension 1 -> A -> G -> H -> 1 with the quotient map explicit:
+    `kernel` is the sorted indices of A in G, and element g of G maps to
+    element kappa[g] of H."""
 
     group: PermGroup
-    kernel: frozenset[Permutation]
+    kernel: tuple[int, ...]
     quotient: PermGroup
-    kappa: Mapping[Permutation, Permutation]
+    kappa: tuple[int, ...]
     central: bool
 
     @classmethod
-    def from_kernel(cls, G: PermGroup, kernel) -> "ExtensionData":
-        kernel = frozenset(kernel)
+    def from_kernel(cls, G: PermGroup, kernel: Iterable[int]) -> "ExtensionData":
+        kernel = tuple(sorted(set(kernel)))
         H, kappa = quotient_with_map(G, kernel)
-        return cls(G, kernel, H, kappa, kernel <= center(G))
+        return cls(G, kernel, H, tuple(kappa),
+                   set(kernel) <= set(G.table.center()))
 
 
 @dataclass(frozen=True)
 class PairProduct:
-    """A fiber or semidirect product on element pairs, with its regular
-    permutation realization: `pairs[i]` is `group.elements[i]`."""
+    """A fiber or semidirect product on index pairs (x, y) of its two
+    factors, with its regular permutation realization: `pairs[i]` is
+    `group.elements[i]`."""
 
-    pairs: tuple[tuple[Permutation, Permutation], ...]
+    pairs: tuple[tuple[int, int], ...]
     group: PermGroup
 
 
@@ -88,24 +94,23 @@ def _pair_product(X: PermGroup, Y: PermGroup, pairs: list[tuple[int, int]],
         if row is not last:
             last, xgot = row, list(map(n.__mul__, map(row.__getitem__, xs)))
         rows.append(tuple(map(pos.__getitem__, map(add, xgot, ygot[j]))))
-    ex, ey = X.elements, Y.elements
-    return PairProduct(tuple((ex[i], ey[j]) for i, j in pairs),
-                       PermGroup.regular(rows))
+    return PairProduct(tuple(pairs), PermGroup.regular(rows))
 
 
-def _fiber_pairs(G1: PermGroup, kappa1: Mapping, G2: PermGroup,
-                 kappa2: Mapping) -> list[tuple[int, int]]:
+def _fiber_pairs(kappa1: Sequence[int], kappa2: Sequence[int]
+                 ) -> list[tuple[int, int]]:
     """Index pairs (g1, g2) with kappa1[g1] == kappa2[g2], in canonical order."""
-    fiber: dict[Permutation, list[int]] = {}
-    for j, g2 in enumerate(G2.elements):
-        fiber.setdefault(kappa2[g2], []).append(j)
-    return [(i, j) for i, g1 in enumerate(G1.elements)
-            for j in fiber.get(kappa1[g1], ())]
+    fiber: dict[int, list[int]] = {}
+    for j, h in enumerate(kappa2):
+        fiber.setdefault(h, []).append(j)
+    return [(i, j) for i, h in enumerate(kappa1) for j in fiber.get(h, ())]
 
 
-def fiber_product_maps(G1: PermGroup, kappa1: Mapping, G2: PermGroup,
-                       kappa2: Mapping, H: PermGroup) -> PairProduct:
-    pairs = _fiber_pairs(G1, kappa1, G2, kappa2)
+def fiber_product_maps(G1: PermGroup, kappa1: Sequence[int], G2: PermGroup,
+                       kappa2: Sequence[int], H: PermGroup) -> PairProduct:
+    """G1 x_H G2 over the maps kappa_i: G_i -> H, given per element index as
+    the index of its image in H."""
+    pairs = _fiber_pairs(kappa1, kappa2)
     if len(pairs) * H.order != G1.order * G2.order:
         raise PropertyViolated("fiber product order is off; maps not onto H?")
     m1 = G1.table.mul
@@ -114,60 +119,56 @@ def fiber_product_maps(G1: PermGroup, kappa1: Mapping, G2: PermGroup,
 
 def fiber_product(E1: ExtensionData, E2: ExtensionData) -> PairProduct:
     """Subdirect product over the shared quotient; order |G1||G2|/|H|."""
-    H1, H2 = E1.quotient, E2.quotient
-    if H1.degree != H2.degree or H1._elemset != H2._elemset:
+    if E1.quotient.elements != E2.quotient.elements:
         raise QuotientMismatch("extensions do not share the same quotient group")
     return fiber_product_maps(E1.group, E1.kappa, E2.group, E2.kappa, E1.quotient)
 
 
-def conjugation_action(E: ExtensionData) -> dict[Permutation, dict[Permutation, Permutation]]:
-    """The kernel as an H-module: h acts by conjugation with any preimage.
+def conjugation_action(E: ExtensionData) -> list[list[int]]:
+    """The kernel as an H-module: h acts by conjugation with any preimage,
+    as the table act[h][a] of kernel positions (a is E.kernel[a]).
 
     Well-definedness over the choice of preimage is checked (it holds exactly
     because the kernel is abelian).
     """
-    T = E.group.table
-    kernel = [T.idx[a] for a in E.kernel]
-    fibers: dict[Permutation, list[int]] = {}
-    for g, x in enumerate(T.elements):
-        fibers.setdefault(E.kappa[x], []).append(g)
-    psi: dict[Permutation, dict[Permutation, Permutation]] = {}
-    for h, fiber in fibers.items():
+    T, kernel = E.group.table, E.kernel
+    pos = {a: i for i, a in enumerate(kernel)}
+    fibers: list[list[int]] = [[] for _ in range(E.quotient.order)]
+    for g, h in enumerate(E.kappa):
+        fibers[h].append(g)
+    act = []
+    for fiber in fibers:
         action = [T.conj(fiber[0], a) for a in kernel]
         if any(T.conj(g, a) != b for g in fiber[1:]
                for a, b in zip(kernel, action)):
             raise NotAction(
                 "conjugation depends on the preimage; kernel not abelian?")
-        psi[h] = {T.elements[a]: T.elements[b] for a, b in zip(kernel, action)}
-    return psi
+        act.append([pos[b] for b in action])
+    return act
 
 
-def semidirect(A: PermGroup, H: PermGroup,
-               psi: Mapping[Permutation, Mapping[Permutation, Permutation]]
+def semidirect(A: PermGroup, H: PermGroup, act: Sequence[Sequence[int]]
                ) -> PairProduct:
     """Semidirect product A x| H with multiplication
-    (a1, h1)(a2, h2) = (a1 * psi[h1](a2), h1 * h2).
+    (a1, h1)(a2, h2) = (a1 * act[h1][a2], h1 * h2), over element indices.
 
-    `psi` must send each h to an automorphism of A, multiplicatively in h
+    `act` must send each h to an automorphism of A, multiplicatively in h
     (NotAction otherwise).  A must be abelian.
     """
     TA, mA, mH = A.table, A.table.mul, H.table.mul
     if any(mA[a][b] != mA[b][a] for a in TA.gens for b in TA.gens):
         raise NotAction("kernel of a semidirect product must be abelian here")
-    aset, n = set(A.elements), A.order
-    act = []  # act[h][a]: index of psi[h](a)
-    for h in H.elements:
-        if h not in psi:
-            raise NotAction(f"no action for {h!r}")
-        if set(psi[h].keys()) != aset or set(psi[h].values()) != aset:
-            raise NotAction("psi[h] is not a bijection of A")
-        f = [TA.idx[psi[h][a]] for a in A.elements]
+    n, points = A.order, list(range(A.order))
+    if len(act) != H.order:
+        raise NotAction(f"{len(act)} actions for the {H.order} elements of H")
+    for f in act:
+        if sorted(f) != points:
+            raise NotAction("act[h] is not a bijection of A")
         if any(f[mA[a][b]] != mA[f[a]][f[b]] for a in range(n) for b in range(n)):
-            raise NotAction("psi[h] is not an automorphism")
-        act.append(f)
+            raise NotAction("act[h] is not an automorphism")
     if any(act[mH[h1][h2]][a] != act[h1][act[h2][a]]
            for h1 in range(H.order) for h2 in range(H.order) for a in range(n)):
-        raise NotAction("psi is not multiplicative in h")
+        raise NotAction("act is not multiplicative in h")
 
     # (a1, h1)(a2, h2) has first component mA[a1][act[h1][a2]]
     pairs = [(a, h) for a in range(n) for h in range(H.order)]
@@ -280,10 +281,9 @@ def verify_semidirect_decomposition(E: ExtensionData) -> bool:
     """
     G = E.group
     T, mul = G.table, G.table.mul
-    items = [(u, g) for u in sorted(T.idx[u] for u in E.kernel)
-             for g in range(G.order)]
+    items = [(u, g) for u in E.kernel for g in range(G.order)]
     images = {(g, mul[u][g]) for u, g in items}
-    if (images != set(_fiber_pairs(G, E.kappa, G, E.kappa))
+    if (images != set(_fiber_pairs(E.kappa, E.kappa))
             or len(images) != len(items)):
         raise VerificationFailed("(u,g) -> (g,ug) is not a bijection onto the pairs")
     for u1, g1 in items:
@@ -292,28 +292,26 @@ def verify_semidirect_decomposition(E: ExtensionData) -> bool:
             # componentwise product (g1 g2, u1 g1 * u2 g2) of the images
             if (mul[mul[u1][T.conj(g1, u2)]][mul[g1][g2]]
                     != mul[mul[u1][g1]][mul[u2][g2]]):
-                p = (T.elements[u1], T.elements[g1])
-                q = (T.elements[u2], T.elements[g2])
-                raise VerificationFailed(
-                    f"homomorphism law fails at {p!r} * {q!r}")
+                raise VerificationFailed("homomorphism law fails at index "
+                                         f"pairs {(u1, g1)} * {(u2, g2)}")
     return True
 
 
 def verify_pullback_identity(E: ExtensionData) -> bool:
     """For an abelian-kernel extension, verify both structure identities:
     G x_H G = G x_H (A x| H), and (G x_H G) / diagonal(A) = A x| H."""
-    psi = conjugation_action(E)
-    A_group = PermGroup.from_elements(E.kernel)
-    sd = semidirect(A_group, E.quotient, psi)
-    kappa_sd = {g: h for g, (a, h) in zip(sd.group.elements, sd.pairs)}
+    kernel, mul = E.kernel, E.group.table.mul
+    pos = {a: i for i, a in enumerate(kernel)}  # A's table: the kernel's rows
+    A = PermGroup.regular([[pos[mul[a][b]] for b in kernel] for a in kernel])
+    sd = semidirect(A, E.quotient, conjugation_action(E))
+    kappa_sd = [h for _, h in sd.pairs]
 
     fp_gg = fiber_product(E, E)
     fp_gs = fiber_product_maps(E.group, E.kappa, sd.group, kappa_sd, E.quotient)
     if not is_isomorphic(fp_gg.group, fp_gs.group):
         raise VerificationFailed("G x_H G and G x_H (A x| H) are not isomorphic")
 
-    diagonal = {g for g, (x, y) in zip(fp_gg.group.elements, fp_gg.pairs)
-                if x == y and x in E.kernel}
+    diagonal = [k for k, (x, y) in enumerate(fp_gg.pairs) if x == y and x in pos]
     quot = quotient(fp_gg.group, diagonal)
     if not is_isomorphic(quot, sd.group):
         raise VerificationFailed("diagonal quotient is not A x| H")
@@ -348,7 +346,7 @@ def central_double_quotients(E: ExtensionData) -> DoubleQuotientReport:
     big = _cyclic_product(ell, G)
     T = big.table
 
-    d_set = {i * G.order + G.table.idx[a] for i in range(ell) for a in E.kernel}
+    d_set = {i * G.order + a for i in range(ell) for a in E.kernel}
     if not d_set <= set(T.center()):
         raise VerificationFailed("kernel square is not central in C_ell x G")
     if len(d_set) != ell * ell or any(T.order[x] not in (1, ell) for x in d_set):
@@ -365,7 +363,7 @@ def central_double_quotients(E: ExtensionData) -> DoubleQuotientReport:
     for U in sorted(subgroups, key=sorted):
         if not T.is_normal(U):
             raise VerificationFailed("order-ell subgroup is not normal")
-        Q = quotient(big, T.subset(U))
+        Q = quotient(big, U)
         if is_isomorphic(Q, G):
             pattern.append("G")
         elif is_isomorphic(Q, split):

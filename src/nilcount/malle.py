@@ -15,8 +15,7 @@ from math import gcd
 from typing import Mapping
 
 from .errors import PropertyViolated, UnsupportedModulus
-from .permcore import (ConjClass, PermGroup, Permutation, conjugacy_classes,
-                       exponent)
+from .permcore import ConjClass, PermGroup, Permutation, conjugacy_classes
 
 
 @dataclass(frozen=True)
@@ -143,32 +142,35 @@ def min_index(G: PermGroup) -> tuple[int, Fraction]:
     return ind_G, Fraction(1, ind_G)
 
 
-def k_classes(G: PermGroup, k: BaseFieldData) -> list[KClass]:
-    """Orbits of the conjugacy classes under C -> C^m, m in the cyclotomic image."""
-    classes = conjugacy_classes(G)
+def _class_orbits(G: PermGroup, k: BaseFieldData) -> list[tuple[list[int], int]]:
+    """Orbits of the conjugacy classes under C -> C^m, m in the cyclotomic
+    image, as sorted positions in `G.table.classes`, each with the index
+    its classes share."""
     T = G.table
-    class_of = [0] * G.order
-    for i, c in enumerate(T.classes):
-        for g in c:
-            class_of[g] = i
-    powers = sorted(k.cyclo_subgroup(exponent(G)))
-    seen: set[int] = set()
-    out: list[KClass] = []
+    class_of = {g: i for i, c in enumerate(T.classes) for g in c}
+    powers = sorted(k.cyclo_subgroup(T.exponent))
+    seen, out = set(), []
     for i, c in enumerate(T.classes):
         if i in seen:
             continue
         cyc = T.cyclic(c[0])
         orbit = {class_of[cyc[m % len(cyc)]] for m in powers}
         seen |= orbit
-        members = tuple(classes[j] for j in sorted(orbit))  # by representative
         indices = {T.ind[T.classes[j][0]] for j in orbit}
         if len(indices) != 1:
             raise PropertyViolated("power maps changed the index of a class")
-        out.append(KClass(members, indices.pop()))
+        out.append((sorted(orbit), indices.pop()))
     return out
+
+
+def k_classes(G: PermGroup, k: BaseFieldData) -> list[KClass]:
+    """Orbits of the conjugacy classes under C -> C^m, m in the cyclotomic image."""
+    classes = conjugacy_classes(G)  # by representative, as in the table
+    return [KClass(tuple(map(classes.__getitem__, orbit)), index)
+            for orbit, index in _class_orbits(G, k)]
 
 
 def b_constant(G: PermGroup, k: BaseFieldData) -> int:
     """Number of k-conjugacy classes of minimal index."""
     ind_G, _ = min_index(G)
-    return sum(1 for kc in k_classes(G, k) if kc.min_index == ind_G)
+    return sum(index == ind_G for _, index in _class_orbits(G, k))

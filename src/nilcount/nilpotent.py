@@ -3,7 +3,10 @@
 A transitive nilpotent group is a natural direct product of its Sylow
 subgroups acting on blocks; a(G) is then the maximum of a(G_ell)*n_ell/n
 over the primes, attained exactly once, and all elements of minimal index
-share one prime order (the critical prime).
+share one prime order (the critical prime).  The Sylow subgroups are index
+sets over the group's table (`GroupTable.sylow`), found and checked once
+per table; the blocks are read off the points, and each factor is generated
+by the block images of the group's generators.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from math import gcd
 
 from .errors import NotNilpotent, NotTransitive, PropertyViolated, TrivialGroup
 from .malle import min_index
-from .intmath import prime_factors, valuation
+from .intmath import valuation
 from .permcore import PermGroup, Permutation
 
 
@@ -38,30 +41,9 @@ def natural_product(G1: PermGroup, G2: PermGroup) -> PermGroup:
     return PermGroup.generate(gens)
 
 
-def sylow_subgroup_sets(G: PermGroup) -> dict[int, frozenset[Permutation]]:
-    """The elements of prime-power order, per prime, with nilpotency checks.
-
-    In a nilpotent group these sets are the (normal, unique) Sylow subgroups;
-    the check is that each has full Sylow size and is a subgroup.
-    """
-    order, T = G.order, G.table
-    out: dict[int, frozenset[Permutation]] = {}
-    for ell in prime_factors(order):
-        size = ell ** valuation(order, ell)[0]
-        part = {i for i, o in enumerate(T.order)
-                if all(p == ell for p in prime_factors(o))}
-        if len(part) != size:
-            raise NotNilpotent(
-                f"{ell}-elements form {len(part)} of {size} required")
-        if not T.is_subgroup(part):
-            raise NotNilpotent(f"{ell}-elements are not closed")
-        out[ell] = T.subset(part)
-    return out
-
-
 def is_nilpotent(G: PermGroup) -> bool:
     try:
-        sylow_subgroup_sets(G)
+        G.table.sylow
     except NotNilpotent:
         return False
     return True
@@ -78,14 +60,17 @@ def sylow_decompose(G: PermGroup) -> SylowDecomposition:
     """Block decomposition of a transitive nilpotent group into Sylow factors.
 
     The factor at ell is the Sylow ell-subgroup acting on the orbits of the
-    ell-complement (orbits ordered by minimal point).  The grid of all those
-    orbit coordinates recovers the natural direct product structure.
+    ell-complement (orbits ordered by minimal point).  The complement is
+    normal and fixes each of its orbits, so G acts on them through the
+    Sylow subgroup, and the factor is generated by the images of G's
+    generators.  The grid of all those orbit coordinates recovers the
+    natural direct product structure.
     """
     if not G.is_transitive:
         raise NotTransitive("Sylow block decomposition needs transitivity")
     if G.order == 1:
         raise TrivialGroup("trivial group has no critical prime")
-    sylows = sylow_subgroup_sets(G)
+    sylows = G.table.sylow
     n = G.degree
     factors: list[tuple[int, PermGroup]] = []
     for ell in sorted(sylows):
@@ -104,15 +89,12 @@ def sylow_decompose(G: PermGroup) -> SylowDecomposition:
         if n_blocks != n_ell:
             raise NotNilpotent(
                 f"{ell}-complement has {n_blocks} orbits, expected {n_ell}")
-        images = set()
-        for g in sylows[ell]:
-            img = [None] * n_blocks
-            for x in range(n):
-                img[orbit_of[x]] = orbit_of[g(x)]
-            images.add(Permutation.trusted(tuple(img)))
-        if len(images) != len(sylows[ell]):
+        least = [orbit_of.index(b) for b in range(n_blocks)]  # in each block
+        factor = PermGroup.generate([Permutation.trusted(
+            tuple(orbit_of[g(x)] for x in least)) for g in G.generators])
+        if factor.order != len(sylows[ell]):
             raise NotNilpotent(f"block action of the {ell}-Sylow is not faithful")
-        factors.append((ell, PermGroup.from_elements(images)))
+        factors.append((ell, factor))
 
     best: tuple[Fraction, int] | None = None
     for ell, G_ell in factors:
@@ -128,5 +110,5 @@ def critical_prime_check(G: PermGroup) -> int:
     """The common (prime) order of all minimal-index elements."""
     if not G.is_transitive:
         raise NotTransitive("critical prime needs transitivity")
-    sylow_subgroup_sets(G)  # raises NotNilpotent when it fails
+    G.table.sylow  # raises NotNilpotent when it fails
     return G.table.critical_prime()

@@ -13,6 +13,13 @@ its factors are, so checked through them.  Any other group is generated
 products, closes it, and `mul` is gathered along the closure's walk, by
 index arithmetic, on first use.
 
+The edge rule: inside the library a subset or map of a group is indices of
+its table (subgroups, kernels, classes and Sylow sets as index sets or
+masks, quotient maps and actions as index lists).  Permutations appear only
+at the edges: parsing, `cycle_string`, the public API and its reports, and
+`GroupTable.idx`, built only when an edge needs it.  Hashing a permutation
+reads its whole image tuple, so a set of them costs |G| x degree.
+
 The "group order" limit of `errors.LIMITS` (4096) bounds every group.
 """
 
@@ -26,9 +33,9 @@ from math import gcd, lcm, prod
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .errors import (LIMITS, DegreeMismatch, NotNormal, NotPrime,
-                     PropertyViolated, TrivialGroup, require)
-from .intmath import is_prime, valuation
+from .errors import (LIMITS, DegreeMismatch, NotNilpotent, NotNormal,
+                     NotPrime, PropertyViolated, TrivialGroup, require)
+from .intmath import is_prime, prime_factors, valuation
 
 
 class Permutation:
@@ -151,10 +158,12 @@ def mulclose(gens: Iterable[Permutation]) -> tuple[dict, list]:
     return index, left
 
 
-def _gathered_rows(rank: list[int], left: list) -> list[tuple[int, ...]]:
+def _gathered_rows(rank: list[int], left: list
+                   ) -> tuple[list[tuple[int, ...]], list[int]]:
     """The Cayley table of a `mulclose` walk, `rank` listing the found numbers
-    in canonical order.  Row gens[a] * x is left[a] read along row x, and each
-    element but the identity is such a product of one found before it."""
+    in canonical order, and the generators' indices.  Row gens[a] * x is
+    left[a] read along row x, and each element but the identity is such a
+    product of one found before it."""
     pos = sorted(range(len(rank)), key=rank.__getitem__)  # rank's inverse
     lefts = [[pos[row[k]] for k in rank] for row in left]
     mul = [()] * len(rank)
@@ -163,7 +172,7 @@ def _gathered_rows(rank: list[int], left: list) -> list[tuple[int, ...]]:
         for lf in lefts:
             if not mul[lf[p]]:
                 mul[lf[p]] = itemgetter(*mul[p])(lf)  # n >= 2 here: a tuple
-    return mul
+    return mul, [lf[0] for lf in lefts]  # gens[a] = gens[a] * identity
 
 
 def orbit_sizes(gens: Sequence[Permutation]) -> list[int]:
@@ -218,29 +227,33 @@ def bits(mask: int) -> list[int]:
 
 class GroupTable:
     """Cayley table of a group: the elements in canonical order (identity at
-    0), `idx`, `mul[i][j]` = index of elements[i] * elements[j], `inv`, and
-    per element `order` and `ind` (degree minus orbit count); `gens` are the
+    0), `mul[i][j]` = index of elements[i] * elements[j], `inv`, and per
+    element `order` and `ind` (degree minus orbit count); `gens` are the
     generator indices (greedy when none are given).  A group past the order
-    limit is refused before `mul` is read.
+    limit is refused before `mul` is read.  `idx`, the index of each
+    permutation, is built only when an edge asks for it.
 
     `minimal` is the bitmask of the minimal-index elements and
-    `critical_prime` their common prime order; `is_subgroup` is the one
-    closure test for an index set.
+    `critical_prime` their common prime order; `sylow` holds the Sylow
+    subgroups of a nilpotent group; `is_subgroup` is the one closure test
+    for an index set.
     """
 
     def __init__(self, elements: Sequence[Permutation], mul: list[tuple[int, ...]],
-                 generators: Sequence[Permutation] | None = None):
+                 gens: Sequence[int] | None = None):
         require("group order", len(elements))
-        self.elements = elements = tuple(elements)
-        self.idx = {g: i for i, g in enumerate(elements)}
+        self.elements = tuple(elements)
         self.mul = mul
-        self.inv = [row.index(0) for row in mul]
-        self.gens = (self.generating_set() if generators is None
-                     else [self.idx[g] for g in generators])
-        self.order = order = [0] * len(elements)
+        self.order, self.inv = order, inv = [0] * len(mul), [0] * len(mul)
         for powers in (self.cyclic(i) for i, o in enumerate(order) if not o):
             for k, p in enumerate(powers):  # g^k has order |g| / gcd(|g|, k)
                 order[p] = len(powers) // gcd(len(powers), k)
+                inv[p] = powers[-k]  # and inverse g^(|g| - k)
+        self.gens = self.generating_set() if gens is None else list(gens)
+
+    @cached_property
+    def idx(self) -> dict[Permutation, int]:
+        return {g: i for i, g in enumerate(self.elements)}
 
     @cached_property
     def ind(self) -> list[int]:
@@ -268,6 +281,24 @@ class GroupTable:
     @cached_property
     def exponent(self) -> int:
         return reduce(lcm, self.order, 1)
+
+    @cached_property
+    def sylow(self) -> dict[int, frozenset[int]]:
+        """Per prime ell dividing |G|, the elements of ell-power order: the
+        (normal, unique) Sylow subgroups of a nilpotent group.  NotNilpotent
+        unless each set has full Sylow order and is a subgroup."""
+        out = {}
+        for ell in prime_factors(len(self.order)):
+            size = ell ** valuation(len(self.order), ell)[0]
+            part = frozenset(i for i, o in enumerate(self.order)
+                             if valuation(o, ell)[1] == 1)
+            if len(part) != size:
+                raise NotNilpotent(
+                    f"{ell}-elements form {len(part)} of {size} required")
+            if not self.is_subgroup(part):
+                raise NotNilpotent(f"{ell}-elements are not closed")
+            out[ell] = part
+        return out
 
     @cached_property
     def classes(self) -> list[list[int]]:
@@ -389,14 +420,13 @@ class PermGroup:
     generated group keeps its closure's walk and gathers it on first use.
     """
 
-    __slots__ = ("degree", "generators", "elements", "_elemset", "_table")
+    __slots__ = ("degree", "generators", "elements", "_table")
 
     def __init__(self, generators: Sequence[Permutation],
                  elements: Sequence[Permutation], table: GroupTable | tuple):
         self.degree = elements[0].degree
         self.generators = tuple(generators)
         self.elements = tuple(elements)
-        self._elemset = frozenset(self.elements)
         self._table = table  # the GroupTable, or the walk it is gathered from
 
     @classmethod
@@ -420,11 +450,13 @@ class PermGroup:
         if len({g.degree for g in elems}) > 1:
             raise DegreeMismatch("elements of different degrees")
         gens, group = [], cls.generate([Permutation.identity(elems[0].degree)])
+        have = {group.identity}
         for g in elems:
-            if g not in group:
+            if g not in have:
                 gens.append(g)
                 group = cls.generate(gens)
-                if not group._elemset <= members:
+                have = set(group.elements)
+                if not have <= members:
                     raise ValueError("element collection is not multiplicatively closed")
         return group
 
@@ -470,7 +502,7 @@ class PermGroup:
         """The regular group of a Cayley table known to be a Latin square with
         identity 0; PropertyViolated if the generators miss an element."""
         els = [Permutation.trusted(r) for r in rows]
-        T = GroupTable(els, rows, generators and [els[g] for g in generators])
+        T = GroupTable(els, rows, generators)
         if len(T.closure(T.gens)) < len(rows):
             raise PropertyViolated("the generators miss an element")
         return cls([els[g] for g in T.gens], els, T)
@@ -478,8 +510,7 @@ class PermGroup:
     @property
     def table(self) -> GroupTable:
         if not isinstance(self._table, GroupTable):  # the walk: gather it
-            rows = _gathered_rows(*self._table)
-            self._table = GroupTable(self.elements, rows, self.generators)
+            self._table = GroupTable(self.elements, *_gathered_rows(*self._table))
         return self._table
 
     @property
@@ -491,7 +522,7 @@ class PermGroup:
         return self.elements[0]
 
     def __contains__(self, p: Permutation) -> bool:
-        return p in self._elemset
+        return p in self.table.idx
 
     def __iter__(self):
         return iter(self.elements)
@@ -531,29 +562,18 @@ def center(G: PermGroup) -> frozenset[Permutation]:
     return G.table.subset(G.table.center())
 
 
-def _indices(T: GroupTable, elements: Iterable[Permutation]) -> set[int] | None:
-    """Indices of the given elements, or None when one lies outside T."""
-    idx = {T.idx.get(g) for g in elements}
-    return None if None in idx else idx
-
-
-def commutator_subgroup(G: PermGroup) -> frozenset[Permutation]:
-    return G.table.subset(G.table.commutator)
-
-
-def quotient_with_map(G: PermGroup, N: Iterable[Permutation]
-                      ) -> tuple[PermGroup, dict[Permutation, Permutation]]:
-    """Quotient G/N as a permutation group on left cosets, plus the map.
+def quotient_with_map(G: PermGroup, N: Iterable[int]
+                      ) -> tuple[PermGroup, list[int]]:
+    """Quotient G/N by the index set N, as a permutation group on left
+    cosets, plus the map: coset[g] is the index in G/N of element g.
 
     Cosets are ordered by their minimal member, and the quotient acts on
     them by left translation (the regular action of G/N).
     """
-    T = G.table
-    nset = frozenset(N)
-    if G.identity not in nset:
+    T, nidx = G.table, set(N)
+    if 0 not in nidx:
         raise NotNormal("kernel does not contain the identity")
-    nidx = _indices(T, nset)
-    if nidx is None or not T.is_subgroup(nidx):
+    if not nidx <= set(range(G.order)) or not T.is_subgroup(nidx):
         raise NotNormal("kernel is not a subgroup")
     if not T.is_normal(nidx):
         raise NotNormal("kernel is not normal")
@@ -568,22 +588,18 @@ def quotient_with_map(G: PermGroup, N: Iterable[Permutation]
     # g acts on the cosets as any member of its coset does
     Q = PermGroup.regular([[coset[T.mul[r][s]] for s in reps] for r in reps],
                           [coset[g] for g in T.gens])
-    return Q, {g: Q.elements[c] for g, c in zip(T.elements, coset)}
+    return Q, coset
 
 
-def quotient(G: PermGroup, N: Iterable[Permutation]) -> PermGroup:
+def quotient(G: PermGroup, N: Iterable[int]) -> PermGroup:
     return quotient_with_map(G, N)[0]
-
-
-def exponent(G: PermGroup) -> int:
-    return G.table.exponent
 
 
 def abelianization_rank(G: PermGroup, ell: int) -> int:
     """ell-rank of the maximal abelian quotient G/[G,G]."""
     if not is_prime(ell):
         raise NotPrime(f"{ell} is not prime")
-    Q = quotient(G, commutator_subgroup(G))
+    Q = quotient(G, G.table.commutator)
     powers = {Q.table.power(q, ell) for q in range(Q.order)}
     rank, rest = valuation(Q.order // len(powers), ell)
     if rest != 1:

@@ -23,8 +23,7 @@ from .extension import (ExtensionData, central_double_quotients,
                         solution_class_counts, verify_pullback_identity,
                         verify_semidirect_decomposition)
 from .malle import BaseFieldData, b_constant, min_index
-from .nilpotent import (critical_prime_check, natural_product,
-                        sylow_decompose, sylow_subgroup_sets)
+from .nilpotent import critical_prime_check, natural_product, sylow_decompose
 from .intmath import is_prime, valuation
 from .permcore import PermGroup
 from .series import (all_min_index_central, d_constant, enumerate_refinements,
@@ -85,8 +84,7 @@ def _suite(sid: str, title: str):
 def _central_prime_extensions(G: PermGroup) -> list[ExtensionData]:
     T = G.table
     subs = {frozenset(T.cyclic(z)) for z in T.center() if is_prime(T.order[z])}
-    ordered = sorted(subs, key=lambda s: sorted(T.elements[i].images for i in s))
-    return [ExtensionData.from_kernel(G, T.subset(s)) for s in ordered]
+    return [ExtensionData.from_kernel(G, s) for s in sorted(subs, key=sorted)]
 
 
 @cache
@@ -102,11 +100,11 @@ def _extension_cases() -> tuple[tuple[str, ExtensionData], ...]:
         for i, ext in enumerate(_central_prime_extensions(G)):
             cases.append((f"{name}/z{i}", ext))
     s3 = resolve("S3").group()
-    c3 = frozenset(g for g in s3.elements if g.order() in (1, 3))
+    c3 = [i for i, o in enumerate(s3.table.order) if o in (1, 3)]
     cases.append(("S3/C3", ExtensionData.from_kernel(s3, c3)))
     q8c3 = resolve("Q8xC3_S24").group()
-    two_part = sylow_subgroup_sets(q8c3)[2]
-    cases.append(("Q8xC3_S24/Q8", ExtensionData.from_kernel(q8c3, two_part)))
+    cases.append(("Q8xC3_S24/Q8",
+                  ExtensionData.from_kernel(q8c3, q8c3.table.sylow[2])))
     return tuple(cases)
 
 

@@ -463,6 +463,22 @@ def test_intransitive_report_builds_no_table(capsys):
     assert peak < 16 << 20
 
 
+def test_invariants_hashes_permutations_only_at_the_edges(capsys, monkeypatch):
+    # inside the library a subset or map of a group is table indices; a
+    # permutation's hash reads its whole image tuple (1024 entries here),
+    # so the report must not hash one per element per subset it forms
+    from nilcount.permcore import Permutation
+    calls, real = [0], Permutation.__hash__
+
+    def counted(self):
+        calls[0] += 1
+        return real(self)
+    monkeypatch.setattr(Permutation, "__hash__", counted)
+    code, rep = run_cli(capsys, "invariants", "--group", "x".join(["C2"] * 10))
+    assert code == 0 and rep["order"] == 1024 and rep["d_group"] == 1023
+    assert calls[0] < 2 * 1024
+
+
 def test_long_orbit_raw_cycles_refused_before_closing(capsys):
     # intransitive, but its orbit of 4200 points bounds the order from below:
     # closing it used to build 4200 permutations of degree 4202 first

@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import pytest
 
 from nilcount import extension
 from nilcount.catalog import (abelian, cyclic, dihedral4_regular,
                               dihedral4_s4, generalized_quaternion, resolve)
-from nilcount.errors import (LIMITS, BudgetExceeded, NotAction,
+from nilcount.errors import (LIMITS, BudgetExceeded, NotAction, NotNormal,
                              QuotientMismatch)
 from nilcount.extension import (ExtensionData, central_double_quotients,
                                 conjugation_action, fiber_product,
@@ -12,19 +14,26 @@ from nilcount.extension import (ExtensionData, central_double_quotients,
                                 solution_class_counts,
                                 verify_pullback_identity,
                                 verify_semidirect_decomposition)
-from nilcount.permcore import PermGroup, center
+from nilcount.permcore import PermGroup, center, quotient_with_map
 
 
 def center_extension(G):
-    z = next(g for g in sorted(center(G)) if not g.is_identity())
-    kernel = frozenset(z ** j for j in range(z.order()))
-    return ExtensionData.from_kernel(G, kernel)
+    z = min(i for i in G.table.center() if i)
+    return ExtensionData.from_kernel(G, G.table.cyclic(z))
+
+
+def elements_of_order(G, orders):
+    return [i for i, o in enumerate(G.table.order) if o in orders]
 
 
 def s3_extension():
     s3 = resolve("S3").group()
-    c3 = frozenset(g for g in s3.elements if g.order() in (1, 3))
-    return ExtensionData.from_kernel(s3, c3)
+    return ExtensionData.from_kernel(s3, elements_of_order(s3, (1, 3)))
+
+
+def kernel_group(ext):
+    """The kernel as a group of its own, its elements in kernel order."""
+    return PermGroup.from_elements(ext.group.elements[a] for a in ext.kernel)
 
 
 def test_extension_from_kernel():
@@ -41,7 +50,7 @@ def test_extension_from_kernel():
 
 def test_fiber_product_diagonal_is_group_itself():
     G = generalized_quaternion(4)
-    ext = ExtensionData.from_kernel(G, {G.identity})  # kappa = identity map
+    ext = ExtensionData.from_kernel(G, {0})  # kappa = identity map
     fp = fiber_product(ext, ext)
     assert fp.group.order == G.order
     assert is_isomorphic(fp.group, G)
@@ -60,9 +69,8 @@ def test_fiber_product_orders():
 def test_fiber_product_refuses_maps_that_are_not_homomorphisms():
     from nilcount.errors import PropertyViolated
     G, H = cyclic(4), cyclic(2)
-    e, h = H.elements
-    parity = {g: (e, h)[i % 2] for i, g in enumerate(G.elements)}
-    halves = {g: (e, h)[i // 2] for i, g in enumerate(G.elements)}
+    parity = [i % 2 for i in range(4)]
+    halves = [i // 2 for i in range(4)]
     # both maps have fibers of size 2, so the order test passes; the
     # product (0, 1)(0, 1) = (0, 2) of pairs has kappa values e and h
     with pytest.raises(PropertyViolated, match="Cayley table"):
@@ -77,18 +85,14 @@ def test_fiber_product_quotient_mismatch():
 
 def test_semidirect_trivial_action_is_direct_product():
     A, H = cyclic(3), cyclic(2)
-    psi = {h: {a: a for a in A.elements} for h in H.elements}
-    sd = semidirect(A, H, psi)
+    sd = semidirect(A, H, [[0, 1, 2]] * 2)
     assert sd.group.order == 6
     assert sorted(g.order() for g in sd.group.elements) == [1, 2, 3, 3, 6, 6]
 
 
 def test_semidirect_inversion_gives_s3():
     A, H = cyclic(3), cyclic(2)
-    inv = {a: a.inverse() for a in A.elements}
-    psi = {H.identity: {a: a for a in A.elements},
-           H.elements[1]: inv}
-    sd = semidirect(A, H, psi)
+    sd = semidirect(A, H, [[0, 1, 2], A.table.inv])
     # order profile: one identity, three involutions, two of order 3
     assert sorted(g.order() for g in sd.group.elements) == [1, 2, 2, 2, 3, 3]
     assert is_isomorphic(sd.group, resolve("S3").group())
@@ -96,40 +100,40 @@ def test_semidirect_inversion_gives_s3():
 
 def test_semidirect_rejects_non_action():
     A, H = cyclic(3), cyclic(4)
-    inv = {a: a.inverse() for a in A.elements}
-    ident = {a: a for a in A.elements}
-    h = H.elements
-    # h1 has order 4 but psi collapses at h1^2: psi(h1)^2 = id != psi(h1^2)
-    bad = {h[0]: ident, h[1]: inv, h[2]: inv, h[3]: ident}
-    with pytest.raises(NotAction):
-        semidirect(A, H, bad)
-    not_bijective = {x: {a: A.identity for a in A.elements} for x in h}
-    with pytest.raises(NotAction):
-        semidirect(A, H, not_bijective)
+    inv, ident = A.table.inv, [0, 1, 2]
+    # h1 has order 4 but act collapses at h1^2: act(h1)^2 = id != act(h1^2)
+    with pytest.raises(NotAction, match="multiplicative"):
+        semidirect(A, H, [ident, inv, inv, ident])
+    with pytest.raises(NotAction, match="bijection"):
+        semidirect(A, H, [[0, 0, 0]] * 4)
+    with pytest.raises(NotAction, match="automorphism"):  # moves the identity
+        semidirect(A, H, [ident, [1, 0, 2], ident, [1, 0, 2]])
+    with pytest.raises(NotAction, match="actions for the 4"):
+        semidirect(A, H, [ident] * 3)
+    s3 = resolve("S3").group()
+    with pytest.raises(NotAction, match="abelian"):
+        semidirect(s3, cyclic(1), [list(range(6))])
 
 
 def test_conjugation_action_central_is_trivial():
     q8 = generalized_quaternion(4)
-    psi = conjugation_action(center_extension(q8))
-    for h, act in psi.items():
-        assert all(act[a] == a for a in act)
+    act = conjugation_action(center_extension(q8))
+    assert len(act) == 4
+    assert all(row == [0, 1] for row in act)
 
 
 def test_conjugation_action_s3_inverts():
     ext = s3_extension()
-    psi = conjugation_action(ext)
-    nontrivial = next(h for h in psi if not h.is_identity())
-    assert any(psi[nontrivial][a] == a.inverse() and not a.is_identity()
-               for a in ext.kernel)
+    act, kernel, els = conjugation_action(ext), ext.kernel, ext.group.elements
+    assert act[0] == [0, 1, 2]
+    assert all(els[kernel[b]] == els[a].inverse() for a, b in zip(kernel, act[1]))
 
 
 def test_lemma_semidirect_central_kernel_gives_direct_product():
     # central kernel: conjugation is trivial, so A x| H = A x H
     d4 = dihedral4_regular()
     ext = center_extension(d4)
-    psi = conjugation_action(ext)
-    A = PermGroup.from_elements(ext.kernel)
-    sd = semidirect(A, ext.quotient, psi)
+    sd = semidirect(kernel_group(ext), ext.quotient, conjugation_action(ext))
     assert sd.group.order == 8
     assert all(g.order() in (1, 2) for g in sd.group.elements)  # C2 x V4
 
@@ -170,8 +174,7 @@ def test_fingerprint_is_isomorphism_invariant():
 
 def test_semidirect_decomposition_for_nonabelian_kernel():
     q8c3 = resolve("Q8xC3_S24").group()
-    from nilcount.nilpotent import sylow_subgroup_sets
-    ext = ExtensionData.from_kernel(q8c3, sylow_subgroup_sets(q8c3)[2])
+    ext = ExtensionData.from_kernel(q8c3, q8c3.table.sylow[2])
     assert verify_semidirect_decomposition(ext)
 
 
@@ -183,9 +186,8 @@ def test_pullback_identity_cases():
 
 def test_pullback_identity_d4_over_c2_with_c4_kernel():
     d4 = dihedral4_regular()
-    c4 = next(frozenset(g ** j for j in range(4))
-              for g in d4.elements if g.order() == 4)
-    ext = ExtensionData.from_kernel(d4, c4)
+    ext = ExtensionData.from_kernel(d4, d4.table.cyclic(
+        elements_of_order(d4, (4,))[0]))
     assert not ext.central
     assert verify_pullback_identity(ext)
 
@@ -200,7 +202,7 @@ def test_central_double_quotients_q8_and_d4():
 
 def test_central_double_quotients_c9_over_c3():
     G = cyclic(9)
-    kernel = frozenset(g for g in G.elements if g.order() in (1, 3))
+    kernel = elements_of_order(G, (1, 3))
     rep = central_double_quotients(ExtensionData.from_kernel(G, kernel))
     assert rep.subgroup_count == 4
     assert rep.copies_of_group == 3 and rep.copies_of_split == 1
@@ -210,7 +212,7 @@ def test_central_double_quotients_requires_central_prime():
     with pytest.raises(ValueError):
         central_double_quotients(s3_extension())
     G = cyclic(8)
-    kernel = frozenset(g for g in G.elements if g.order() in (1, 2, 4))
+    kernel = elements_of_order(G, (1, 2, 4))
     with pytest.raises(ValueError):
         central_double_quotients(ExtensionData.from_kernel(G, kernel))
 
@@ -396,9 +398,8 @@ def test_pruned_search_on_the_heis27_fiber_product():
     # G x_H G against G x_H (A x| H) for the centre of Heis27: order 81,
     # exponent 3, where the first two generators of G1 span the centre
     ext = center_extension(resolve("Heis27").group())
-    sd = semidirect(PermGroup.from_elements(ext.kernel), ext.quotient,
-                    conjugation_action(ext))
-    kappa_sd = {g: h for g, (a, h) in zip(sd.group.elements, sd.pairs)}
+    sd = semidirect(kernel_group(ext), ext.quotient, conjugation_action(ext))
+    kappa_sd = [h for _, h in sd.pairs]
     G1 = fiber_product(ext, ext).group
     G2 = extension.fiber_product_maps(ext.group, ext.kappa, sd.group,
                                       kappa_sd, ext.quotient).group
@@ -410,7 +411,7 @@ def test_pruned_search_on_the_heis27_fiber_product():
 def test_pair_product_classes_are_one():
     from nilcount.extension import PairProduct
     A, H = cyclic(3), cyclic(2)
-    sd = semidirect(A, H, {h: {a: a for a in A.elements} for h in H.elements})
+    sd = semidirect(A, H, [[0, 1, 2]] * 2)
     assert isinstance(sd, PairProduct) and len(sd.pairs) == 6
 
 
@@ -437,14 +438,13 @@ def assert_same_group(G, R):
 def fiber_reference(G1, kappa1, G2, kappa2, H):
     """The pairs and the multiplication of the earlier fiber product."""
     m1, m2 = G1.table.mul, G2.table.mul
-    pairs = extension._fiber_pairs(G1, kappa1, G2, kappa2)
+    pairs = extension._fiber_pairs(kappa1, kappa2)
     return pairs, lambda p, q: (m1[p[0]][q[0]], m2[p[1]][q[1]])
 
 
-def semidirect_reference(A, H, psi):
+def semidirect_reference(A, H, act):
     """The pairs and the multiplication of the earlier semidirect product."""
-    TA, mA, mH = A.table, A.table.mul, H.table.mul
-    act = [[TA.idx[psi[h][a]] for a in A.elements] for h in H.elements]
+    mA, mH = A.table.mul, H.table.mul
     pairs = [(a, h) for a in range(A.order) for h in range(H.order)]
     return pairs, lambda p, q: (mA[p[0]][act[p[1]][q[0]]], mH[p[1]][q[1]])
 
@@ -496,8 +496,7 @@ def test_regular_realizations_match_translation_reference(monkeypatch):
         assert_same_group(product.group, ref)
         pairs = sorted(pairs)
         assert [to_perm[p] for p in pairs] == list(product.group.elements)
-        assert product.pairs == tuple((X.elements[i], Y.elements[j])
-                                      for i, j in pairs)
+        assert product.pairs == tuple(pairs)
     for ell, K, group in cyclic_products:
         mK = K.table.mul
         ref, to_perm = reference_regular_permutation_group(
@@ -507,6 +506,142 @@ def test_regular_realizations_match_translation_reference(monkeypatch):
         # element i |K| + g is (i, K.elements[g])
         assert all(group.elements[i * K.order + g] == p
                    for (i, g), p in to_perm.items())
+
+
+# The permutation-set route of the extension layer, kept as the reference
+# of the index route: kernels as sets of permutations, quotient maps and
+# actions as dicts keyed by them.
+
+def reference_quotient_with_map(G, N):
+    T = G.table
+    nset = frozenset(N)
+    if G.identity not in nset:
+        raise NotNormal("kernel does not contain the identity")
+    nidx = {T.idx.get(g) for g in nset}
+    if None in nidx or not T.is_subgroup(nidx):
+        raise NotNormal("kernel is not a subgroup")
+    if not T.is_normal(nidx):
+        raise NotNormal("kernel is not normal")
+    coset, reps = [-1] * len(T.elements), []
+    for g, row in enumerate(T.mul):
+        if coset[g] < 0:
+            for k in nidx:
+                coset[row[k]] = len(reps)
+            reps.append(g)
+    Q = PermGroup.regular([[coset[T.mul[r][s]] for s in reps] for r in reps],
+                          [coset[g] for g in T.gens])
+    return Q, {g: Q.elements[c] for g, c in zip(T.elements, coset)}
+
+
+def reference_from_kernel(G, kernel):
+    kernel = frozenset(kernel)
+    H, kappa = reference_quotient_with_map(G, kernel)
+    return SimpleNamespace(group=G, kernel=kernel, quotient=H, kappa=kappa,
+                           central=kernel <= center(G))
+
+
+def reference_conjugation_action(E):
+    T = E.group.table
+    kernel = [T.idx[a] for a in E.kernel]
+    fibers = {}
+    for g, x in enumerate(T.elements):
+        fibers.setdefault(E.kappa[x], []).append(g)
+    psi = {}
+    for h, fiber in fibers.items():
+        action = [T.conj(fiber[0], a) for a in kernel]
+        if any(T.conj(g, a) != b for g in fiber[1:]
+               for a, b in zip(kernel, action)):
+            raise NotAction(
+                "conjugation depends on the preimage; kernel not abelian?")
+        psi[h] = {T.elements[a]: T.elements[b] for a, b in zip(kernel, action)}
+    return psi
+
+
+def reference_fiber_pairs(G1, kappa1, G2, kappa2):
+    """The fiber product's pairs as permutation pairs, in canonical order."""
+    fiber = {}
+    for g2 in G2.elements:
+        fiber.setdefault(kappa2[g2], []).append(g2)
+    return [(g1, g2) for g1 in G1.elements for g2 in fiber.get(kappa1[g1], ())]
+
+
+def as_map(G, kappa, H):
+    """An index quotient map as the dict of the permutation route."""
+    return {g: H.elements[h] for g, h in zip(G.elements, kappa)}
+
+
+def assert_same_quotient(G, got, ref):
+    (Q, coset), (R, kappa) = got, ref
+    assert_same_group(Q, R)
+    assert as_map(G, coset, Q) == kappa
+
+
+def test_extension_cases_match_the_permutation_reference():
+    from nilcount.suites import _extension_cases
+    cases = _extension_cases()
+    assert len(cases) == 47
+    for label, E in cases:
+        G, H = E.group, E.quotient
+        kernel = [G.elements[a] for a in E.kernel]
+        ref = reference_from_kernel(G, kernel)
+        assert list(E.kernel) == sorted(E.kernel), label
+        assert ref.kernel == frozenset(kernel), label
+        assert_same_group(H, ref.quotient)
+        assert as_map(G, E.kappa, H) == ref.kappa, label
+        assert E.central == ref.central, label
+        assert_same_quotient(G, quotient_with_map(G, E.kernel),
+                             reference_quotient_with_map(G, kernel))
+        if label.endswith("/Q8"):  # a nonabelian kernel: no action
+            with pytest.raises(NotAction):
+                reference_conjugation_action(ref)
+            with pytest.raises(NotAction):
+                conjugation_action(E)
+            continue
+        act = conjugation_action(E)
+        assert {H.elements[h]: {kernel[a]: kernel[b] for a, b in enumerate(row)}
+                for h, row in enumerate(act)} == reference_conjugation_action(ref)
+
+
+def test_suite_4_5_pair_products_match_the_permutation_reference(monkeypatch):
+    from nilcount import permcore
+    from nilcount.suites import _extension_cases, run_suite
+    cases = [E for label, E in _extension_cases() if not label.endswith("/Q8")]
+    quotients, fibers, semidirects = [], [], []  # built after the cases
+
+    def recorder(build, calls):
+        def run(*args):
+            out = build(*args)
+            calls.append((args, out))
+            return out
+        return run
+    record_quotient = recorder(permcore.quotient_with_map, quotients)
+    monkeypatch.setattr(permcore, "quotient_with_map", record_quotient)
+    monkeypatch.setattr(extension, "quotient_with_map", record_quotient)
+    monkeypatch.setattr(extension, "fiber_product_maps", recorder(
+        extension.fiber_product_maps, fibers))
+    monkeypatch.setattr(extension, "semidirect", recorder(
+        extension.semidirect, semidirects))
+    assert run_suite("4.5").passed
+    assert (len(quotients), len(fibers), len(semidirects)) == (46, 92, 46)
+    # the diagonal quotient of G x_H G, one per case
+    for (G, N), got in quotients:
+        ref = reference_quotient_with_map(G, [G.elements[i] for i in N])
+        assert_same_quotient(G, got, ref)
+    for (G1, kappa1, G2, kappa2, H), product in fibers:
+        pairs = [(G1.elements[i], G2.elements[j]) for i, j in product.pairs]
+        assert pairs == reference_fiber_pairs(
+            G1, as_map(G1, kappa1, H), G2, as_map(G2, kappa2, H))
+    # A x| H: A is the kernel on its own table, H acts by conjugation
+    for E, ((A, H, act), product) in zip(cases, semidirects):
+        G = E.group
+        ref_A = PermGroup.from_elements(G.elements[a] for a in E.kernel)
+        assert A.table.mul == ref_A.table.mul and H is E.quotient
+        psi = reference_conjugation_action(
+            reference_from_kernel(G, ref_A.elements))
+        assert all(psi[H.elements[h]][ref_A.elements[a]] == ref_A.elements[b]
+                   for h, row in enumerate(act) for a, b in enumerate(row))
+        assert product.pairs == tuple((a, h) for a in range(A.order)
+                                      for h in range(H.order))
 
 
 LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],

@@ -7,8 +7,7 @@ from nilcount.catalog import abelian, cyclic, dihedral4_s4, generalized_quaterni
 from nilcount.errors import NotNilpotent, NotTransitive, TrivialGroup
 from nilcount.malle import ind, min_index
 from nilcount.nilpotent import (critical_prime_check, is_nilpotent,
-                                natural_product, sylow_decompose,
-                                sylow_subgroup_sets)
+                                natural_product, sylow_decompose)
 from nilcount.permcore import PermGroup, parse_generators
 
 
@@ -54,9 +53,13 @@ def test_sylow_sets_and_nilpotency():
     s3 = resolve("S3").group()
     assert not is_nilpotent(s3)
     with pytest.raises(NotNilpotent):
-        sylow_subgroup_sets(s3)
-    sets = sylow_subgroup_sets(natural_product(cyclic(4), cyclic(3)))
+        s3.table.sylow
+    G = natural_product(cyclic(4), cyclic(3))
+    sets = G.table.sylow
+    assert G.table.sylow is sets  # found once per table
     assert {ell: len(s) for ell, s in sets.items()} == {2: 4, 3: 3}
+    assert {ell: sorted(G.table.order[i] for i in s)
+            for ell, s in sets.items()} == {2: [1, 2, 4, 4], 3: [1, 3, 3]}
 
 
 def test_sylow_decompose_single_prime():
@@ -127,8 +130,8 @@ def test_minimal_index_elements_live_in_one_sylow_factor():
     for name in ("Q8xC3_S24", "D4xC3_S12", "C6"):
         G = resolve(name).group()
         ell = critical_prime_check(G)
-        sylow = sylow_subgroup_sets(G)[ell]
+        sylow = G.table.sylow[ell]
         ind_G, _ = min_index(G)
-        for g in G.elements:
+        for i, g in enumerate(G.elements):
             if not g.is_identity() and ind(g) == ind_G:
-                assert g in sylow
+                assert i in sylow

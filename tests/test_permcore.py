@@ -15,7 +15,7 @@ from nilcount.errors import (LIMITS, BudgetExceeded, DegreeMismatch, NotNormal,
 from nilcount.permcore import (GroupTable, PermGroup, Permutation,
                                abelianization_rank,
                                center, conjugacy_classes, cycle_string,
-                               exponent, parse_generators,
+                               parse_generators,
                                parse_permutation, quotient, quotient_with_map)
 from nilcount.catalog import abelian, generalized_quaternion
 
@@ -127,7 +127,7 @@ def test_center():
 
 def test_quotient_q8_by_center_is_v4():
     q8 = generalized_quaternion(4)
-    Q = quotient(q8, center(q8))
+    Q = quotient(q8, q8.table.center())
     assert Q.order == 4
     assert all(g.order() in (1, 2) for g in Q.elements)
     # oracle: coset multiplication table has four cosets
@@ -138,13 +138,13 @@ def test_quotient_q8_by_center_is_v4():
 
 def test_quotient_examples():
     G = abelian(4, 2)
-    whole = quotient(G, set(G.elements))
+    whole = quotient(G, range(G.order))
     assert whole.order == 1
-    a_sq = next(g for g in G.elements if g.order() == 2
+    a_sq = next(i for i, g in enumerate(G.elements) if g.order() == 2
                 and g in {h * h for h in G.elements})
-    Q = quotient(G, {G.identity, a_sq})
+    Q = quotient(G, {0, a_sq})
     assert Q.order == 4
-    trivial_quot = quotient(G, {G.identity})
+    trivial_quot = quotient(G, {0})
     assert trivial_quot.order == G.order
     assert sorted(g.order() for g in trivial_quot.elements) == \
         sorted(g.order() for g in G.elements)
@@ -152,25 +152,31 @@ def test_quotient_examples():
 
 def test_quotient_map_is_homomorphism():
     q8 = generalized_quaternion(4)
-    Q, kappa = quotient_with_map(q8, center(q8))
+    Q, coset = quotient_with_map(q8, q8.table.center())
+    kappa = {g: Q.elements[c] for g, c in zip(q8.elements, coset)}
     for a in q8.elements:
         for b in q8.elements:
             assert kappa[a * b] == kappa[a] * kappa[b]
-    assert set(kappa.values()) == set(Q.elements)
+    assert sorted(set(coset)) == list(range(Q.order))
 
 
 def test_quotient_not_normal():
     d4 = PermGroup.generate(parse_generators("(1,2,3,4);(1,3)"))
-    refl = parse_permutation("(1,3)", degree=4)
-    with pytest.raises(NotNormal):
-        quotient(d4, {d4.identity, refl})
-    with pytest.raises(NotNormal):
-        quotient(d4, {d4.identity, parse_permutation("(1,2,3,4)", degree=4)})
+    refl = d4.table.idx[parse_permutation("(1,3)", degree=4)]
+    rot = d4.table.idx[parse_permutation("(1,2,3,4)", degree=4)]
+    with pytest.raises(NotNormal, match="not normal"):
+        quotient(d4, {0, refl})
+    with pytest.raises(NotNormal, match="not a subgroup"):
+        quotient(d4, {0, rot})
+    with pytest.raises(NotNormal, match="not a subgroup"):  # no element 8
+        quotient(d4, {0, 8})
+    with pytest.raises(NotNormal, match="identity"):
+        quotient(d4, d4.table.cyclic(rot)[1:])
 
 
 def test_element_order_exponent_rank():
     d4 = PermGroup.generate(parse_generators("(1,2,3,4);(1,3)"))
-    assert exponent(d4) == 4  # oracle: max order scan for 2-groups
+    assert d4.table.exponent == 4  # oracle: max order scan for 2-groups
     assert max(g.order() for g in d4.elements) == 4
     q8 = generalized_quaternion(4)
     # oracle: commutator enumeration gives [Q8,Q8] of order 2
@@ -188,7 +194,7 @@ def test_element_order_exponent_rank():
 def test_order_divides_exponent_divides_group_order():
     for G in [generalized_quaternion(4), abelian(4, 2),
               PermGroup.generate(parse_generators("(1,2,3,4);(1,3)"))]:
-        e = exponent(G)
+        e = G.table.exponent
         assert G.order % e == 0
         for g in G.elements:
             assert e % g.order() == 0
@@ -232,14 +238,13 @@ def test_group_table_is_cached_on_the_group():
 
 def test_commutator_subgroup_is_cached_and_matches_enumeration():
     from nilcount.catalog import resolve
-    from nilcount.permcore import commutator_subgroup
     for name in ("Q8", "D4_S4", "Heis27", "S3", "C4xC2_S8"):
         G = resolve(name).group()
         T = G.table
         assert T.commutator is T.commutator, name
         comms = [a.inverse() * b.inverse() * a * b
                  for a in G.elements for b in G.elements]
-        assert commutator_subgroup(G) == brute_closure(comms), name
+        assert T.subset(T.commutator) == brute_closure(comms), name
 
 
 def test_from_elements_rejects_unclosed_sets():
@@ -327,7 +332,8 @@ def assert_reference(case, G, elements, generators=None):
     element-list route."""
     elements = tuple(sorted(elements))
     mul = _base_table(elements)
-    T = GroupTable(elements, mul, generators)  # greedy over the oracle's mul
+    gens = generators and list(map(elements.index, generators))
+    T = GroupTable(elements, mul, gens)  # greedy over the oracle's mul
     assert G.elements == elements, case
     assert G.generators == tuple(elements[g] for g in T.gens), case
     assert G.table.gens == T.gens, case
@@ -390,8 +396,13 @@ def test_natural_products_and_sylow_factors_match_the_element_list_route():
         gens, elements = reference_pair_product(G1, G2)
         assert_reference((n1, n2), natural_product(G1, G2), elements, gens)
     for name in ("Q8xC3_S24", "D4xC3_S12"):
-        for ell, F in sylow_decompose(resolve(name).group()).factors:
-            assert_reference((name, ell), F, F.elements)  # greedy generators
+        G = resolve(name).group()
+        for ell, F in sylow_decompose(G).factors:
+            # generated by the block images of G's generators, one per
+            # generator, and faithful on the Sylow subgroup
+            assert len(F.generators) == len(G.generators), (name, ell)
+            assert F.order == len(G.table.sylow[ell]), (name, ell)
+            assert_reference((name, ell), F, F.elements, F.generators)
 
 
 FIXED = settings(derandomize=True, database=None, max_examples=100,

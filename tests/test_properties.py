@@ -66,10 +66,8 @@ def type_group(name: str) -> PermGroup:
         return PermGroup.product(resolve("Q8").group(), cyclic(2))
     if name == "C4:C4":  # the generator of H inverts A
         A, H = cyclic(4), cyclic(4)
-        inverts = {h: H.table.idx[h] % 2 for h in H.elements}
-        psi = {h: {a: a.inverse() if inverts[h] else a for a in A.elements}
-               for h in H.elements}
-        return semidirect(A, H, psi).group
+        return semidirect(A, H, [A.table.inv if h % 2 else range(4)
+                                 for h in range(4)]).group
     return resolve(name).group()
 
 
