@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -17,11 +18,12 @@ from pathlib import Path
 
 from . import __version__
 from .catalog import CATALOG, get_group, resolve
-from .counting import (count_quadratic_at, enumerate_cyclic_ell,
-                       enumerate_quadratic, enumerate_v4, v4_fiber_check)
+from .counting import (count_cyclic_ell_at, count_quadratic_at,
+                       enumerate_cyclic_ell, enumerate_quadratic,
+                       enumerate_v4, v4_fiber_check)
 from .dirichlet import (FactorSpec, default_checkpoints, multi_factor_sum,
                         series_csv_rows, slope_estimate)
-from .errors import NilcountError
+from .errors import NilcountError, require
 from .intmath import iroot
 from .malle import BaseFieldData, b_constant, min_index
 from .nilpotent import is_nilpotent, sylow_decompose
@@ -189,24 +191,20 @@ def cmd_count(args) -> int:
                     for rec in enumerate_quadratic(min(x, 10 ** 5))]
     elif kind.startswith("cyclic"):
         ell = int(kind[len("cyclic"):])
-        records = enumerate_cyclic_ell(ell, x)
-        counts = []
-        idx = 0
-        for cp in checkpoints:
-            while idx < len(records) and records[idx].discriminant <= cp:
-                idx += 1
-            counts.append((cp, idx))
+        counts = list(zip(checkpoints, count_cyclic_ell_at(ell, checkpoints)))
         summary["counts"] = counts
         try:
             scale = x ** (1.0 / (ell - 1))
         except OverflowError:  # x beyond the float range
             scale = math.exp(math.log(x) / (ell - 1))
-        summary["ratio_x_alpha"] = len(records) / scale
+        summary["ratio_x_alpha"] = counts[-1][1] / scale
         if args.out:
+            require("listed fields", counts[-1][1])
             # |disc| = f^(ell - 1) for the conductor f
             rows = [(rec.group, rec.discriminant,
                      iroot(rec.discriminant, ell - 1),
-                     "|".join(map(str, rec.ramified_tuple))) for rec in records]
+                     "|".join(map(str, rec.ramified_tuple)))
+                    for rec in enumerate_cyclic_ell(ell, x)]
     elif kind == "v4":
         fields = enumerate_v4(x)
         rep = v4_fiber_check(x, fields=fields)
@@ -255,6 +253,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache  # built once per process: parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="nilcount",

@@ -6,9 +6,10 @@ here are exact integers: the number of C_ell extensions unramified outside S
 is (ell^t - 1)/(ell - 1) where t counts one rank per prime p = 1 mod ell in S
 plus the wild contribution at ell (rank 2 at ell = 2 from conductors 4 and 8,
 rank 1 at odd ell from conductor ell^2).  Exact-ramification counts follow by
-inclusion-exclusion, in closed form as t is additive over primes, and field
-enumerations (quadratic, cyclic of odd prime degree, biquadratic) back
-everything with explicit discriminant lists.
+inclusion-exclusion, in closed form as t is additive over primes.  Cyclic
+fields of odd prime degree are counted through one sum over their
+conductors, and field enumerations (quadratic, cyclic of odd prime degree,
+biquadratic) back everything with explicit discriminant lists.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 
 from .errors import require
 from .malle import BaseFieldData
-from .dirichlet import prime_sieve, squarefree_sieve
+from .dirichlet import (FactorSpec, _prefix_sums_at, prime_sieve,
+                        squarefree_sieve)
 from .intmath import iroot, is_prime, omega, prime_factors, valuation
 
 # an odd prime ramified in a V4 field divides its discriminant this often:
@@ -181,6 +183,40 @@ def enumerate_quadratic(x: int) -> list[FieldRecord]:
 
 
 # cyclic fields of odd prime degree
+
+
+def count_cyclic_ell_at(ell: int, xs: Sequence[int]) -> list[int]:
+    """The number of C_ell fields over Q with |disc| <= x, for every x in
+    xs, from one prefix-sum pass of the factor ell:1:(ell - 1).
+
+    A conductor f carries (ell - 1)^(k - 1) fields, k its number of cyclic
+    character components (see `enumerate_cyclic_ell`).  So with g
+    multiplicative, g(p) = ell - 1 for p = 1 mod ell, g(ell^2) = ell - 1
+    and g = 0 on every other prime power, the fields with f <= F number
+    (S(F) - 1)/(ell - 1) for S(F) = sum_{f <= F} g(f), F = iroot(x, ell - 1).
+    The prefix sums T of the factor also weight ell itself by ell - 1:
+    T(y) = U(y) + (ell - 1) U(y // ell) for U the sum over f prime to ell,
+    so U(y) = sum_k (-(ell - 1))^k T(y // ell^k) and
+    S(F) = U(F) + (ell - 1) U(F // ell^2).  Every T query is F // ell^j, a
+    floor value of F, so one floor-set pass answers every checkpoint.
+    """
+    if ell == 2 or not is_prime(ell):
+        raise ValueError("need an odd prime")
+    w = ell - 1
+    fs = [iroot(x, w) for x in xs]
+    top, powers, p = max([0, *fs]), [], 1
+    while p <= top:  # powers: every ell^j <= max F
+        powers.append(p)
+        p *= ell
+    if not powers:
+        return [0] * len(fs)
+    t = _prefix_sums_at(FactorSpec(ell, 1, w), sorted(set(fs) - {0}), powers)
+
+    def u(y: int) -> int:
+        return sum((-w) ** k * t[y // q] for k, q in enumerate(powers)
+                   if q <= y)
+    return [(u(f) + w * u(f // (ell * ell)) - 1) // w if f else 0
+            for f in fs]
 
 
 def enumerate_cyclic_ell(ell: int, x: int) -> list[FieldRecord]:

@@ -178,10 +178,14 @@ def _prefix_sums_at(spec: FactorSpec, checkpoints: Sequence[int],
                     support: Sequence[int]) -> dict[int, int]:
     """Exact prefix sums C(q) = sum_{n <= q} c[n] at every query point
     q = iroot(x // P, d), for x in checkpoints and P <= x in support.
+
+    The queries are a generator: the floor-set count consumes it only after
+    checking its table sizes, so a huge checkpoint is refused before they
+    are built.
     """
     limit = max(checkpoints)
-    queries = {iroot(x // p, spec.d) for x in checkpoints
-               for p in support if p <= x}
+    queries = (iroot(x // p, spec.d) for x in checkpoints
+               for p in support if p <= x)
     # The one rule between the two ways.  The floor-set count makes one pass
     # over the union of the checkpoints' floor sets, which costs about
     # (ell - 1) limit^(3/4) operations (a prime count per class of
@@ -302,7 +306,7 @@ def _floor_prefix_sums(spec: FactorSpec, checkpoints: Sequence[int],
                 comp[k, lo:] += comp[k - 1].take(cof[lo - start:])
         comp[0, start:] += pi_b.take(cof) - pi_b[p]
 
-    queries = list(queries)
+    queries = list(set(queries))
     pos = np.searchsorted(vals, np.array(queries, dtype=np.int64))
     counts = np.vstack([np.ones_like(pos), pi_b[pos], comp[:, pos]]).T.tolist()
     return {q: _weighted(spec, n) for q, n in zip(queries, counts)}

@@ -9,6 +9,7 @@ import pytest
 
 import nilcount
 from nilcount.cli import SCHEMA, main
+from nilcount.errors import LIMITS
 from nilcount.suites import SUITES
 
 
@@ -168,6 +169,62 @@ def test_count_cyclic3_conductor_column(tmp_path, capsys):
     rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
     assert [int(r[2]) for r in rows] == [7, 9, 13, 19, 31]
     assert all(int(r[1]) == int(r[2]) ** 2 for r in rows)
+
+
+def test_count_cyclic_lists_fields_only_for_out(tmp_path, capsys,
+                                                monkeypatch):
+    from nilcount import cli
+    calls = []
+    enumerate_cyclic_ell = cli.enumerate_cyclic_ell
+
+    def counted(ell, x):
+        calls.append((ell, x))
+        return enumerate_cyclic_ell(ell, x)
+    monkeypatch.setattr(cli, "enumerate_cyclic_ell", counted)
+    argv = ["count", "--kind", "cyclic3", "--max-x", "1000000"]
+    code, rep = run_cli(capsys, *argv)
+    assert code == 0 and calls == []
+    out = tmp_path / "c3.csv"
+    code, listed = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 0 and listed == rep and calls == [(3, 10 ** 6)]
+    assert len(out.read_text().splitlines()) - 1 == rep["counts"][-1][1]
+    # past the limit on listed fields: refused before any field is listed
+    calls.clear()
+    monkeypatch.setitem(LIMITS, "listed fields", 158)
+    out.unlink()
+    code, rep = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2 and calls == [] and not out.exists()
+    assert rep["error"] == "BudgetExceeded: listed fields 159 exceeds 158"
+
+
+COHN = 0.158528258  # lim N(X)/sqrt(X) for cyclic cubic fields (Cohn 1954)
+
+
+@pytest.mark.parametrize("x, fields, tolerance", [
+    (10 ** 12, 158542, 2e-5),
+    (10 ** 14, 1585249, 5e-6),
+    (10 ** 16, 15852618, 5e-6),
+    (10 ** 18, 158528150, 5e-7)])  # 1e18 also read off the sweep at F = 1e9
+def test_cyclic3_ratio_approaches_cohn_constant(capsys, x, fields, tolerance):
+    code, rep = run_cli(capsys, "count", "--kind", "cyclic3",
+                        "--max-x", str(x))
+    assert code == 0 and rep["counts"][-1] == [x, fields]
+    assert abs(rep["ratio_x_alpha"] - COHN) < tolerance
+
+
+def test_back_to_back_calls_share_no_state(tmp_path, capsys):
+    from nilcount.cli import build_parser
+    assert build_parser() is build_parser()  # built once per process
+    out = tmp_path / "c3.csv"
+    argv = ["count", "--kind", "cyclic3", "--max-x", "1000"]
+    code, listed = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 0 and out.exists()
+    out.unlink()
+    code, counted = run_cli(capsys, *argv)
+    assert code == 0 and counted == listed and not out.exists()
+    _, seeded = run_cli(capsys, "verify", "3.2", "--seed", "7")
+    _, plain = run_cli(capsys, "verify", "3.2")
+    assert (seeded["seed"], plain["seed"]) == (7, 42)
 
 
 def test_count_v4(capsys):
@@ -373,7 +430,6 @@ def test_ignored_cap_flag_keeps_the_report(capsys):
 
 
 def test_refinement_node_budget_is_typed_error(capsys, monkeypatch):
-    from nilcount.errors import LIMITS
     monkeypatch.setitem(LIMITS, "search nodes", 1)
     code, rep = run_cli(capsys, "invariants", "--group", "D4_S8")
     assert code == 2 and rep["error"].startswith("BudgetExceeded")

@@ -4,13 +4,15 @@ from math import gcd, lcm, prod
 import numpy as np
 import pytest
 
-from nilcount.counting import (character_rank, count_exactly_ramified,
+from nilcount.counting import (character_rank, count_cyclic_ell_at,
+                               count_exactly_ramified,
                                count_quadratic, count_quadratic_at,
                                count_unramified_outside,
                                enumerate_cyclic_ell, enumerate_quadratic,
                                enumerate_v4, exact_ramified_bounds,
                                fundamental_discriminants, rank_bound_s,
                                unramified_bound, v4_fiber_check)
+from nilcount import dirichlet
 from nilcount.dirichlet import default_checkpoints, squarefree_sieve
 from nilcount.errors import BudgetExceeded
 from nilcount.intmath import iroot, radical
@@ -326,6 +328,56 @@ def test_cyclic_3_oracle_small():
         return total
     for x in (49, 1000, 10 ** 4, 10 ** 5):
         assert len(enumerate_cyclic_ell(3, x)) == brute(x)
+
+
+def enumerated_counts(ell, xs):
+    """The oracle: fields listed by `enumerate_cyclic_ell` at each x."""
+    discs = [r.discriminant for r in enumerate_cyclic_ell(ell, max(xs))]
+    return [int(np.searchsorted(discs, x, "right")) for x in xs]
+
+
+@pytest.mark.parametrize("ell, x", [
+    (3, 10 ** 10), (5, 10 ** 16), (7, 10 ** 24), (11, 10 ** 50),
+    (13, 10 ** 60),  # F = 1e5: the floor-set count
+    (11, 10 ** 30), (13, 10 ** 36)])  # F = 1000 < (ell - 1)^4: the sweep
+def test_cyclic_count_matches_enumeration(ell, x):
+    checkpoints = default_checkpoints(x)
+    assert count_cyclic_ell_at(ell, checkpoints) == enumerated_counts(
+        ell, checkpoints)
+
+
+@pytest.mark.parametrize("ell, p", [(3, 7), (5, 11), (7, 29)])
+def test_cyclic_count_at_conductor_edges(ell, p):
+    # a tame conductor p = 1 mod ell, the wild ell^2 and their product
+    # (7, 9 and 63 at ell = 3)
+    xs = [f ** (ell - 1) + e for f in (p, ell * ell, ell * ell * p)
+          for e in (-1, 0, 1)]
+    assert count_cyclic_ell_at(ell, xs) == enumerated_counts(ell, xs)
+
+
+def test_cyclic_count_below_1000():
+    xs = list(range(1, 1000))
+    counts = count_cyclic_ell_at(3, xs)
+    assert counts == enumerated_counts(3, xs)
+    assert counts[:48] == [0] * 48 and counts[48] == 1  # disc 49
+    assert count_cyclic_ell_at(5, xs) == [0] * len(xs)  # 11^4 > 1000
+
+
+def test_cyclic_count_needs_an_odd_prime():
+    for ell in (2, 9, 1):
+        with pytest.raises(ValueError, match="odd prime"):
+            count_cyclic_ell_at(ell, [100])
+
+
+def test_cyclic_count_refused_before_its_queries(monkeypatch):
+    root = dirichlet.iroot
+
+    def recorded(x, d):
+        assert d != 1, "a floor-value query was formed"  # iroot(F // P, 1)
+        return root(x, d)
+    monkeypatch.setattr(dirichlet, "iroot", recorded)
+    with pytest.raises(BudgetExceeded, match="floor-set class"):
+        count_cyclic_ell_at(3, default_checkpoints(10 ** 320))
 
 
 def test_v4_enumeration_smallest_fields():

@@ -1,8 +1,12 @@
 """Every size limit in `errors.LIMITS`, shrunk, refuses at its entry point."""
 
+import os
+from argparse import Namespace
+
 import pytest
 
 from nilcount.catalog import abelian, resolve
+from nilcount.cli import cmd_count
 from nilcount.counting import enumerate_v4
 from nilcount.dirichlet import FactorSpec, multi_factor_sum, prime_sieve
 from nilcount.errors import LIMITS, BudgetExceeded
@@ -25,6 +29,8 @@ CASES = {
     "tuple entries": (5, lambda: multi_factor_sum(
         [FactorSpec(3, 1, 1), FactorSpec(3, 2, 1)], 10 ** 4), 6),
     "biquadratic discriminant": (999, lambda: enumerate_v4(1000), 1000),
+    "listed fields": (15, lambda: cmd_count(Namespace(
+        kind="cyclic3", max_x=10 ** 4, out=os.devnull)), 16),
 }
 
 

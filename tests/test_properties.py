@@ -1,13 +1,16 @@
 """Property tests: exact integer roots, primality against sympy, cycle
-notation round trips, and isomorphism search on relabeled Cayley tables.
-Derandomized, so every run draws the same examples."""
+notation round trips, isomorphism search on relabeled Cayley tables, and
+cyclic field counts against their enumeration.  Derandomized, so every run
+draws the same examples."""
 
+from bisect import bisect_right
 from functools import cache
 
 from hypothesis import given, settings, strategies as st
 from sympy import isprime
 
 from nilcount.catalog import cyclic, resolve
+from nilcount.counting import count_cyclic_ell_at, enumerate_cyclic_ell
 from nilcount.extension import find_isomorphism, fingerprint, semidirect
 from nilcount.intmath import _MR_EXACT, iroot, is_prime
 from nilcount.permcore import (PermGroup, Permutation, cycle_string,
@@ -121,3 +124,17 @@ def test_find_isomorphism_on_relabeled_tables(pair, data):
         m1, m2 = G.table.mul, K.table.mul
         assert all(f[m1[x][y]] == m2[f[x]][f[y]]
                    for x in range(G.order) for y in range(G.order))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.sampled_from([3, 5, 7, 13]),
+       st.lists(st.tuples(st.integers(1, 3000), st.integers(-1, 1)),
+                min_size=1, max_size=6))
+def test_cyclic_count_matches_enumeration(ell, points):
+    # x next to a discriminant f^(ell - 1); F = iroot(x, ell - 1) takes the
+    # floor-set count from (ell - 1)^4 on (16, 256, 1296) and the sweep
+    # below it, and always at ell = 13
+    xs = [max(f ** (ell - 1) + e, 1) for f, e in points]
+    discs = [r.discriminant for r in enumerate_cyclic_ell(ell, max(xs))]
+    assert count_cyclic_ell_at(ell, xs) == [bisect_right(discs, x)
+                                            for x in xs]
