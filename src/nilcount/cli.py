@@ -185,10 +185,10 @@ def cmd_count(args) -> int:
         summary["counts"] = counts
         summary["density_x"] = counts[-1][1] / x
         if args.out:
-            # record list capped at 1e5; the summary counts go to max-x
+            require("listed fields", counts[-1][1])
             rows = [("C2", rec.discriminant, rec.discriminant,
                      "|".join(map(str, rec.ramified_tuple)))
-                    for rec in enumerate_quadratic(min(x, 10 ** 5))]
+                    for rec in enumerate_quadratic(x)]
     elif kind.startswith("cyclic"):
         ell = int(kind[len("cyclic"):])
         counts = list(zip(checkpoints, count_cyclic_ell_at(ell, checkpoints)))

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import require
 from .malle import BaseFieldData
-from .dirichlet import (FactorSpec, _prefix_sums_at, prime_sieve,
-                        squarefree_sieve)
+from .dirichlet import (FactorSpec, _omega_sieve, _support_sums,
+                        prime_sieve, squarefree_sieve)
 from .intmath import iroot, is_prime, omega, prime_factors, valuation
 
 # an odd prime ramified in a V4 field divides its discriminant this often:
@@ -194,29 +194,28 @@ def count_cyclic_ell_at(ell: int, xs: Sequence[int]) -> list[int]:
     multiplicative, g(p) = ell - 1 for p = 1 mod ell, g(ell^2) = ell - 1
     and g = 0 on every other prime power, the fields with f <= F number
     (S(F) - 1)/(ell - 1) for S(F) = sum_{f <= F} g(f), F = iroot(x, ell - 1).
-    The prefix sums T of the factor also weight ell itself by ell - 1:
-    T(y) = U(y) + (ell - 1) U(y // ell) for U the sum over f prime to ell,
-    so U(y) = sum_k (-(ell - 1))^k T(y // ell^k) and
-    S(F) = U(F) + (ell - 1) U(F // ell^2).  Every T query is F // ell^j, a
-    floor value of F, so one floor-set pass answers every checkpoint.
+    The factor has (1 + w t) at ell, g has (1 + w t^2) (w = ell - 1,
+    t = ell^-s), so S is the factor's prefix sums over the support of
+    (1 + w t^2)/(1 + w t) = (1 + w t^2) sum_k (-w t)^k at the powers of ell.
+    Every query is F // ell^j, a floor value of F, so one floor-set pass
+    answers every checkpoint.
     """
     if ell == 2 or not is_prime(ell):
         raise ValueError("need an odd prime")
     w = ell - 1
     fs = [iroot(x, w) for x in xs]
-    top, powers, p = max([0, *fs]), [], 1
-    while p <= top:  # powers: every ell^j <= max F
-        powers.append(p)
-        p *= ell
-    if not powers:
+    checkpoints = sorted(set(fs) - {0})
+    if not checkpoints:
         return [0] * len(fs)
-    t = _prefix_sums_at(FactorSpec(ell, 1, w), sorted(set(fs) - {0}), powers)
-
-    def u(y: int) -> int:
-        return sum((-w) ** k * t[y // q] for k, q in enumerate(powers)
-                   if q <= y)
-    return [(u(f) + w * u(f // (ell * ell)) - 1) // w if f else 0
-            for f in fs]
+    support: dict[int, int] = {}
+    q, c = 1, 1  # c = (-w)^k at q = ell^k
+    while q <= checkpoints[-1]:
+        for key, coeff in ((q, c), (q * ell * ell, w * c)):
+            support[key] = support.get(key, 0) + coeff
+        q, c = q * ell, -w * c
+    sums = dict(zip(checkpoints, _support_sums(FactorSpec(ell, 1, w),
+                                               checkpoints, support)))
+    return [(sums[f] - 1) // w if f else 0 for f in fs]
 
 
 def enumerate_cyclic_ell(ell: int, x: int) -> list[FieldRecord]:
@@ -224,38 +223,24 @@ def enumerate_cyclic_ell(ell: int, x: int) -> list[FieldRecord]:
 
     Conductors are f = (optionally ell^2) * product of distinct primes
     p = 1 mod ell; a conductor with k cyclic character components carries
-    (ell-1)^(k-1) distinct fields.
+    (ell-1)^(k-1) distinct fields.  The omega sieve of ell:1:1 gives them:
+    n prime to ell is the conductor n, n = ell n' the conductor ell^2 n';
+    either way k = omega(n), and the record carries radical(f) = n.
     """
     if ell == 2 or not is_prime(ell):
         raise ValueError("need an odd prime")
     f_max = iroot(x, ell - 1)
     if f_max < 1:
         return []
-    isp = prime_sieve(f_max)
-    split = [int(p) for p in np.nonzero(isp)[0] if p % ell == 1]
-
-    conductors: list[tuple[int, int, int]] = []  # (f, omega1, wild)
-
-    def extend(i: int, f: int, omega1: int, wild: int) -> None:
-        if omega1 + wild >= 1:
-            conductors.append((f, omega1, wild))
-        for j in range(i, len(split)):
-            if f * split[j] > f_max:
-                break
-            extend(j + 1, f * split[j], omega1 + 1, wild)
-
-    extend(0, 1, 0, 0)
-    if ell * ell <= f_max:
-        extend(0, ell * ell, 0, 1)
-
+    omegas = _omega_sieve(FactorSpec(ell, 1, 1), f_max)
+    ns = np.flatnonzero(omegas > 0)
+    conductors = sorted((n * ell if n % ell == 0 else n, n, k)
+                        for n, k in zip(ns.tolist(), omegas[ns].tolist()))
     records: list[FieldRecord] = []
-    for f, omega1, wild in sorted(conductors):
-        count = (ell - 1) ** (omega1 + wild - 1)
-        # f is squarefree apart from the wild ell^2
-        rec = FieldRecord(f"C{ell}", f ** (ell - 1),
-                          (f // ell if wild else f,))
-        records.extend([rec] * count)
-    records.sort(key=lambda r: r.discriminant)
+    for f, n, k in conductors:
+        if f <= f_max:
+            rec = FieldRecord(f"C{ell}", f ** (ell - 1), (n,))
+            records.extend([rec] * (ell - 1) ** (k - 1))
     return records
 
 

@@ -174,10 +174,10 @@ def _segments(spec: FactorSpec, limit: int):
         lo = hi + 1
 
 
-def _prefix_sums_at(spec: FactorSpec, checkpoints: Sequence[int],
-                    support: Sequence[int]) -> dict[int, int]:
-    """Exact prefix sums C(q) = sum_{n <= q} c[n] at every query point
-    q = iroot(x // P, d), for x in checkpoints and P <= x in support.
+def _support_sums(spec: FactorSpec, checkpoints: Sequence[int],
+                  support: dict[int, int]) -> list[int]:
+    """sum_{P <= x} w_P C(iroot(x // P, d)) at every checkpoint x, for the
+    weighted support {P: w_P} and the prefix sums C(q) = sum_{n <= q} c[n].
 
     The queries are a generator: the floor-set count consumes it only after
     checking its table sizes, so a huge checkpoint is refused before they
@@ -192,8 +192,11 @@ def _prefix_sums_at(spec: FactorSpec, checkpoints: Sequence[int],
     # (Z/ell)^x), the sweep about limit; so the count answers for d = 1
     # while (ell - 1)^4 <= limit, and refuses by the size of its own arrays.
     if spec.d == 1 and (spec.ell - 1) ** 4 <= limit:
-        return _floor_prefix_sums(spec, checkpoints, queries)
-    return _sweep_prefix_sums(spec, queries)
+        prefix = _floor_prefix_sums(spec, checkpoints, queries)
+    else:
+        prefix = _sweep_prefix_sums(spec, queries)
+    return [sum(w * prefix[iroot(x // p, spec.d)]
+                for p, w in support.items() if p <= x) for x in checkpoints]
 
 
 def _weighted(spec: FactorSpec, counts: Sequence[int]) -> int:
@@ -395,7 +398,7 @@ def multi_factor_sum(specs: Sequence[FactorSpec], limit: int,
 
     The remaining factors are expanded into their (value, weight) support P;
     the prefix sums of the factor with minimal d are then read at every
-    iroot(x // P, d), by `_prefix_sums_at`, and combined exactly.
+    iroot(x // P, d) and combined exactly, by `_support_sums`.
     """
     specs = tuple(specs)
     if not specs:
@@ -430,16 +433,7 @@ def multi_factor_sum(specs: Sequence[FactorSpec], limit: int,
                     require("tuple entries", len(new))
         support = new
 
-    prefix = _prefix_sums_at(pivot, checkpoints, list(support))
-
-    values = []
-    for x in checkpoints:
-        s = 0
-        for p_val, w in support.items():
-            if p_val <= x:
-                s += w * prefix[iroot(x // p_val, pivot.d)]
-        values.append(s)
-
+    values = _support_sums(pivot, checkpoints, support)
     alpha, beta = _predicted(specs)
     return SumSeries(specs, tuple(checkpoints), tuple(values), alpha, beta)
 

@@ -63,7 +63,7 @@ LIMITS: dict[str, int] = {
     "sieve entries": 1 << 27,  # the largest array a sieve or count makes
     "tuple entries": 2_000_000,  # support of multi_factor_sum's non-pivots
     "biquadratic discriminant": 1_000_000,  # |disc| bound of enumerate_v4
-    "listed fields": 1 << 21,  # cyclic fields `count --out` lists
+    "listed fields": 1 << 21,  # fields `count --out` lists
 }
 
 

@@ -149,6 +149,34 @@ def test_count_quadratic(capsys):
     assert abs(rep["density_x"] - 0.6079) < 0.01
 
 
+def test_count_quadratic_lists_every_field(tmp_path, capsys, monkeypatch):
+    from nilcount import cli
+    calls = []
+    enumerate_quadratic = cli.enumerate_quadratic
+
+    def counted(x):
+        calls.append(x)
+        return enumerate_quadratic(x)
+    monkeypatch.setattr(cli, "enumerate_quadratic", counted)
+    out = tmp_path / "c2.csv"
+    code, rep = run_cli(capsys, "count", "--kind", "quadratic",
+                        "--max-x", "1000000", "--out", str(out))
+    assert code == 0 and calls == [10 ** 6]
+    assert rep["counts"][-1] == [10 ** 6, 607925]
+    rows = out.read_text().splitlines()
+    assert len(rows) - 1 == 607925
+    assert (rows[1], rows[-1]) == ("C2,3,3,3", "C2,999997,999997,999997")
+    # 2,097,342 fields at 3.45e6 pass the limit on listed fields (2^21):
+    # refused before any field is listed
+    calls.clear()
+    out.unlink()
+    code, rep = run_cli(capsys, "count", "--kind", "quadratic",
+                        "--max-x", "3450000", "--out", str(out))
+    assert code == 2 and calls == [] and not out.exists()
+    assert rep["error"] == ("BudgetExceeded: listed fields 2097342 exceeds "
+                            "2097152")
+
+
 def test_count_cyclic3_with_csv(tmp_path, capsys):
     out = tmp_path / "c3.csv"
     code, rep = run_cli(capsys, "count", "--kind", "cyclic3",

@@ -3,8 +3,10 @@ from math import gcd, lcm, prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nilcount.counting import (character_rank, count_cyclic_ell_at,
+from nilcount.counting import (FieldRecord, character_rank,
+                               count_cyclic_ell_at,
                                count_exactly_ramified,
                                count_quadratic, count_quadratic_at,
                                count_unramified_outside,
@@ -13,9 +15,10 @@ from nilcount.counting import (character_rank, count_cyclic_ell_at,
                                fundamental_discriminants, rank_bound_s,
                                unramified_bound, v4_fiber_check)
 from nilcount import dirichlet
-from nilcount.dirichlet import default_checkpoints, squarefree_sieve
+from nilcount.dirichlet import (default_checkpoints, prime_sieve,
+                                squarefree_sieve)
 from nilcount.errors import BudgetExceeded
-from nilcount.intmath import iroot, radical
+from nilcount.intmath import iroot, is_prime, radical
 from nilcount.malle import BaseFieldData
 
 Q = BaseFieldData.rationals()
@@ -304,6 +307,66 @@ def test_cyclic_radical_against_factoring(ell):
     assert any(f % ell ** 2 == 0 and f > ell ** 2 for f in conductors)
     for r in recs:
         assert r.ramified_tuple == (radical(iroot(r.discriminant, ell - 1)),)
+
+
+def conductor_dfs_records(ell, x):
+    """The reference listing: conductors built by a depth-first search over
+    the split primes p = 1 mod ell, each alone and times ell^2, with
+    (ell - 1)^(k - 1) records for k cyclic character components."""
+    f_max = iroot(x, ell - 1)
+    if f_max < 1:
+        return []
+    split = [p for p in np.flatnonzero(prime_sieve(f_max)).tolist()
+             if p % ell == 1]
+    conductors = []  # (f, omega1, wild)
+
+    def extend(i, f, omega1, wild):
+        if omega1 + wild >= 1:
+            conductors.append((f, omega1, wild))
+        for j in range(i, len(split)):
+            if f * split[j] > f_max:
+                break
+            extend(j + 1, f * split[j], omega1 + 1, wild)
+
+    extend(0, 1, 0, 0)
+    if ell * ell <= f_max:
+        extend(0, ell * ell, 0, 1)
+    records = []
+    for f, omega1, wild in sorted(conductors):
+        rec = FieldRecord(f"C{ell}", f ** (ell - 1),
+                          (f // ell if wild else f,))
+        records.extend([rec] * (ell - 1) ** (omega1 + wild - 1))
+    records.sort(key=lambda r: r.discriminant)
+    return records
+
+
+def first_split_prime(ell):
+    p = ell + 1
+    while not is_prime(p):
+        p += ell
+    return p
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 11, 13, 101])
+def test_cyclic_listing_matches_conductor_dfs(ell):
+    # the wild conductor ell^2, the first tame one and their product, each
+    # on both sides of its discriminant
+    p = first_split_prime(ell)
+    xs = [1] + [f ** (ell - 1) + e for f in (ell * ell, p, ell * ell * p)
+                for e in (-1, 0, 1)]
+    for x in xs:
+        assert enumerate_cyclic_ell(ell, x) == conductor_dfs_records(ell, x)
+    assert enumerate_cyclic_ell(ell, 1) == []
+    last = enumerate_cyclic_ell(ell, xs[-1])[-ell + 1:]  # ell^2 p, k = 2
+    assert last == [FieldRecord(f"C{ell}", xs[-2], (ell * p,))] * (ell - 1)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.sampled_from([3, 5, 7, 13]), st.integers(1, 5000),
+       st.integers(-1, 1))
+def test_cyclic_listing_matches_conductor_dfs_anywhere(ell, f, e):
+    x = max(f ** (ell - 1) + e, 1)
+    assert enumerate_cyclic_ell(ell, x) == conductor_dfs_records(ell, x)
 
 
 def test_cyclic_3_oracle_small():

@@ -16,6 +16,7 @@ from nilcount.dirichlet import (FactorSpec, coefficient_sieve,
                                 prime_sieve, running_beta, series_csv_rows,
                                 slope_estimate, squarefree_sieve)
 from nilcount.errors import LIMITS, BudgetExceeded, InsufficientData
+from nilcount.intmath import iroot
 
 
 def is_squarefree(n):
@@ -339,6 +340,53 @@ def test_floor_count_in_blocks(monkeypatch, ell, block):
     want = dirichlet._sweep_prefix_sums(spec, queries)
     monkeypatch.setattr(dirichlet, "PAIR_BLOCK", block)
     assert dirichlet._floor_prefix_sums(spec, checkpoints, queries) == want
+
+
+def _support_sums_by_sieve(spec, checkpoints, support):
+    prefix = np.cumsum(coefficient_sieve(spec, max(checkpoints))).tolist()
+    return [sum(w * prefix[iroot(x // p, spec.d)]
+                for p, w in support.items() if p <= x) for x in checkpoints]
+
+
+def _colliding_support(ell, top):
+    """Signed weights at ell^k, ell^(k + 2) and 2 ell^k, summed where keys
+    collide."""
+    support = {}
+    q, c = 1, 1
+    while q <= top:
+        for key, coeff in ((q, c), (q * ell * ell, 5 * c), (2 * q, -4 * c),
+                           (q, 3 * c)):
+            support[key] = support.get(key, 0) + coeff
+        q, c = q * ell, -5 * c
+    return support
+
+
+@pytest.mark.parametrize("ell, d, floor", [
+    (3, 1, True), (7, 1, True), (3, 2, False), (1009, 1, False)])
+def test_support_sums_against_coefficient_sieve(monkeypatch, ell, d, floor):
+    x = 10 ** 6
+    calls = []
+    count = dirichlet._floor_prefix_sums
+
+    def recorded(*args):
+        calls.append(args[1])
+        return count(*args)
+    monkeypatch.setattr(dirichlet, "_floor_prefix_sums", recorded)
+    spec = FactorSpec(ell, d, 4)
+    checkpoints = [1, 2, 5, 999, 77_777, x]
+    supports = [
+        {1: 1},
+        _colliding_support(3, x),
+        _colliding_support(ell, x),
+        # keys above x, and checkpoints 1 and 2 below every key
+        {5: 3, 10: -2, 49: 7, 10 ** 6 + 1: 11, 10 ** 9: -13},
+    ]
+    for support in supports:
+        assert dirichlet._support_sums(spec, checkpoints, support) == \
+            _support_sums_by_sieve(spec, checkpoints, support), support
+    assert bool(calls) == floor
+    # every checkpoint below every key: no query, every sum 0
+    assert dirichlet._support_sums(spec, [3, 4], {5: 1, 7: -1}) == [0, 0]
 
 
 def test_series_loads_no_masked_arrays():

@@ -38,6 +38,13 @@ def test_every_limit_has_a_case():
     assert set(CASES) == set(LIMITS)
 
 
+def test_listed_fields_refuses_quadratic_out(monkeypatch):
+    # 6,086 fundamental discriminants with |d| <= 1e4
+    monkeypatch.setitem(LIMITS, "listed fields", 6085)
+    with pytest.raises(BudgetExceeded, match=" 6086 exceeds 6085$"):
+        cmd_count(Namespace(kind="quadratic", max_x=10 ** 4, out=os.devnull))
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_shrunk_limit_refuses(monkeypatch, name):
     limit, call, value = CASES[name]
