@@ -15,6 +15,7 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 from .catalog import CATALOG, get_group, resolve
@@ -24,7 +25,6 @@ from .counting import (count_cyclic_ell_at, count_quadratic_at,
 from .dirichlet import (FactorSpec, default_checkpoints, multi_factor_sum,
                         series_csv_rows, slope_estimate)
 from .errors import NilcountError, require
-from .intmath import iroot
 from .malle import BaseFieldData, b_constant, min_index
 from .nilpotent import is_nilpotent, sylow_decompose
 from .permcore import cycle_string
@@ -49,7 +49,7 @@ def _bound_string(a: Fraction, log_exp: Fraction) -> str:
     return f"O({x_part} log(x)^{{{log_exp}}})"
 
 
-def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
+def _write_csv(path: str, header: list[str], rows: Iterable[tuple]) -> None:
     """Write a CSV sidecar, every row formatted before the file is opened,
     so that a row that cannot be written leaves no partial file."""
     buf = io.StringIO(newline="")
@@ -178,17 +178,13 @@ def cmd_count(args) -> int:
         raise ValueError(f"--max-x must be at least 1, got {x}")
     checkpoints = default_checkpoints(x)
     kind = args.kind
-    rows: list[tuple] = []
+    listing = None  # the fields behind the last count, listed for --out
     summary: dict = {"schema": SCHEMA, "kind": kind, "max_x": x}
     if kind == "quadratic":
         counts = list(zip(checkpoints, count_quadratic_at(checkpoints)))
         summary["counts"] = counts
         summary["density_x"] = counts[-1][1] / x
-        if args.out:
-            require("listed fields", counts[-1][1])
-            rows = [("C2", rec.discriminant, rec.discriminant,
-                     "|".join(map(str, rec.ramified_tuple)))
-                    for rec in enumerate_quadratic(x)]
+        group, listing = "C2", lambda: enumerate_quadratic(x)
     elif kind.startswith("cyclic"):
         ell = int(kind[len("cyclic"):])
         counts = list(zip(checkpoints, count_cyclic_ell_at(ell, checkpoints)))
@@ -198,13 +194,7 @@ def cmd_count(args) -> int:
         except OverflowError:  # x beyond the float range
             scale = math.exp(math.log(x) / (ell - 1))
         summary["ratio_x_alpha"] = counts[-1][1] / scale
-        if args.out:
-            require("listed fields", counts[-1][1])
-            # |disc| = f^(ell - 1) for the conductor f
-            rows = [(rec.group, rec.discriminant,
-                     iroot(rec.discriminant, ell - 1),
-                     "|".join(map(str, rec.ramified_tuple)))
-                    for rec in enumerate_cyclic_ell(ell, x)]
+        group, listing = f"C{ell}", lambda: enumerate_cyclic_ell(ell, x)
     elif kind == "v4":
         fields = enumerate_v4(x)
         rep = v4_fiber_check(x, fields=fields)
@@ -215,15 +205,17 @@ def cmd_count(args) -> int:
             "valuation_failures": rep.valuation_failures,
             "passed": rep.passed,
         })
-        if args.out:
-            rows = [("C2xC2", f.discriminant, "|".join(map(str, f.triple)),
-                     "|".join(map(str, f.ramified_tuple))) for f in fields]
+        rows = (("C2xC2", f.discriminant, "|".join(map(str, f.triple)),
+                 "|".join(map(str, f.ramified_tuple))) for f in fields)
         if not rep.passed:
             print(json.dumps(summary, indent=2))
             return 1
     else:
         raise ValueError(f"unknown count kind {kind!r}")
-    if args.out and rows:
+    if args.out:
+        if listing:
+            require("listed fields", counts[-1][1])
+            rows = ((group, *row) for row in listing())
         _write_csv(args.out, ["group", "discriminant", "conductor", "tuple"],
                    rows)
     print(json.dumps(summary, indent=2))

@@ -6,17 +6,19 @@ here are exact integers: the number of C_ell extensions unramified outside S
 is (ell^t - 1)/(ell - 1) where t counts one rank per prime p = 1 mod ell in S
 plus the wild contribution at ell (rank 2 at ell = 2 from conductors 4 and 8,
 rank 1 at odd ell from conductor ell^2).  Exact-ramification counts follow by
-inclusion-exclusion, in closed form as t is additive over primes.  Cyclic
-fields of odd prime degree are counted through one sum over their
-conductors, and field enumerations (quadratic, cyclic of odd prime degree,
-biquadratic) back everything with explicit discriminant lists.
+inclusion-exclusion, in closed form as t is additive over primes.
+Quadratic fields and cyclic fields of odd prime degree are counted through
+sums over their conductors.  Their listings give each field as the row
+(|disc|, conductor, radical of the conductor), in the order `count --out`
+writes them, and are the tests' oracles for the counts; biquadratic fields
+are listed with their ramification tuples for the fiber check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isqrt, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,16 +31,6 @@ from .intmath import iroot, is_prime, omega, prime_factors, valuation
 # an odd prime ramified in a V4 field divides its discriminant this often:
 # the index of an involution in the regular four-point action
 TAME_INDEX = 2
-
-
-@dataclass(frozen=True)
-class FieldRecord:
-    """One enumerated field: catalog group id, |disc|, and the tuple of
-    products of primes first ramified at each chain layer."""
-
-    group: str
-    discriminant: int
-    ramified_tuple: tuple[int, ...]
 
 
 def character_rank(ell: int, S: Iterable[int]) -> int:
@@ -177,9 +169,12 @@ def fundamental_discriminants(x: int) -> list[int]:
     return ((k >> 1) * (2 * (k & 1) - 1)).tolist()
 
 
-def enumerate_quadratic(x: int) -> list[FieldRecord]:
-    return [FieldRecord("C2", abs(d), (_disc_radical(d),))
-            for d in fundamental_discriminants(x)]
+def enumerate_quadratic(x: int) -> Iterator[tuple[int, int, int]]:
+    """(|d|, |d|, radical(d)) for every fundamental discriminant d with
+    |d| <= x, in (|d|, d) order: the discriminant, conductor and ramified
+    primes of each quadratic field."""
+    return ((abs(d), abs(d), _disc_radical(d))
+            for d in fundamental_discriminants(x))
 
 
 # cyclic fields of odd prime degree
@@ -218,30 +213,30 @@ def count_cyclic_ell_at(ell: int, xs: Sequence[int]) -> list[int]:
     return [(sums[f] - 1) // w if f else 0 for f in fs]
 
 
-def enumerate_cyclic_ell(ell: int, x: int) -> list[FieldRecord]:
-    """All C_ell fields over Q with |disc| = f^(ell-1) <= x, one record each.
+def enumerate_cyclic_ell(ell: int, x: int) -> list[tuple[int, int, int]]:
+    """(|disc|, f, radical(f)) for every C_ell field over Q with
+    |disc| = f^(ell-1) <= x, sorted by conductor f.
 
     Conductors are f = (optionally ell^2) * product of distinct primes
     p = 1 mod ell; a conductor with k cyclic character components carries
-    (ell-1)^(k-1) distinct fields.  The omega sieve of ell:1:1 gives them:
-    n prime to ell is the conductor n, n = ell n' the conductor ell^2 n';
-    either way k = omega(n), and the record carries radical(f) = n.
+    (ell-1)^(k-1) distinct fields, which share one tuple.  The omega sieve
+    of ell:1:1 gives them: n prime to ell is the conductor n, n = ell n' the
+    conductor ell^2 n'; either way k = omega(n) and radical(f) = n.
     """
     if ell == 2 or not is_prime(ell):
         raise ValueError("need an odd prime")
     f_max = iroot(x, ell - 1)
-    if f_max < 1:
+    if f_max <= ell:  # every conductor, ell^2 or p = 1 mod ell, exceeds ell
         return []
     omegas = _omega_sieve(FactorSpec(ell, 1, 1), f_max)
     ns = np.flatnonzero(omegas > 0)
-    conductors = sorted((n * ell if n % ell == 0 else n, n, k)
-                        for n, k in zip(ns.tolist(), omegas[ns].tolist()))
-    records: list[FieldRecord] = []
-    for f, n, k in conductors:
-        if f <= f_max:
-            rec = FieldRecord(f"C{ell}", f ** (ell - 1), (n,))
-            records.extend([rec] * (ell - 1) ** (k - 1))
-    return records
+    fs = np.where(ns % ell == 0, ns * ell, ns)  # one-to-one in n
+    order = np.argsort(fs)[:np.count_nonzero(fs <= f_max)]
+    ns = ns[order]
+    rows: list[tuple[int, int, int]] = []
+    for f, n, k in zip(fs[order].tolist(), ns.tolist(), omegas[ns].tolist()):
+        rows.extend([(f ** (ell - 1), f, n)] * (ell - 1) ** (k - 1))
+    return rows
 
 
 # biquadratic fields and the fiber bound

@@ -116,7 +116,7 @@ def test_criterion_5_asymptotic_slopes():
     ok &= abs(zc2 - SIX_OVER_PI2) / SIX_OVER_PI2 < 0.02
 
     # cyclic cubic ratio drift < 5% over the last decade up to 1e8
-    discs = sorted(r.discriminant for r in enumerate_cyclic_ell(3, 10 ** 8))
+    discs = sorted(disc for disc, _, _ in enumerate_cyclic_ell(3, 10 ** 8))
     import bisect
     ratios = []
     for cp in [c for c in default_checkpoints(10 ** 8) if c >= 10 ** 7]:

@@ -225,6 +225,37 @@ def test_count_cyclic_lists_fields_only_for_out(tmp_path, capsys,
     assert rep["error"] == "BudgetExceeded: listed fields 159 exceeds 158"
 
 
+@pytest.mark.parametrize("kind, x", [
+    ("quadratic", 2), ("cyclic5", 100), ("v4", 100)])
+def test_count_out_without_fields_writes_the_header(tmp_path, capsys, kind,
+                                                     x):
+    out = tmp_path / "none.csv"
+    code, rep = run_cli(capsys, "count", "--kind", kind, "--max-x", str(x),
+                        "--out", str(out))
+    assert code == 0
+    assert (rep["fields"] if kind == "v4" else rep["counts"][-1][1]) == 0
+    assert out.read_bytes() == b"group,discriminant,conductor,tuple\r\n"
+
+
+@pytest.mark.parametrize("kind, x, fields, limit", [
+    ("quadratic", 10 ** 6, 607925, 100 << 20),
+    ("cyclic3", 10 ** 12, 158542, 35 << 20)])
+def test_listing_fields_peak_memory(tmp_path, capsys, kind, x, fields, limit):
+    # only the rows (a cyclic conductor's fields share one tuple) and the
+    # CSV text grow with the number of fields listed
+    out = tmp_path / "fields.csv"
+    tracemalloc.start()
+    try:
+        code, rep = run_cli(capsys, "count", "--kind", kind, "--max-x", str(x),
+                            "--out", str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and rep["counts"][-1] == [x, fields]
+    assert len(out.read_text().splitlines()) - 1 == fields
+    assert peak < limit, peak
+
+
 COHN = 0.158528258  # lim N(X)/sqrt(X) for cyclic cubic fields (Cohn 1954)
 
 

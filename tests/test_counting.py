@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilcount.counting import (FieldRecord, character_rank,
+from nilcount.counting import (character_rank,
                                count_cyclic_ell_at,
                                count_exactly_ramified,
                                count_quadratic, count_quadratic_at,
@@ -109,8 +109,8 @@ def test_fundamental_discriminants_match_loop():
 def test_count_quadratic_examples():
     assert count_quadratic(2) == 0
     assert count_quadratic(10) == 6
-    assert [r.discriminant for r in enumerate_quadratic(10)] == \
-        [3, 4, 5, 7, 8, 8]
+    assert list(enumerate_quadratic(10)) == [
+        (3, 3, 3), (4, 4, 2), (5, 5, 5), (7, 7, 7), (8, 8, 2), (8, 8, 2)]
     for x in (50, 400, 1234):
         assert count_quadratic(x) == len(fundamental_discriminants(x))
 
@@ -282,12 +282,10 @@ def test_rank_bound_examples():
 def test_enumerate_cyclic_3():
     assert len(enumerate_cyclic_ell(3, 48)) == 0
     assert len(enumerate_cyclic_ell(3, 49)) == 1
-    recs = enumerate_cyclic_ell(3, 49)
-    assert recs[0].discriminant == 49 and recs[0].ramified_tuple == (7,)
+    assert enumerate_cyclic_ell(3, 49) == [(49, 7, 7)]
     # conductor 63 = 9 * 7 carries two fields with disc 3969
-    at_3969 = [r for r in enumerate_cyclic_ell(3, 3969)
-               if r.discriminant == 3969]
-    assert len(at_3969) == 2
+    at_3969 = [r for r in enumerate_cyclic_ell(3, 3969) if r[0] == 3969]
+    assert at_3969 == [(3969, 63, 21)] * 2
     assert (len(enumerate_cyclic_ell(3, 3968))
             == len(enumerate_cyclic_ell(3, 3969)) - 2)
 
@@ -302,17 +300,17 @@ def test_enumerate_cyclic_5():
 @pytest.mark.parametrize("ell", [3, 5, 7])
 def test_cyclic_radical_against_factoring(ell):
     # conductors to 3000 include ell^2 times a split prime for each ell
-    recs = enumerate_cyclic_ell(ell, 3000 ** (ell - 1))
-    conductors = {iroot(r.discriminant, ell - 1) for r in recs}
-    assert any(f % ell ** 2 == 0 and f > ell ** 2 for f in conductors)
-    for r in recs:
-        assert r.ramified_tuple == (radical(iroot(r.discriminant, ell - 1)),)
+    rows = enumerate_cyclic_ell(ell, 3000 ** (ell - 1))
+    assert any(f % ell ** 2 == 0 and f > ell ** 2 for _, f, _ in rows)
+    for disc, f, rad in rows:
+        assert disc == f ** (ell - 1) and rad == radical(f)
 
 
 def conductor_dfs_records(ell, x):
     """The reference listing: conductors built by a depth-first search over
     the split primes p = 1 mod ell, each alone and times ell^2, with
-    (ell - 1)^(k - 1) records for k cyclic character components."""
+    (ell - 1)^(k - 1) rows (|disc|, f, radical(f)) for k cyclic character
+    components."""
     f_max = iroot(x, ell - 1)
     if f_max < 1:
         return []
@@ -333,10 +331,9 @@ def conductor_dfs_records(ell, x):
         extend(0, ell * ell, 0, 1)
     records = []
     for f, omega1, wild in sorted(conductors):
-        rec = FieldRecord(f"C{ell}", f ** (ell - 1),
-                          (f // ell if wild else f,))
-        records.extend([rec] * (ell - 1) ** (omega1 + wild - 1))
-    records.sort(key=lambda r: r.discriminant)
+        row = (f ** (ell - 1), f, f // ell if wild else f)
+        records.extend([row] * (ell - 1) ** (omega1 + wild - 1))
+    records.sort(key=lambda r: r[0])
     return records
 
 
@@ -358,7 +355,7 @@ def test_cyclic_listing_matches_conductor_dfs(ell):
         assert enumerate_cyclic_ell(ell, x) == conductor_dfs_records(ell, x)
     assert enumerate_cyclic_ell(ell, 1) == []
     last = enumerate_cyclic_ell(ell, xs[-1])[-ell + 1:]  # ell^2 p, k = 2
-    assert last == [FieldRecord(f"C{ell}", xs[-2], (ell * p,))] * (ell - 1)
+    assert last == [(xs[-2], ell * ell * p, ell * p)] * (ell - 1)
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -395,7 +392,7 @@ def test_cyclic_3_oracle_small():
 
 def enumerated_counts(ell, xs):
     """The oracle: fields listed by `enumerate_cyclic_ell` at each x."""
-    discs = [r.discriminant for r in enumerate_cyclic_ell(ell, max(xs))]
+    discs = [disc for disc, _, _ in enumerate_cyclic_ell(ell, max(xs))]
     return [int(np.searchsorted(discs, x, "right")) for x in xs]
 
 

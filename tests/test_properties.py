@@ -135,6 +135,6 @@ def test_cyclic_count_matches_enumeration(ell, points):
     # floor-set count from (ell - 1)^4 on (16, 256, 1296) and the sweep
     # below it, and always at ell = 13
     xs = [max(f ** (ell - 1) + e, 1) for f, e in points]
-    discs = [r.discriminant for r in enumerate_cyclic_ell(ell, max(xs))]
+    discs = [disc for disc, _, _ in enumerate_cyclic_ell(ell, max(xs))]
     assert count_cyclic_ell_at(ell, xs) == [bisect_right(discs, x)
                                             for x in xs]
