@@ -178,13 +178,13 @@ def cmd_count(args) -> int:
         raise ValueError(f"--max-x must be at least 1, got {x}")
     checkpoints = default_checkpoints(x)
     kind = args.kind
-    listing = None  # the fields behind the last count, listed for --out
     summary: dict = {"schema": SCHEMA, "kind": kind, "max_x": x}
     if kind == "quadratic":
         counts = list(zip(checkpoints, count_quadratic_at(checkpoints)))
         summary["counts"] = counts
         summary["density_x"] = counts[-1][1] / x
-        group, listing = "C2", lambda: enumerate_quadratic(x)
+        group, listed = "C2", counts[-1][1]
+        listing = lambda: enumerate_quadratic(x)
     elif kind.startswith("cyclic"):
         ell = int(kind[len("cyclic"):])
         counts = list(zip(checkpoints, count_cyclic_ell_at(ell, checkpoints)))
@@ -194,10 +194,11 @@ def cmd_count(args) -> int:
         except OverflowError:  # x beyond the float range
             scale = math.exp(math.log(x) / (ell - 1))
         summary["ratio_x_alpha"] = counts[-1][1] / scale
-        group, listing = f"C{ell}", lambda: enumerate_cyclic_ell(ell, x)
+        group, listed = f"C{ell}", counts[-1][1]
+        listing = lambda: enumerate_cyclic_ell(ell, x)
     elif kind == "v4":
         fields = enumerate_v4(x)
-        rep = v4_fiber_check(x, fields=fields)
+        rep = v4_fiber_check(fields)
         summary.update({
             "fields": rep.field_count,
             "max_fiber": rep.max_fiber,
@@ -205,19 +206,19 @@ def cmd_count(args) -> int:
             "valuation_failures": rep.valuation_failures,
             "passed": rep.passed,
         })
-        rows = (("C2xC2", f.discriminant, "|".join(map(str, f.triple)),
-                 "|".join(map(str, f.ramified_tuple))) for f in fields)
         if not rep.passed:
             print(json.dumps(summary, indent=2))
             return 1
+        group, listed = "C2xC2", len(fields)
+        listing = lambda: ((disc, "|".join(map(str, triple)),
+                            "|".join(map(str, tup)))
+                           for disc, triple, tup in fields)
     else:
         raise ValueError(f"unknown count kind {kind!r}")
     if args.out:
-        if listing:
-            require("listed fields", counts[-1][1])
-            rows = ((group, *row) for row in listing())
+        require("listed fields", listed)
         _write_csv(args.out, ["group", "discriminant", "conductor", "tuple"],
-                   rows)
+                   ((group, *row) for row in listing()))
     print(json.dumps(summary, indent=2))
     return 0
 

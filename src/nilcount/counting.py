@@ -11,11 +11,13 @@ Quadratic fields and cyclic fields of odd prime degree are counted through
 sums over their conductors.  Their listings give each field as the row
 (|disc|, conductor, radical of the conductor), in the order `count --out`
 writes them, and are the tests' oracles for the counts; biquadratic fields
-are listed with their ramification tuples for the fiber check.
+are listed as rows (|disc|, discriminant triple, ramification tuple), which
+the fiber check reads.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import isqrt, lcm
 from typing import Iterable, Iterator, Sequence
@@ -261,15 +263,7 @@ def _disc_radical(d: int) -> int:
 
 
 @dataclass(frozen=True)
-class V4Field:
-    triple: tuple[int, int, int]   # the three quadratic discriminants, sorted
-    discriminant: int
-    ramified_tuple: tuple[int, int]
-
-
-@dataclass(frozen=True)
 class V4FiberReport:
-    x: int
     field_count: int
     fibers: dict[tuple[int, int], int] = field(compare=False)
     max_fiber: int = 0
@@ -281,18 +275,20 @@ class V4FiberReport:
         return self.bound_violations == 0 and self.valuation_failures == 0
 
 
-def enumerate_v4(x: int) -> list[V4Field]:
-    """All V4 = C2 x C2 fields over Q with |disc| <= x.
+def enumerate_v4(x: int) -> list[tuple]:
+    """(|disc|, (d1, d2, d3), (a1, a2)) for every V4 = C2 x C2 field over Q
+    with |disc| <= x, sorted: by discriminant, then by triple.
 
     A field is a triple d1 < d2 < d3 (by (|d|, d)) of fundamental
     discriminants with d3 the fundamental discriminant of d1*d2; by the
     conductor product rule |disc| = |d1 d2 d3|, so |d1|^3 <= x and
-    |d2|^2 <= x / |d1| <= x / 3.  Each field is found once, from its d1 and d2.
+    |d2|^2 <= x / |d1| <= x / 3.  Each field is found once, from its d1 and
+    d2.  Its ramification tuple is a1 = radical(d1), a2 = radical(d1 d2) / a1.
     """
     require("biquadratic discriminant", x)
     discs = np.array(fundamental_discriminants(isqrt(max(x, 0) // 3)))
     sizes = np.abs(discs)  # ascending
-    fields: list[V4Field] = []
+    fields = []
     for i, d1 in enumerate(discs.tolist()):
         if abs(d1) ** 3 > x:
             break
@@ -304,38 +300,28 @@ def enumerate_v4(x: int) -> list[V4Field]:
         a1 = _disc_radical(d1)
         for d2, d3 in zip(d2s[hits].tolist(), d3s[hits].tolist()):
             a12 = lcm(a1, _disc_radical(d2))  # rad(d1 d2)
-            fields.append(V4Field((d1, d2, d3), abs(d1 * d2 * d3),
-                                  (a1, a12 // a1)))
-    fields.sort(key=lambda f: (f.discriminant, f.triple))
+            fields.append((abs(d1 * d2 * d3), (d1, d2, d3), (a1, a12 // a1)))
+    fields.sort()
     return fields
 
 
-def v4_fiber_check(x: int,
-                   fields: list[V4Field] | None = None) -> V4FiberReport:
-    """Group the enumerated V4 fields by their ramification tuple and check
-    every fiber against the bound 2^(b1 + b2), with b_i the prime count of
-    the earlier layers plus the wild constant of the exact-ramification
-    bound.  Also check the tame discriminant valuations: every odd ramified
-    prime must divide the discriminant exactly `TAME_INDEX` times.
-    `fields`, when given, is `enumerate_v4(x)` already computed."""
-    if fields is None:
-        fields = enumerate_v4(x)
-    fibers: dict[tuple[int, int], int] = {}
-    val_fail = 0
-    for f in fields:
-        fibers[f.ramified_tuple] = fibers.get(f.ramified_tuple, 0) + 1
-        val_fail += sum(valuation(f.discriminant, p)[0] != TAME_INDEX
-                        for p in prime_factors(f.discriminant) if p != 2)
-    violations = 0
-    max_fiber = 0
+def v4_fiber_check(fields: Sequence[tuple]) -> V4FiberReport:
+    """Check the rows of `enumerate_v4` fiber by fiber over their
+    ramification tuples (a1, a2): a fiber holds at most 2^(b1 + b2) fields,
+    b_i the prime count of the earlier layers (none, then omega(a1)) plus the
+    constant of the exact-ramification bound at ell = 2 (with a prime over 2
+    when 2 | a1).  Every odd ramified prime must divide the discriminant
+    exactly `TAME_INDEX` times."""
+    fibers = Counter(tup for _, _, tup in fields)
+    val_fail = sum(valuation(disc, p)[0] != TAME_INDEX
+                   for disc, _, _ in fields
+                   for p in prime_factors(disc) if p != 2)
     k = BaseFieldData.rationals()
-    for (a1, a2), size in fibers.items():
-        max_fiber = max(max_fiber, size)
-        omega_a1 = omega(a1)
-        s0_step2 = 1 if a1 % 2 == 0 else 0
-        b1 = 0 + (k.rk(2) + k.degree + 0 + k.real_places)
-        b2 = omega_a1 + (k.rk(2) + k.degree + s0_step2 + k.real_places)
-        bound = 2 ** (b1 + b2)  # (ell-1)^omega factors are 1 at ell = 2
-        if size > bound:
-            violations += 1
-    return V4FiberReport(x, len(fields), fibers, max_fiber, violations, val_fail)
+    c = k.rk(2) + k.degree + k.real_places
+    violations = 0
+    for (a1, _), size in fibers.items():
+        b1, b2 = c, omega(a1) + c + (a1 % 2 == 0)
+        # the (ell - 1)^omega factors are 1 at ell = 2
+        violations += size > 2 ** (b1 + b2)
+    return V4FiberReport(len(fields), fibers, max(fibers.values(), default=0),
+                         violations, val_fail)

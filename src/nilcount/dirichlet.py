@@ -145,6 +145,9 @@ def _segments(spec: FactorSpec, limit: int):
     or to one prime above sqrt(limit), which must itself lie in B.
     """
     ell = spec.ell
+    # no cofactor q <= limit equals a larger ell or is 1 mod it, so testing
+    # q against min(ell, limit + 1) keeps every answer within int64
+    ell_q = min(ell, limit + 1)
     primes = np.nonzero(prime_sieve(isqrt(limit)))[0].tolist()
     lo = 0
     while lo <= limit:
@@ -166,7 +169,7 @@ def _segments(spec: FactorSpec, limit: int):
         q = (idx + lo) // prod[idx]
         del prod  # freed before the caller works on the segment
         big = q > 1
-        in_b = (q % ell == 1) | (q == ell)
+        in_b = (q % ell_q == 1) | (q == ell_q)
         w[idx[big & in_b]] += 1
         w[idx[big & ~in_b]] = -1
         np.maximum(w, -1, out=w)

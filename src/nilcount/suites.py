@@ -17,7 +17,8 @@ from typing import Callable, Iterator
 
 from .catalog import abelian, nilpotent_catalog, resolve
 from .counting import (count_exactly_ramified, count_unramified_outside,
-                       exact_ramified_bounds, unramified_bound, v4_fiber_check)
+                       enumerate_v4, exact_ramified_bounds, unramified_bound,
+                       v4_fiber_check)
 from .errors import NilcountError, UnknownTheorem
 from .extension import (ExtensionData, central_double_quotients,
                         solution_class_counts, verify_pullback_identity,
@@ -271,7 +272,7 @@ def suite_fiber_bound(seed: int) -> dict:
     """Every fiber of the biquadratic ramification-tuple map is within the
     bound, and tame discriminant valuations equal the involution index."""
     with _witness(x=FIBER_X):
-        rep = v4_fiber_check(FIBER_X)
+        rep = v4_fiber_check(enumerate_v4(FIBER_X))
     details = {"x": FIBER_X, "fields": rep.field_count,
                "max_fiber": rep.max_fiber,
                "bound_violations": rep.bound_violations,

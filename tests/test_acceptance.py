@@ -11,7 +11,8 @@ import numpy as np
 
 from nilcount.catalog import (abelian, dihedral4_regular, dihedral4_s4,
                               generalized_quaternion, nilpotent_catalog)
-from nilcount.counting import count_quadratic, enumerate_cyclic_ell, v4_fiber_check
+from nilcount.counting import (count_quadratic, enumerate_cyclic_ell,
+                               enumerate_v4, v4_fiber_check)
 from nilcount.dirichlet import (FactorSpec, default_checkpoints,
                                 euler_factorization_check,
                                 factor_identity_check, multi_factor_sum,
@@ -137,7 +138,7 @@ def test_criterion_5_asymptotic_slopes():
 
 def test_criterion_6_fiber_bound():
     t0 = time.time()
-    rep = v4_fiber_check(10 ** 6)
+    rep = v4_fiber_check(enumerate_v4(10 ** 6))
     ok = (rep.passed and rep.field_count > 0
           and rep.bound_violations == 0 and rep.valuation_failures == 0)
     report(6, ok, f"{rep.field_count} fields, max fiber {rep.max_fiber} "

@@ -340,6 +340,32 @@ def test_count_v4_enumerates_once(tmp_path, capsys, monkeypatch):
     assert len(out.read_text().splitlines()) - 1 == rep["fields"]
 
 
+def test_count_v4_out_is_held_to_the_listed_fields_limit(tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setitem(LIMITS, "listed fields", 46)
+    argv = ["count", "--kind", "v4", "--max-x", "10000"]
+    code, rep = run_cli(capsys, *argv)  # counting alone lists nothing
+    assert code == 0 and rep["fields"] == 47
+    out = tmp_path / "v4.csv"
+    code, rep = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2 and not out.exists()
+    assert rep["error"] == "BudgetExceeded: listed fields 47 exceeds 46"
+
+
+def test_count_v4_failed_fiber_check_writes_no_csv(tmp_path, capsys,
+                                                   monkeypatch):
+    from nilcount import cli
+    from nilcount.counting import V4FiberReport
+    monkeypatch.setattr(cli, "v4_fiber_check",
+                        lambda fields: V4FiberReport(len(fields), {}, 9, 1))
+    out = tmp_path / "v4.csv"
+    code, rep = run_cli(capsys, "count", "--kind", "v4", "--max-x", "10000",
+                        "--out", str(out))
+    assert code == 1 and not out.exists()
+    assert (rep["fields"], rep["bound_violations"], rep["passed"]) == (
+        47, 1, False)
+
+
 def test_huge_max_x_is_typed_error(capsys):
     huge = str(10 ** 320)
     for argv in (["dseries", "--specs", "3:1:4,5:2:3", "--max-x", huge],
@@ -446,6 +472,32 @@ def test_large_prime_ell_answers(capsys):
     ell = 999999999989 * 1000000000039
     code, rep = run_cli(capsys, "count", "--kind", f"cyclic{ell}")
     assert code == 2 and rep["error"].startswith("ValueError")
+
+
+ELL_PAST_INT64 = 2 ** 64 + 13  # prime; q % ell on an int64 array overflows
+
+
+def test_prime_ell_past_int64_counts(capsys):
+    code, rep = run_cli(capsys, "count", "--kind", f"cyclic{ELL_PAST_INT64}",
+                        "--max-x", "1000")
+    assert code == 0 and rep["counts"] == [[1000, 0]]
+
+
+def test_prime_ell_past_int64_lists_no_field(tmp_path, capsys):
+    out = tmp_path / "none.csv"
+    code, rep = run_cli(capsys, "count", "--kind", f"cyclic{ELL_PAST_INT64}",
+                        "--max-x", "1000", "--out", str(out))
+    assert code == 0 and rep["counts"] == [[1000, 0]]
+    assert out.read_bytes() == b"group,discriminant,conductor,tuple\r\n"
+
+
+@pytest.mark.parametrize("specs, final_sum", [
+    (f"{ELL_PAST_INT64}:1:1", 1),
+    (f"{ELL_PAST_INT64}:2:1", 1),
+    (f"3:1:2,{ELL_PAST_INT64}:1:1", 431)])  # 431 is S(1000) of 3:1:2 alone
+def test_prime_ell_past_int64_sums(capsys, specs, final_sum):
+    code, rep = run_cli(capsys, "dseries", "--specs", specs, "--max-x", "1000")
+    assert code == 0 and rep["final_sum"] == final_sum
 
 
 def test_dseries_past_the_floor_count_is_typed_error(capsys):

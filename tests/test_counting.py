@@ -15,6 +15,7 @@ from nilcount.counting import (character_rank,
                                fundamental_discriminants, rank_bound_s,
                                unramified_bound, v4_fiber_check)
 from nilcount import dirichlet
+from nilcount.cli import main
 from nilcount.dirichlet import (default_checkpoints, prime_sieve,
                                 squarefree_sieve)
 from nilcount.errors import BudgetExceeded
@@ -442,9 +443,9 @@ def test_cyclic_count_refused_before_its_queries(monkeypatch):
 
 def test_v4_enumeration_smallest_fields():
     fields = enumerate_v4(256)
-    assert [f.discriminant for f in fields] == [144, 225, 256]
-    assert fields[0].triple == (-3, -4, 12)     # Q(zeta_12)
-    assert fields[2].triple == (-4, -8, 8)      # Q(i, sqrt 2), disc 4*8*8
+    assert [disc for disc, _, _ in fields] == [144, 225, 256]
+    assert fields[0][1] == (-3, -4, 12)     # Q(zeta_12)
+    assert fields[2][1] == (-4, -8, 8)      # Q(i, sqrt 2), disc 4*8*8
 
 
 def test_v4_hand_enumeration_small():
@@ -489,7 +490,7 @@ def test_v4_hand_enumeration_small():
 def _v4_with_duplicates(x):
     """Oracle: the former `enumerate_v4`, which met each field from every
     pair of its discriminants and kept the first sorted triple."""
-    from nilcount.counting import V4Field, _disc_radical, _third_discriminants
+    from nilcount.counting import _disc_radical, _third_discriminants
     discs = np.array(fundamental_discriminants(max(8, x // 9)))
     sizes = np.abs(discs)
     seen, fields = set(), []
@@ -507,8 +508,8 @@ def _v4_with_duplicates(x):
             seen.add(triple)
             a1 = _disc_radical(triple[0])
             a12 = lcm(_disc_radical(d1), _disc_radical(d2))
-            fields.append(V4Field(triple, abs(d1 * d2 * d3), (a1, a12 // a1)))
-    fields.sort(key=lambda f: (f.discriminant, f.triple))
+            fields.append((abs(d1 * d2 * d3), triple, (a1, a12 // a1)))
+    fields.sort(key=lambda f: (f[0], f[1]))
     return fields
 
 
@@ -519,14 +520,28 @@ def test_v4_each_field_once_matches_the_pair_search(x):
     assert enumerate_v4(x) == _v4_with_duplicates(x)
 
 
+@pytest.mark.parametrize("x", [10 ** 4, 10 ** 6])
+def test_v4_csv_matches_the_pair_search(tmp_path, capsys, x):
+    out = tmp_path / "v4.csv"
+    assert main(["count", "--kind", "v4", "--max-x", str(x),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    lines = ["group,discriminant,conductor,tuple"] + [
+        f"C2xC2,{disc},{'|'.join(map(str, triple))},{a1}|{a2}"
+        for disc, triple, (a1, a2) in _v4_with_duplicates(x)]
+    assert out.read_bytes() == "".join(f"{line}\r\n"
+                                       for line in lines).encode()
+
+
 def test_v4_fiber_report():
-    rep = v4_fiber_check(10 ** 4)
+    fields = enumerate_v4(10 ** 4)
+    rep = v4_fiber_check(fields)
     assert rep.passed
-    assert rep.field_count == len(enumerate_v4(10 ** 4))
+    assert rep.field_count == len(fields)
     assert sum(rep.fibers.values()) == rep.field_count
     assert rep.max_fiber >= 1
     with pytest.raises(BudgetExceeded):
-        v4_fiber_check(10 ** 7)
+        v4_fiber_check(enumerate_v4(10 ** 7))
 
 
 def test_quadratic_tame_valuations_match_involution_index():
@@ -549,9 +564,7 @@ def test_quadratic_tame_valuations_match_involution_index():
 
 
 def test_v4_tuple_splits_by_first_discriminant():
-    for f in enumerate_v4(3000):
-        d_star = f.triple[0]
-        a1, a2 = f.ramified_tuple
+    for _, (d_star, _, _), (a1, a2) in enumerate_v4(3000):
         for p in _prime_factors(abs(d_star)):
             assert a1 % p == 0
         assert gcd(a1, a2) == 1

@@ -153,7 +153,7 @@ def test_critical_prime_falsified(monkeypatch):
 
 def test_fiber_bound_falsified(monkeypatch):
     details = _falsified(monkeypatch, "5.7", "v4_fiber_check",
-                         lambda x: V4FiberReport(x, 5, {}, 9, 1, 2))
+                         lambda fields: V4FiberReport(5, {}, 9, 1, 2))
     assert details == {"x": 10 ** 6, "fields": 5, "max_fiber": 9,
                        "bound_violations": 1, "valuation_failures": 2}
 
