@@ -11,7 +11,8 @@ B-primes up to sqrt x) or by a segmented sieve that carries only omega(u)
 (numpy int8 segments).  Every weight m^omega and every sum of weights is a
 Python int, so partial sums of multi-factor products are exact for any m
 and the asymptotic-slope diagnostics sit on top of exact data.  A count
-is refused only by the arrays it builds (the "sieve entries" limit).
+is refused by the arrays it builds (the "sieve entries" limit), and a
+sweep by the integers it passes ("sweep entries").
 """
 
 from __future__ import annotations
@@ -353,13 +354,15 @@ def _sweep_prefix_sums(spec: FactorSpec,
     One segmented sweep keeps N[k], the number of squarefree B-supported
     n <= q with omega(n) = k, advanced by a tally of the omega values between
     consecutive query points; each sum sum_k m^k N[k] is formed in Python
-    ints.
+    ints.  A sweep past the "sweep entries" limit is refused before its
+    first segment.
     """
     queries = sorted(set(int(q) for q in queries))
     out = {q: 0 for q in queries if q < 1}
     pending = [q for q in queries if q >= 1]
     if not pending:
         return out
+    require("sweep entries", pending[-1], "integer sweep to")
     counts = np.zeros(OMEGA_MAX + 1, dtype=np.int64)
     qi = 0
     for lo, hi, w in _segments(spec, pending[-1]):

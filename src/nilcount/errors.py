@@ -61,6 +61,7 @@ LIMITS: dict[str, int] = {
     "search nodes": 1 << 16,  # subgroups optimize_d's search expands
     "isomorphism order": 512,  # find_isomorphism's backtracking
     "sieve entries": 1 << 27,  # the largest array a sieve or count makes
+    "sweep entries": 1 << 30,  # integers the segmented prefix-sum sweep passes
     "tuple entries": 2_000_000,  # support of multi_factor_sum's non-pivots
     "biquadratic discriminant": 1_000_000,  # |disc| bound of enumerate_v4
     "listed fields": 1 << 21,  # fields `count --out` lists

@@ -9,6 +9,16 @@ factors' tables, and realized as the regular action of that table
 (`PermGroup.regular`), so the pair in canonical position i is element i.
 Direct products with a cyclic factor are `PermGroup.product` of the two
 groups, numbered the same way.
+
+The structure identities of the embedding problem (suites 4.4, 4.5 and 4.7)
+are proved through their canonical maps, with no isomorphism search between
+built groups.  A map phi is a homomorphism by the generator lemma: phi(s y)
+= phi(s) phi(y) for every generator s and every y suffices, |S| n lookups
+instead of n^2 (`_check_on_generators`).  A bijection onto the target, or a
+map onto it with the expected kernel, then gives the isomorphism.  A map
+that fails raises VerificationFailed naming the identity, the generator and
+the index pair where the law fails.  `semidirect` checks its action's laws
+by the same lemma.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from .errors import (NotAction, PropertyViolated, QuotientMismatch,
                      VerificationFailed, require)
 from .intmath import is_prime
 from .permcore import (GroupTable, PermGroup, Permutation,
-                       abelianization_rank, quotient, quotient_with_map)
+                       abelianization_rank, quotient_with_map)
 from .series import _children
 
 
@@ -161,13 +171,15 @@ def semidirect(A: PermGroup, H: PermGroup, act: Sequence[Sequence[int]]
     n, points = A.order, list(range(A.order))
     if len(act) != H.order:
         raise NotAction(f"{len(act)} actions for the {H.order} elements of H")
+    # both laws by the generator lemma: on A's generators against all of A,
+    # and on H's generators against all of H
     for f in act:
         if sorted(f) != points:
             raise NotAction("act[h] is not a bijection of A")
-        if any(f[mA[a][b]] != mA[f[a]][f[b]] for a in range(n) for b in range(n)):
+        if any(f[mA[a][b]] != mA[f[a]][f[b]] for a in TA.gens for b in points):
             raise NotAction("act[h] is not an automorphism")
-    if any(act[mH[h1][h2]][a] != act[h1][act[h2][a]]
-           for h1 in range(H.order) for h2 in range(H.order) for a in range(n)):
+    if any(act[mH[h1][h2]][a] != act[h1][act[h2][a]] for h1 in H.table.gens
+           for h2 in range(H.order) for a in points):
         raise NotAction("act is not multiplicative in h")
 
     # (a1, h1)(a2, h2) has first component mA[a1][act[h1][a2]]
@@ -272,49 +284,101 @@ def is_isomorphic(G1: PermGroup, G2: PermGroup) -> bool:
     return find_isomorphism(G1, G2) is not None
 
 
+def _check_on_generators(identity: str,
+                         generators: Iterable[tuple[int, Sequence[int]]],
+                         images: Sequence[Sequence[int]],
+                         tables: Sequence[Sequence[Sequence[int]]],
+                         labels: Sequence) -> None:
+    """Prove a map phi a homomorphism by the generator lemma: phi(s y) =
+    phi(s) phi(y) for every generator s and every y.  The x with
+    phi(x y) = phi(x) phi(y) for all y are closed under products and hold
+    the generators, so they are the whole finite group: |S| n lookups, not
+    n^2.
+
+    `generators` gives each generator s with its row, the index of s y for
+    y = 0, 1, ...  phi lands in a direct product: images[c][y] is component
+    c of phi(y), in the group with Cayley table tables[c], and the product
+    is taken componentwise.  VerificationFailed names the identity, the
+    generator and the index pair s * y where the law fails, each element
+    by its `labels` entry."""
+    for s, row in generators:
+        for image, mul in zip(images, tables):
+            want = list(map(mul[image[s]].__getitem__, image))
+            got = list(map(image.__getitem__, row))
+            if got != want:
+                y = next(y for y, (a, b) in enumerate(zip(got, want)) if a != b)
+                raise VerificationFailed(
+                    f"{identity}: the homomorphism law fails at generator "
+                    f"{labels[s]}, index pair {labels[s]} * {labels[y]}")
+
+
 def verify_semidirect_decomposition(E: ExtensionData) -> bool:
     """Check G x_H G = U x| G through the explicit map (u, g) -> (g, ug).
 
-    Works for any kernel U (not necessarily abelian); conjugation defines the
-    twisting action.  The map is checked to be a bijective homomorphism
-    pointwise.
+    Works for any kernel U (not necessarily abelian): G acts on U by
+    conjugation, so (u1, g1)(u2, g2) = (u1 g1 u2 g1^-1, g1 g2).  The map must
+    be a bijection onto the fiber pairs, and a homomorphism into G x G by
+    the generator lemma over (u, 1) for the greedy generators u of U and
+    (1, g) for the generators g of G.  A failure names the generator and
+    the index pair (u, g) * (u', g') where the law fails.
     """
-    G = E.group
-    T, mul = G.table, G.table.mul
-    items = [(u, g) for u in E.kernel for g in range(G.order)]
-    images = {(g, mul[u][g]) for u, g in items}
-    if (images != set(_fiber_pairs(E.kappa, E.kappa))
-            or len(images) != len(items)):
+    G, kernel = E.group, E.kernel
+    T, mul, n = G.table, G.table.mul, G.order
+    items = [(u, g) for u in kernel for g in range(n)]  # (u, g) is number i n + g
+    firsts = [g for _, g in items]
+    seconds = [mul[u][g] for u, g in items]
+    if sorted(zip(firsts, seconds)) != _fiber_pairs(E.kappa, E.kappa):
         raise VerificationFailed("(u,g) -> (g,ug) is not a bijection onto the pairs")
-    for u1, g1 in items:
-        for u2, g2 in items:
-            # (u1, g1)(u2, g2) = (u1 * g1 u2 g1^-1, g1 g2) must map to the
-            # componentwise product (g1 g2, u1 g1 * u2 g2) of the images
-            if (mul[mul[u1][T.conj(g1, u2)]][mul[g1][g2]]
-                    != mul[mul[u1][g1]][mul[u2][g2]]):
-                raise VerificationFailed("homomorphism law fails at index "
-                                         f"pairs {(u1, g1)} * {(u2, g2)}")
+    start = {u: i * n for i, u in enumerate(kernel)}  # the number of (u, 1)
+    generators = [(start[u], [start[mul[u][v]] + g for v, g in items])
+                  for u in T.generating_set(kernel)]
+    generators += [(g, [start[T.conj(g, v)] + mul[g][h] for v, h in items])
+                   for g in T.gens]
+    _check_on_generators("G x_H G = U x| G by (u, g) -> (g, ug)", generators,
+                         (firsts, seconds), (mul, mul), items)
     return True
 
 
 def verify_pullback_identity(E: ExtensionData) -> bool:
     """For an abelian-kernel extension, verify both structure identities:
-    G x_H G = G x_H (A x| H), and (G x_H G) / diagonal(A) = A x| H."""
-    kernel, mul = E.kernel, E.group.table.mul
+    G x_H G = G x_H (A x| H), and (G x_H G) / diagonal(A) = A x| H.
+
+    Each through its explicit map on G x_H G, proved a homomorphism by the
+    generator lemma on its generators: phi(g1, g2) = (g1, (g2 g1^-1,
+    kappa(g2))) must be a bijection onto the pairs of G x_H (A x| H), and
+    psi(g1, g2) = (g2 g1^-1, kappa(g1)) must map onto A x| H with kernel
+    the diagonal (the first isomorphism theorem).  A failure names the
+    identity, and for the homomorphism law the generator and the index
+    pair (g1, g2) * (g1', g2') where it fails.
+    """
+    kernel, T, kappa = E.kernel, E.group.table, E.kappa
+    mul = T.mul
     pos = {a: i for i, a in enumerate(kernel)}  # A's table: the kernel's rows
     A = PermGroup.regular([[pos[mul[a][b]] for b in kernel] for a in kernel])
     sd = semidirect(A, E.quotient, conjugation_action(E))
-    kappa_sd = [h for _, h in sd.pairs]
-
     fp_gg = fiber_product(E, E)
-    fp_gs = fiber_product_maps(E.group, E.kappa, sd.group, kappa_sd, E.quotient)
-    if not is_isomorphic(fp_gg.group, fp_gs.group):
-        raise VerificationFailed("G x_H G and G x_H (A x| H) are not isomorphic")
 
+    number = {p: k for k, p in enumerate(sd.pairs)}
+    firsts = [g1 for g1, _ in fp_gg.pairs]
+    # psi is phi's second component: kappa(g1) = kappa(g2) on a fiber pair;
+    # -1 where g2 g1^-1 is not in A (the kernel is not kappa's)
+    psi = [number.get((pos.get(mul[g2][T.inv[g1]]), kappa[g1]), -1)
+           for g1, g2 in fp_gg.pairs]
+    if sorted(zip(firsts, psi)) != _fiber_pairs(kappa, [h for _, h in sd.pairs]):
+        raise VerificationFailed("G x_H G = G x_H (A x| H): phi is not a "
+                                 "bijection onto the pairs")
+    fmul = fp_gg.group.table.mul
+    _check_on_generators(
+        "G x_H G = G x_H (A x| H) by (g1, g2) -> (g1, (g2 g1^-1, kappa(g2)))",
+        [(s, fmul[s]) for s in fp_gg.group.table.gens], (firsts, psi),
+        (mul, sd.group.table.mul), fp_gg.pairs)
+
+    if len(set(psi)) != sd.group.order:
+        raise VerificationFailed("(G x_H G)/diagonal(A) = A x| H: psi is not onto")
     diagonal = [k for k, (x, y) in enumerate(fp_gg.pairs) if x == y and x in pos]
-    quot = quotient(fp_gg.group, diagonal)
-    if not is_isomorphic(quot, sd.group):
-        raise VerificationFailed("diagonal quotient is not A x| H")
+    if [k for k, x in enumerate(psi) if x == 0] != diagonal:
+        raise VerificationFailed("(G x_H G)/diagonal(A) = A x| H: the kernel "
+                                 "of psi is not the diagonal")
     return True
 
 
@@ -335,18 +399,29 @@ def _cyclic_product(ell: int, K: PermGroup) -> PermGroup:
 
 
 def central_double_quotients(E: ExtensionData) -> DoubleQuotientReport:
-    """For a central prime-kernel extension, form C_ell x G, locate the
-    central C_ell x C_ell spanned by the two kernel copies, and check that of
-    its ell+1 order-ell subgroups, ell give quotients isomorphic to G and the
-    remaining one gives C_ell x H."""
+    """For a central prime-kernel extension with kernel <z>, form C_ell x G,
+    locate the central C_ell x C_ell spanned by the two kernel copies, and
+    check that of its ell+1 order-ell subgroups, ell give quotients
+    isomorphic to G and the remaining one gives C_ell x H.
+
+    Each quotient through its explicit map: U = <(1, z^j)> by
+    (i, g) -> g z^(-ij) onto G, and U = {0} x <z> by (i, g) -> (i, kappa(g))
+    onto C_ell x H.  The map is proved a homomorphism by the generator lemma
+    on C_ell x G's generators, and its kernel must be U; then the image has
+    |C_ell x G| / ell elements, all of the target.  One isomorphism search,
+    G against C_ell x H, labels the last quotient "G" when G splits.  A
+    failure names the subgroup's identity, and for the homomorphism law the
+    generator and the index pair (i, g) * (i', g') where it fails.
+    """
     ell = len(E.kernel)
     if not E.central or not is_prime(ell):
         raise ValueError("needs a central extension with kernel of prime order")
-    G = E.group
+    G, H = E.group, E.quotient
+    n, mul = G.order, G.table.mul
     big = _cyclic_product(ell, G)
     T = big.table
 
-    d_set = {i * G.order + a for i in range(ell) for a in E.kernel}
+    d_set = {i * n + a for i in range(ell) for a in E.kernel}
     if not d_set <= set(T.center()):
         raise VerificationFailed("kernel square is not central in C_ell x G")
     if len(d_set) != ell * ell or any(T.order[x] not in (1, ell) for x in d_set):
@@ -357,19 +432,30 @@ def central_double_quotients(E: ExtensionData) -> DoubleQuotientReport:
         raise VerificationFailed(
             f"expected {ell + 1} order-{ell} subgroups, found {len(subgroups)}")
 
-    split = _cyclic_product(ell, E.quotient)
+    split = _cyclic_product(ell, H)
     group_is_split = is_isomorphic(G, split)
+    z = G.table.cyclic(E.kernel[1])  # z[k] is z^k
+    items = [(i, g) for i in range(ell) for g in range(n)]  # (i, g) is i n + g
+    generators = [(s, T.mul[s]) for s in T.gens]
     pattern = []
     for U in sorted(subgroups, key=sorted):
         if not T.is_normal(U):
             raise VerificationFailed("order-ell subgroup is not normal")
-        Q = quotient(big, U)
-        if is_isomorphic(Q, G):
-            pattern.append("G")
-        elif is_isomorphic(Q, split):
-            pattern.append("CxH")
+        top = [x - n for x in U if n <= x < 2 * n]  # (1, z^j), if U has it
+        if top:
+            j = z.index(top[0])
+            identity = f"(C_ell x G)/<(1, z^{j})> = G by (i, g) -> g z^(-{j}i)"
+            image = [mul[g][z[-i * j % ell]] for i, g in items]
+            target, label = G, "G"
         else:
-            raise VerificationFailed("quotient is neither G nor C_ell x H")
+            identity = "(C_ell x G)/({0} x <z>) = C_ell x H by (i, g) -> (i, kappa(g))"
+            image = [i * H.order + E.kappa[g] for i, g in items]
+            target, label = split, "G" if group_is_split else "CxH"
+        _check_on_generators(identity, generators, (image,),
+                             (target.table.mul,), items)
+        if {x for x, y in enumerate(image) if y == 0} != U:
+            raise VerificationFailed(f"{identity}: the kernel is not the subgroup")
+        pattern.append(label)
     n_g = pattern.count("G")
     n_s = pattern.count("CxH")
     ok = (n_g == ell + 1) if group_is_split else (n_g == ell and n_s == 1)

@@ -352,11 +352,12 @@ class GroupTable:
                     return False
         return 0 in S
 
-    def generating_set(self) -> list[int]:
-        """Greedy generators: each element, in canonical order, that the
-        ones before it do not generate (the identity for the trivial group)."""
+    def generating_set(self, members: Iterable[int] | None = None) -> list[int]:
+        """Greedy generators of the subgroup `members` (default the whole
+        group): each member, in canonical order, that the ones before it do
+        not generate (the identity for the trivial group)."""
         gens, have = [], {0}
-        for i in range(len(self.elements)):
+        for i in range(len(self.elements)) if members is None else sorted(members):
             if i not in have:
                 gens.append(i)
                 have = self.closure(gens, have)

@@ -486,3 +486,28 @@ def test_sweep_values_at_1e8():
     series = multi_factor_sum([FactorSpec(3, 1, 2), FactorSpec(5, 2, 3)],
                               10 ** 8)
     assert series.values[-1] == 50005191
+
+
+def test_sweep_refused_before_its_first_segment(monkeypatch):
+    from nilcount.counting import count_cyclic_ell_at
+    segments, built = dirichlet._segments, []
+
+    def recorded(spec, limit):
+        built.append(limit)
+        return segments(spec, limit)
+    monkeypatch.setattr(dirichlet, "_segments", recorded)
+    # F = 1.2e9 < (191 - 1)^4 sends cyclic191 to the sweep, past 2^30
+    with pytest.raises(BudgetExceeded, match="integer sweep to 1200000000 "
+                                             f"exceeds {1 << 30}"):
+        count_cyclic_ell_at(191, [1_200_000_000 ** 190])
+    assert built == []
+    # at the limit the sweep answers; one past it, no segment is built
+    spec = FactorSpec(1009, 1, 2)
+    monkeypatch.setitem(LIMITS, "sweep entries", 10 ** 5)
+    got = multi_factor_sum([spec], 10 ** 5).values[-1]
+    assert built == [10 ** 5]  # the sweep answered
+    assert got == sum(coefficient_sieve(spec, 10 ** 5))
+    built.clear()
+    with pytest.raises(BudgetExceeded, match="integer sweep to 100001 "):
+        multi_factor_sum([spec], 10 ** 5 + 1)
+    assert built == []

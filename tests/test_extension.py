@@ -1,19 +1,25 @@
+from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilcount import extension
 from nilcount.catalog import (abelian, cyclic, dihedral4_regular,
-                              dihedral4_s4, generalized_quaternion, resolve)
+                              dihedral4_s4, generalized_quaternion,
+                              nilpotent_catalog, resolve)
 from nilcount.errors import (LIMITS, BudgetExceeded, NotAction, NotNormal,
-                             QuotientMismatch)
-from nilcount.extension import (ExtensionData, central_double_quotients,
+                             QuotientMismatch, VerificationFailed)
+from nilcount.extension import (DoubleQuotientReport, ExtensionData,
+                                central_double_quotients,
                                 conjugation_action, fiber_product,
                                 find_isomorphism, fingerprint, is_isomorphic,
                                 regular_permutation_group, semidirect,
                                 solution_class_counts,
                                 verify_pullback_identity,
                                 verify_semidirect_decomposition)
+from nilcount.intmath import is_prime
 from nilcount.permcore import PermGroup, center, quotient_with_map
 
 
@@ -375,7 +381,7 @@ def unpruned_find_isomorphism(G1, G2):
 
 
 def test_pruned_search_returns_the_unpruned_witness(monkeypatch):
-    from nilcount.suites import run_suite
+    # the searches of the earlier suites 4.5 and 4.7, over the same groups
     calls = []
     real = extension.find_isomorphism
 
@@ -386,7 +392,7 @@ def test_pruned_search_returns_the_unpruned_witness(monkeypatch):
     monkeypatch.setattr(extension, "find_isomorphism", record)
     counts = []
     for sid in ("4.5", "4.7"):
-        assert run_suite(sid).passed
+        run_reference_suite(sid)
         counts.append(len(calls) - sum(counts))
     assert counts == [92, 217]
     assert sum(out is None for _, _, out in calls) == 36
@@ -451,7 +457,6 @@ def semidirect_reference(A, H, act):
 
 def test_regular_realizations_match_translation_reference(monkeypatch):
     from nilcount import catalog
-    from nilcount.suites import run_suite
     realized, products, cyclic_products = [], [], []
     real = extension.regular_permutation_group
     cyclic_product = extension._cyclic_product
@@ -484,8 +489,8 @@ def test_regular_realizations_match_translation_reference(monkeypatch):
     monkeypatch.setattr(extension, "semidirect", recorder(
         extension.semidirect, semidirect_reference, 1))
     monkeypatch.setattr(extension, "_cyclic_product", record_cyclic)
-    for sid in ("4.5", "4.7"):
-        assert run_suite(sid).passed
+    for sid in ("4.5", "4.7"):  # the products the earlier suites built
+        run_reference_suite(sid)
     assert len(products) >= 138 and cyclic_products
     for items, mul, (group, to_item) in realized:
         ref, to_perm = reference_regular_permutation_group(items, mul)
@@ -604,7 +609,7 @@ def test_extension_cases_match_the_permutation_reference():
 
 def test_suite_4_5_pair_products_match_the_permutation_reference(monkeypatch):
     from nilcount import permcore
-    from nilcount.suites import _extension_cases, run_suite
+    from nilcount.suites import _extension_cases
     cases = [E for label, E in _extension_cases() if not label.endswith("/Q8")]
     quotients, fibers, semidirects = [], [], []  # built after the cases
 
@@ -621,7 +626,7 @@ def test_suite_4_5_pair_products_match_the_permutation_reference(monkeypatch):
         extension.fiber_product_maps, fibers))
     monkeypatch.setattr(extension, "semidirect", recorder(
         extension.semidirect, semidirects))
-    assert run_suite("4.5").passed
+    run_reference_suite("4.5")  # the products the earlier suite built
     assert (len(quotients), len(fibers), len(semidirects)) == (46, 92, 46)
     # the diagonal quotient of G x_H G, one per case
     for (G, N), got in quotients:
@@ -679,3 +684,253 @@ def test_regular_realization_errors_are_typed():
     group, to_item = regular_permutation_group(["a", "e"],
                                                lambda x, y: "a" if x == y else "e")
     assert group.order == 2 and to_item["a"].is_identity()
+
+
+# The steps of suites 4.4, 4.5 and 4.7 before the explicit maps, kept as
+# references: the pointwise homomorphism loop, and isomorphism searches
+# against built fiber products and quotients.  They call through the
+# modules, so a test can record what they build.
+
+def reference_semidirect_decomposition(E):
+    """G x_H G = U x| G: (u, g) -> (g, ug) bijective onto the fiber pairs
+    and multiplicative at all (|U| |G|)^2 pairs."""
+    G = E.group
+    T, mul = G.table, G.table.mul
+    items = [(u, g) for u in E.kernel for g in range(G.order)]
+    images = {(g, mul[u][g]) for u, g in items}
+    if (images != set(extension._fiber_pairs(E.kappa, E.kappa))
+            or len(images) != len(items)):
+        return False
+    # (u1, g1)(u2, g2) = (u1 * g1 u2 g1^-1, g1 g2) must map to the
+    # componentwise product (g1 g2, u1 g1 * u2 g2) of the images
+    return all(mul[mul[u1][T.conj(g1, u2)]][mul[g1][g2]]
+               == mul[mul[u1][g1]][mul[u2][g2]]
+               for u1, g1 in items for u2, g2 in items)
+
+
+def reference_pullback_identity(E):
+    """Both pullback identities by isomorphism search: G x_H G against the
+    built G x_H (A x| H), and the built quotient by the diagonal against
+    A x| H."""
+    from nilcount import permcore
+    kernel, mul = E.kernel, E.group.table.mul
+    pos = {a: i for i, a in enumerate(kernel)}
+    A = PermGroup.regular([[pos[mul[a][b]] for b in kernel] for a in kernel])
+    sd = extension.semidirect(A, E.quotient, extension.conjugation_action(E))
+    kappa_sd = [h for _, h in sd.pairs]
+    fp_gg = extension.fiber_product(E, E)
+    fp_gs = extension.fiber_product_maps(E.group, E.kappa, sd.group, kappa_sd,
+                                         E.quotient)
+    if not extension.is_isomorphic(fp_gg.group, fp_gs.group):
+        return False
+    diagonal = [k for k, (x, y) in enumerate(fp_gg.pairs) if x == y and x in pos]
+    quot = permcore.quotient(fp_gg.group, diagonal)
+    return extension.is_isomorphic(quot, sd.group)
+
+
+def reference_double_quotients(E):
+    """The quotient pattern of C_ell x G, quotient by quotient: each built
+    and labeled by isomorphism search against G, then C_ell x H."""
+    from nilcount import permcore
+    ell = len(E.kernel)
+    if not E.central or not is_prime(ell):
+        raise ValueError("needs a central extension with kernel of prime order")
+    G = E.group
+    big = extension._cyclic_product(ell, G)
+    T = big.table
+    d_set = {i * G.order + a for i in range(ell) for a in E.kernel}
+    subgroups = {frozenset(T.cyclic(x)) for x in d_set if T.order[x] == ell}
+    split = extension._cyclic_product(ell, E.quotient)
+    group_is_split = extension.is_isomorphic(G, split)
+    pattern = []
+    for U in sorted(subgroups, key=sorted):
+        Q = permcore.quotient(big, U)
+        if extension.is_isomorphic(Q, G):
+            pattern.append("G")
+        elif extension.is_isomorphic(Q, split):
+            pattern.append("CxH")
+        else:
+            pattern.append("?")
+    n_g, n_s = pattern.count("G"), pattern.count("CxH")
+    ok = (n_g == ell + 1) if group_is_split else (n_g == ell and n_s == 1)
+    return DoubleQuotientReport(len(subgroups), tuple(pattern), n_g, n_s, ok)
+
+
+def run_reference_suite(sid):
+    """The reference steps of suite 4.5 or 4.7 over that suite's cases."""
+    from nilcount.suites import _extension_cases
+    for label, E in _extension_cases():
+        if sid == "4.5" and not label.endswith("/Q8"):
+            assert reference_pullback_identity(E), label
+        elif sid == "4.7" and E.central and is_prime(len(E.kernel)):
+            assert reference_double_quotients(E).passed, label
+
+
+def outcome(check, E):
+    """What a check gives on E: its result, or the type of its refusal."""
+    try:
+        return check(E)
+    except (NotAction, ValueError, VerificationFailed) as err:
+        return type(err)
+
+
+def test_explicit_maps_agree_with_the_references_on_every_case():
+    from nilcount.suites import _extension_cases
+    cases = _extension_cases()
+    assert len(cases) == 47
+    seen = Counter()
+    for label, E in cases:
+        assert verify_semidirect_decomposition(E) is True, label
+        assert reference_semidirect_decomposition(E) is True, label
+        got = outcome(verify_pullback_identity, E)
+        assert got == outcome(reference_pullback_identity, E), label
+        rep = outcome(central_double_quotients, E)
+        assert rep == outcome(reference_double_quotients, E), label
+        seen[got, rep if isinstance(rep, type) else rep.passed] += 1
+    # 45 central prime cases, the non-central C3 in S3, the Q8 kernel
+    assert seen == {(True, True): 45, (True, ValueError): 1,
+                    (NotAction, ValueError): 1}
+
+
+def frobenius20_extension():
+    """C5 x| C4 with C4 acting through 2 (an automorphism of order 4),
+    over its C5: conjugation acts with automorphisms that are not their
+    own inverses."""
+    A, H = cyclic(5), cyclic(4)
+    act = [[A.table.power(a, 2 ** h) for a in range(5)] for h in range(4)]
+    sd = semidirect(A, H, act)
+    return ExtensionData.from_kernel(
+        sd.group, [k for k, (a, h) in enumerate(sd.pairs) if h == 0])
+
+
+def test_an_inverted_automorphism_is_not_an_action(monkeypatch):
+    E = frobenius20_extension()
+    assert verify_semidirect_decomposition(E) and verify_pullback_identity(E)
+    act = conjugation_action(E)
+    inverses = [[row.index(a) for a in range(len(row))] for row in act]
+    assert any(inv != row for inv, row in zip(inverses, act))
+    for h, inv in enumerate(inverses):
+        if inv == act[h]:
+            continue
+        mutated = act[:h] + [inv] + act[h + 1:]
+        monkeypatch.setattr(extension, "conjugation_action",
+                            lambda E, mutated=mutated: mutated)
+        with pytest.raises(NotAction, match="multiplicative"):
+            verify_pullback_identity(E)
+
+
+def swap_fibers(E, h1=0, h2=1):
+    """E with the fibers of kappa over h1 and h2 swapped."""
+    swap = {h1: h2, h2: h1}
+    return replace(E, kappa=tuple(swap.get(h, h) for h in E.kappa))
+
+
+def test_swapped_fibers_fail_at_the_named_map():
+    from nilcount.suites import _extension_cases
+    failed = Counter()
+    for label, E in _extension_cases():
+        if E.quotient.order < 2:
+            continue
+        bad = swap_fibers(E)  # kappa(1) is no longer the identity of H
+        # G x_H G = U x| G reads kappa only through its fibers, which a
+        # relabeling of H keeps
+        assert verify_semidirect_decomposition(bad), label
+        if not label.endswith("/Q8"):
+            with pytest.raises((NotAction, VerificationFailed)) as err:
+                verify_pullback_identity(bad)
+            failed["4.5", err.type] += 1
+        if E.central and is_prime(len(E.kernel)):
+            with pytest.raises(VerificationFailed,
+                               match=r"C_ell x H by .* at generator \(\d+, \d+\), "
+                                     r"index pair \(\d+, \d+\) \* \(\d+, \d+\)"):
+                central_double_quotients(bad)
+            failed["4.7"] += 1
+    # S3 over C3: conjugation by the swapped fibers is no longer an action
+    assert failed == {("4.5", VerificationFailed): 42, ("4.5", NotAction): 1,
+                      "4.7": 42}
+
+
+def test_a_permuted_semidirect_pair_table_fails_at_the_named_map(monkeypatch):
+    from nilcount.extension import PairProduct
+    from nilcount.suites import _extension_cases
+    real = extension.semidirect
+
+    def permuted(*args):
+        """A x| H with rows 0 and 1 of its pair table swapped: the pairs
+        no longer name the table's elements."""
+        sd = real(*args)
+        pairs = list(sd.pairs)
+        pairs[0], pairs[1] = pairs[1], pairs[0]
+        return PairProduct(tuple(pairs), sd.group)
+    monkeypatch.setattr(extension, "semidirect", permuted)
+    cases = [(label, E) for label, E in _extension_cases()
+             if not label.endswith("/Q8")]
+    for label, E in cases + [("F20/C5", frobenius20_extension())]:
+        with pytest.raises(VerificationFailed,
+                           match=r"^G x_H G = G x_H \(A x\| H\) by .* at generator "
+                                 r"\(\d+, \d+\), index pair \(\d+, \d+\) \* "
+                                 r"\(\d+, \d+\)$"):
+            verify_pullback_identity(E)
+
+
+def test_a_kernel_other_than_kappas_fails_at_the_named_check():
+    # C2^3 over one central C2, with another C2 given as the kernel: the
+    # earlier isomorphism search passed 4.5 on it; now phi misses the pairs,
+    # and (i, g) -> (i, kappa(g)) is a homomorphism onto C2 x H whose
+    # kernel is not {0} x kernel
+    G = resolve("C2xC2xC2").group()
+    E = ExtensionData.from_kernel(G, [0, 1])
+    bad = replace(E, kernel=(0, 2))
+    with pytest.raises(VerificationFailed, match="not a bijection"):
+        verify_semidirect_decomposition(bad)
+    with pytest.raises(VerificationFailed, match="phi is not a bijection"):
+        verify_pullback_identity(bad)
+    with pytest.raises(VerificationFailed,
+                       match=r"C_ell x H by .*: the kernel is not the subgroup"):
+        central_double_quotients(bad)
+
+
+def small_catalog():
+    return [(name, G) for name, G in nilpotent_catalog() if G.order <= 32]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_generator_lemma_agrees_with_the_pointwise_test(data):
+    name, G = data.draw(st.sampled_from(small_catalog()))
+    T, n = G.table, G.order
+    mul = T.mul
+    kind = data.draw(st.sampled_from(["inner", "power", "swapped", "random",
+                                      "twisted"]))
+    if kind == "random":
+        phi = data.draw(st.permutations(range(n)))
+    elif kind == "twisted":
+        # x -> x w(r) on each right coset <s> r of the first generator s:
+        # phi(s y) = phi(s) phi(y) holds for s, so only the other
+        # generators can refute it
+        shift = data.draw(st.lists(st.integers(0, n - 1), min_size=n,
+                                   max_size=n))
+        powers, phi = T.cyclic(T.gens[0]), [-1] * n
+        for r in range(n):
+            if phi[r] < 0:
+                for x in (mul[c][r] for c in powers):
+                    phi[x] = mul[x][shift[r] if r else 0]
+    elif kind == "power":  # a homomorphism exactly when x -> x^k is
+        k = data.draw(st.integers(0, T.exponent))
+        phi = [T.power(x, k) for x in range(n)]
+    else:
+        h = data.draw(st.integers(0, n - 1))
+        phi = [T.conj(h, x) for x in range(n)]
+        if kind == "swapped":
+            i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                      max_size=2, unique=True))
+            phi[i], phi[j] = phi[j], phi[i]
+    pointwise = all(phi[mul[a][b]] == mul[phi[a]][phi[b]]
+                    for a in range(n) for b in range(n))
+    try:
+        extension._check_on_generators(
+            name, [(s, mul[s]) for s in T.gens], (phi,), (mul,), range(n))
+        lemma = True
+    except VerificationFailed:
+        lemma = False
+    assert lemma == pointwise, (name, kind, phi)

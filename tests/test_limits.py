@@ -26,6 +26,8 @@ CASES = {
     "isomorphism order": (4, lambda: find_isomorphism(abelian(4, 2),
                                                       abelian(2, 2, 2)), 8),
     "sieve entries": (99, lambda: prime_sieve(100), 100),
+    "sweep entries": (999, lambda: multi_factor_sum(
+        [FactorSpec(1009, 1, 2)], 1000), 1000),
     "tuple entries": (5, lambda: multi_factor_sum(
         [FactorSpec(3, 1, 1), FactorSpec(3, 2, 1)], 10 ** 4), 6),
     "biquadratic discriminant": (999, lambda: enumerate_v4(1000), 1000),
