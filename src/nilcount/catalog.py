@@ -1,7 +1,8 @@
 """Named group catalog shared by the CLI and the verification suites.
 
 Cyclic groups and presentations (quaternion, dihedral, Heisenberg) are
-built as Cayley tables and realized as their regular action, and abelian
+built as Cayley tables and realized as their regular action
+(`regular_permutation_group`), and abelian
 groups as the direct product of cyclic ones (`PermGroup.product`); the mixed
 products Q8xC3_S24 and D4xC3_S12 are natural products.  Every
 entry records its expected invariants where those are pinned.  A pattern
@@ -14,12 +15,25 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from math import prod
-from typing import Callable
+from typing import Callable, Hashable
 
 from .errors import require
-from .extension import regular_permutation_group
 from .nilpotent import natural_product
-from .permcore import PermGroup, orbit_sizes, parse_generators
+from .permcore import PermGroup, Permutation, orbit_sizes, parse_generators
+
+
+def regular_permutation_group(items: list, mul: Callable
+                              ) -> tuple[PermGroup, dict[Hashable, Permutation]]:
+    """Realize an explicitly listed group through left translation: item i
+    of the sorted `items` maps to element i.  `items` must be a group under
+    `mul` with the least item as its identity, or PropertyViolated.  Used
+    for the presentations below; pair products build their table by index
+    arithmetic (`extension._pair_product`)."""
+    items = sorted(items)
+    index = {x: i for i, x in enumerate(items)}
+    group = PermGroup.regular([[index.get(mul(x, y), -1) for y in items]
+                               for x in items])
+    return group, dict(zip(items, group.elements))
 
 
 def cyclic(n: int) -> PermGroup:

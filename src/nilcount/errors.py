@@ -59,7 +59,6 @@ LIMITS: dict[str, int] = {
     "enumeration order": 128,  # enumerate_refinements' default cap
     "listed chains": 1 << 20,  # chains enumerate_refinements lists
     "search nodes": 1 << 16,  # subgroups optimize_d's search expands
-    "isomorphism order": 512,  # find_isomorphism's backtracking
     "sieve entries": 1 << 27,  # the largest array a sieve or count makes
     "sweep entries": 1 << 30,  # integers the segmented prefix-sum sweep passes
     "tuple entries": 2_000_000,  # support of multi_factor_sum's non-pivots

@@ -7,47 +7,34 @@ Constructions with no natural permutation action (fiber products, semidirect
 products) are built on pairs of element indices, multiplied through the
 factors' tables, and realized as the regular action of that table
 (`PermGroup.regular`), so the pair in canonical position i is element i.
-Direct products with a cyclic factor are `PermGroup.product` of the two
-groups, numbered the same way.
+Direct products with a cyclic factor are `PermGroup.product` of the
+catalog's cyclic group and the other, numbered the same way.
 
 The structure identities of the embedding problem (suites 4.4, 4.5 and 4.7)
-are proved through their canonical maps, with no isomorphism search between
-built groups.  A map phi is a homomorphism by the generator lemma: phi(s y)
-= phi(s) phi(y) for every generator s and every y suffices, |S| n lookups
-instead of n^2 (`_check_on_generators`).  A bijection onto the target, or a
-map onto it with the expected kernel, then gives the isomorphism.  A map
-that fails raises VerificationFailed naming the identity, the generator and
-the index pair where the law fails.  `semidirect` checks its action's laws
-by the same lemma.
+are proved through their canonical maps; the module has no isomorphism
+search.  Whether a central extension by C_ell splits, which labels 4.7's
+last quotient, is read off the ell-ranks of the abelianizations
+(`central_double_quotients`).  A map phi is a homomorphism by the
+generator lemma: phi(s y) = phi(s) phi(y) for every generator s and every
+y suffices, |S| n lookups instead of n^2 (`_check_on_generators`).  A
+bijection onto the target, or a map onto it with the expected kernel, then
+gives the isomorphism.  A map that fails raises VerificationFailed naming
+the identity, the generator and the index pair where the law fails.
+`semidirect` checks its action's laws by the same lemma.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from operator import add
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
+from .catalog import cyclic
 from .errors import (NotAction, PropertyViolated, QuotientMismatch,
-                     VerificationFailed, require)
+                     VerificationFailed)
 from .intmath import is_prime
-from .permcore import (GroupTable, PermGroup, Permutation,
-                       abelianization_rank, quotient_with_map)
+from .permcore import PermGroup, abelianization_rank, quotient_with_map
 from .series import _children
-
-
-def regular_permutation_group(items: list, mul: Callable
-                              ) -> tuple[PermGroup, dict[Hashable, Permutation]]:
-    """Realize an explicitly listed group through left translation: item i
-    of the sorted `items` maps to element i.  `items` must be a group under
-    `mul` with the least item as its identity, or PropertyViolated.  Used
-    for the catalog presentations; pair products build their table by
-    index arithmetic (`_pair_product`)."""
-    items = sorted(items)
-    index = {x: i for i, x in enumerate(items)}
-    group = PermGroup.regular([[index.get(mul(x, y), -1) for y in items]
-                               for x in items])
-    return group, dict(zip(items, group.elements))
 
 
 @dataclass(frozen=True)
@@ -188,102 +175,6 @@ def semidirect(A: PermGroup, H: PermGroup, act: Sequence[Sequence[int]]
                                        for a, h in pairs])
 
 
-def fingerprint(G: PermGroup) -> tuple:
-    """Cheap isomorphism invariants: order, order profile, center size,
-    class-size profile, abelianization order."""
-    T = G.table
-    return (G.order, tuple(sorted(Counter(T.order).items())), len(T.center()),
-            tuple(sorted(len(c) for c in T.classes)),
-            G.order // len(T.commutator))
-
-
-def _element_invariants(T: GroupTable) -> list[tuple[int, int, bool]]:
-    """(element order, class size, membership in the commutator subgroup)
-    per element index.  An isomorphism preserves all three: it maps classes
-    to classes and the characteristic subgroup G' onto G'."""
-    size = {i: len(c) for c in T.classes for i in c}
-    comm = T.commutator
-    return [(o, size[i], i in comm) for i, o in enumerate(T.order)]
-
-
-def find_isomorphism(G1: PermGroup, G2: PermGroup) -> dict[Permutation, Permutation] | None:
-    """Explicit isomorphism G1 -> G2, or None.
-
-    Search: invariant fingerprints first, then backtracking over images of a
-    greedy generating sequence; the first witness in canonical order is
-    returned, so the result is deterministic.  Each chosen image extends the
-    partial map from <g_1..g_i-1> to <g_1..g_i> along the Cayley graph, and
-    the extension is undone on backtracking.
-
-    Every new image must share its preimage's invariants (element order,
-    class size, membership in G'); any other image is a clash like a
-    conflicting or reused one.  No isomorphism is cut that way, and the
-    candidates keep their order, so the first witness is the one the
-    search without this check finds; only dead branches end sooner.
-    """
-    if G1.order != G2.order:
-        return None
-    require("isomorphism order", G1.order)
-    if fingerprint(G1) != fingerprint(G2):
-        return None
-    m1, m2 = G1.table.mul, G2.table.mul
-    gens = G1.table.generating_set()
-    inv1 = _element_invariants(G1.table)
-    inv2 = _element_invariants(G2.table)
-    buckets: dict[tuple[int, int, bool], list[int]] = {}
-    for g, key in enumerate(inv2):
-        buckets.setdefault(key, []).append(g)
-    phi = [0] + [-1] * (G1.order - 1)
-    used = [True] + [False] * (G2.order - 1)
-    domain = [0]  # the subgroup generated so far, where phi is defined
-    chosen: list[int] = []
-
-    def extend(i: int) -> bool:
-        """Extend phi by gens[i] -> chosen[i]; on a clash, undo and fail."""
-        size, new, pairs = len(domain), [(gens[i], chosen[i])], list(zip(gens, chosen))
-        for k, x in enumerate(domain):  # grows while it is scanned
-            # edges by earlier generators stay inside the old domain
-            for a, b in (new if k < size else pairs):
-                y, fy = m1[x][a], m2[phi[x]][b]
-                if phi[y] < 0 and not used[fy] and inv1[y] == inv2[fy]:
-                    phi[y], used[fy] = fy, True
-                    domain.append(y)
-                elif phi[y] != fy:
-                    retract(size)
-                    return False
-        return True
-
-    def retract(size: int) -> None:
-        for y in domain[size:]:
-            used[phi[y]], phi[y] = False, -1
-        del domain[size:]
-
-    def dfs(i: int) -> bool:
-        if i == len(gens):
-            return True
-        for b in buckets.get(inv1[gens[i]], ()):
-            chosen.append(b)
-            size = len(domain)
-            if extend(i):
-                if dfs(i + 1):
-                    return True
-                retract(size)
-            chosen.pop()
-        return False
-
-    found = dfs(0)
-    del dfs  # a recursive closure is a reference cycle: free it now
-    if not found:
-        return None
-    if len(domain) != G1.order:
-        raise PropertyViolated("witness map does not cover the group")
-    return {g: G2.elements[f] for g, f in zip(G1.elements, phi)}
-
-
-def is_isomorphic(G1: PermGroup, G2: PermGroup) -> bool:
-    return find_isomorphism(G1, G2) is not None
-
-
 def _check_on_generators(identity: str,
                          generators: Iterable[tuple[int, Sequence[int]]],
                          images: Sequence[Sequence[int]],
@@ -393,9 +284,9 @@ class DoubleQuotientReport:
 
 def _cyclic_product(ell: int, K: PermGroup) -> PermGroup:
     """C_ell x K from K's table: element i |K| + g is (i, K.elements[g]),
-    C_ell generated by the rotation x -> x + 1 on ell points."""
-    cyclic = PermGroup.generate([Permutation.trusted((*range(1, ell), 0))])
-    return PermGroup.product(cyclic, K)
+    C_ell the catalog's, generated by the rotation x -> x + 1 on ell
+    points."""
+    return PermGroup.product(cyclic(ell), K)
 
 
 def central_double_quotients(E: ExtensionData) -> DoubleQuotientReport:
@@ -408,10 +299,18 @@ def central_double_quotients(E: ExtensionData) -> DoubleQuotientReport:
     (i, g) -> g z^(-ij) onto G, and U = {0} x <z> by (i, g) -> (i, kappa(g))
     onto C_ell x H.  The map is proved a homomorphism by the generator lemma
     on C_ell x G's generators, and its kernel must be U; then the image has
-    |C_ell x G| / ell elements, all of the target.  One isomorphism search,
-    G against C_ell x H, labels the last quotient "G" when G splits.  A
-    failure names the subgroup's identity, and for the homomorphism law the
-    generator and the index pair (i, g) * (i', g') where it fails.
+    |C_ell x G| / ell elements, all of the target.  A failure names the
+    subgroup's identity, and for the homomorphism law the generator and the
+    index pair (i, g) * (i', g') where it fails.
+
+    The last quotient is labeled "G" when G splits, G = C_ell x H, which
+    holds exactly when r(G) = r(H) + 1 for r(X) the ell-rank of
+    X/X'X^ell (`abelianization_rank`).  Proof, with Z = <z> and N = G'G^ell,
+    the common kernel of all maps G -> C_ell: H'H^ell = NZ/Z, so
+    r(H) = r(G) - [z not in N].  If z is not in N, some chi: G -> C_ell has
+    chi(z) != 1; its kernel M is normal of index ell and misses the central
+    Z, so G = Z x M = C_ell x H.  If z is in N, then r(G) = r(H), while
+    C_ell x H has rank r(H) + 1, so G is not C_ell x H.
     """
     ell = len(E.kernel)
     if not E.central or not is_prime(ell):
@@ -433,7 +332,8 @@ def central_double_quotients(E: ExtensionData) -> DoubleQuotientReport:
             f"expected {ell + 1} order-{ell} subgroups, found {len(subgroups)}")
 
     split = _cyclic_product(ell, H)
-    group_is_split = is_isomorphic(G, split)
+    group_is_split = (abelianization_rank(G, ell)
+                      == abelianization_rank(H, ell) + 1)
     z = G.table.cyclic(E.kernel[1])  # z[k] is z^k
     items = [(i, g) for i in range(ell) for g in range(n)]  # (i, g) is i n + g
     generators = [(s, T.mul[s]) for s in T.gens]

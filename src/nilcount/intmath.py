@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from math import isqrt, prod
+from math import exp, isqrt, log, prod
 
 # Miller-Rabin with the first 13 prime bases is exact below this bound
 # (Sorenson and Webster, Math. Comp. 86 (2017))
@@ -74,7 +74,13 @@ def omega(n: int) -> int:
 def iroot(x: int, d: int) -> int:
     """Exact floor of x^(1/d) for d >= 1 (0 for x < 1), by integer Newton
     iteration from an overestimate; 1 <= x < 2^d answers 1 before any power
-    is formed."""
+    is formed.
+
+    The start is exp(log(x)/d) raised by a relative 2^-32, far above the
+    floats' rounding error, so Newton starts next to the root.  Past the
+    float range it is 2^ceil(bits/d), up to twice the root, from which each
+    step shrinks only by a factor 1 - 1/d.  Newton from any start at or
+    above the root is exact."""
     if d == 1:
         return x
     if x < 1:
@@ -83,7 +89,10 @@ def iroot(x: int, d: int) -> int:
         return isqrt(x)
     if x.bit_length() <= d:  # 1 <= x < 2^d
         return 1
-    r = 1 << -(-x.bit_length() // d)  # 2^ceil(bits/d) > x^(1/d)
+    try:
+        r = int(exp(log(x) / d) * (1 + 2.0 ** -32)) + 1
+    except OverflowError:  # x^(1/d) > 2^1024
+        r = 1 << -(-x.bit_length() // d)  # 2^ceil(bits/d) > x^(1/d)
     while True:
         y = ((d - 1) * r + x // r ** (d - 1)) // d
         if y >= r:

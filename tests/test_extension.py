@@ -7,20 +7,19 @@ from hypothesis import given, settings, strategies as st
 
 from nilcount import extension
 from nilcount.catalog import (abelian, cyclic, dihedral4_regular,
-                              dihedral4_s4, generalized_quaternion,
-                              nilpotent_catalog, resolve)
-from nilcount.errors import (LIMITS, BudgetExceeded, NotAction, NotNormal,
-                             QuotientMismatch, VerificationFailed)
+                              generalized_quaternion, nilpotent_catalog,
+                              regular_permutation_group, resolve)
+from nilcount.errors import (NotAction, NotNormal, QuotientMismatch,
+                             VerificationFailed)
 from nilcount.extension import (DoubleQuotientReport, ExtensionData,
                                 central_double_quotients,
                                 conjugation_action, fiber_product,
-                                find_isomorphism, fingerprint, is_isomorphic,
-                                regular_permutation_group, semidirect,
-                                solution_class_counts,
+                                semidirect, solution_class_counts,
                                 verify_pullback_identity,
                                 verify_semidirect_decomposition)
 from nilcount.intmath import is_prime
-from nilcount.permcore import PermGroup, center, quotient_with_map
+from nilcount.permcore import (PermGroup, abelianization_rank, center,
+                               quotient_with_map)
 
 
 def center_extension(G):
@@ -59,7 +58,7 @@ def test_fiber_product_diagonal_is_group_itself():
     ext = ExtensionData.from_kernel(G, {0})  # kappa = identity map
     fp = fiber_product(ext, ext)
     assert fp.group.order == G.order
-    assert is_isomorphic(fp.group, G)
+    assert unpruned_find_isomorphism(fp.group, G) is not None
 
 
 def test_fiber_product_orders():
@@ -101,7 +100,8 @@ def test_semidirect_inversion_gives_s3():
     sd = semidirect(A, H, [[0, 1, 2], A.table.inv])
     # order profile: one identity, three involutions, two of order 3
     assert sorted(g.order() for g in sd.group.elements) == [1, 2, 2, 2, 3, 3]
-    assert is_isomorphic(sd.group, resolve("S3").group())
+    assert unpruned_find_isomorphism(sd.group,
+                                     resolve("S3").group()) is not None
 
 
 def test_semidirect_rejects_non_action():
@@ -142,40 +142,6 @@ def test_lemma_semidirect_central_kernel_gives_direct_product():
     sd = semidirect(kernel_group(ext), ext.quotient, conjugation_action(ext))
     assert sd.group.order == 8
     assert all(g.order() in (1, 2) for g in sd.group.elements)  # C2 x V4
-
-
-def test_is_isomorphic_basics():
-    q8 = generalized_quaternion(4)
-    d4 = dihedral4_regular()
-    assert is_isomorphic(q8, q8)
-    assert not is_isomorphic(q8, d4)  # one vs five involutions
-    assert not is_isomorphic(abelian(4, 2), abelian(2, 2, 2))  # exponent
-    assert is_isomorphic(dihedral4_s4(), d4)  # same abstract group
-    assert is_isomorphic(abelian(2, 3), cyclic(6))
-
-
-def test_find_isomorphism_witness_is_homomorphism():
-    G1 = abelian(2, 3)
-    G2 = cyclic(6)
-    phi = find_isomorphism(G1, G2)
-    assert phi is not None
-    for a in G1.elements:
-        for b in G1.elements:
-            assert phi[a * b] == phi[a] * phi[b]
-    assert len(set(phi.values())) == G1.order
-
-
-def test_is_isomorphic_symmetric_and_cap(monkeypatch):
-    g1, g2 = resolve("Heis27").group(), abelian(3, 3, 3)
-    assert is_isomorphic(g1, g2) == is_isomorphic(g2, g1) == False
-    monkeypatch.setitem(LIMITS, "isomorphism order", 8)
-    with pytest.raises(BudgetExceeded):
-        is_isomorphic(g1, g2)
-
-
-def test_fingerprint_is_isomorphism_invariant():
-    assert fingerprint(dihedral4_s4()) == fingerprint(dihedral4_regular())
-    assert fingerprint(generalized_quaternion(4)) != fingerprint(dihedral4_regular())
 
 
 def test_semidirect_decomposition_for_nonabelian_kernel():
@@ -252,82 +218,30 @@ def test_regular_realization_faithful():
     assert to_perm[0].is_identity()
 
 
-def reference_find_isomorphism(G1, G2):
-    """The earlier permutation-product search, kept as an oracle: greedy
-    generators of G1, candidate images bucketed by (order, class size), and
-    the map rebuilt by BFS over the Cayley graph for every candidate."""
-    from nilcount.permcore import conjugacy_classes, mulclose
-
-    def invariants(G):
-        return {g: (c.element_order, c.size)
-                for c in conjugacy_classes(G) for g in c.members}
-
-    gens, have = [], {G1.identity}
-    for e in G1.elements:
-        if e not in have:
-            gens.append(e)
-            have = mulclose(gens)[0]  # the elements, numbered
-    assert gens == [G1.elements[g] for g in G1.table.generating_set()]
-    inv1, inv2 = invariants(G1), invariants(G2)
-
-    def build(prefix, images):
-        phi = {G1.identity: G2.identity}
-        frontier = [G1.identity]
-        while frontier:
-            new = []
-            for x in frontier:
-                for a, b in zip(prefix, images):
-                    xa, fxb = x * a, phi[x] * b
-                    known = phi.get(xa)
-                    if known is None:
-                        phi[xa] = fxb
-                        new.append(xa)
-                    elif known != fxb:
-                        return None
-            frontier = new
-        return phi if len(set(phi.values())) == len(phi) else None
-
-    def dfs(i, chosen):
-        if i == len(gens):
-            return build(gens, chosen)
-        for b in G2.elements:
-            if inv2[b] == inv1[gens[i]] and build(gens[:i + 1], chosen + [b]):
-                found = dfs(i + 1, chosen + [b])
-                if found is not None:
-                    return found
-        return None
-
-    return dfs(0, [])
-
-
-def test_find_isomorphism_pinned_witnesses():
-    pairs = [(dihedral4_s4(), dihedral4_regular()),
-             (abelian(2, 3), cyclic(6)),
-             (generalized_quaternion(4), generalized_quaternion(4))]
-    for G1, G2 in pairs:
-        phi = find_isomorphism(G1, G2)
-        assert phi == reference_find_isomorphism(G1, G2)
-        for a in G1.elements:
-            for b in G1.elements:
-                assert phi[a * b] == phi[a] * phi[b]
-
-
 def two_part_invariants(T):
     """(element order, class size) per element index."""
     size = {i: len(c) for c in T.classes for i in c}
     return [(o, size[i]) for i, o in enumerate(T.order)]
 
 
+def fingerprint(G):
+    """Cheap isomorphism invariants: order, order profile, center size,
+    class-size profile, abelianization order."""
+    T = G.table
+    return (G.order, tuple(sorted(Counter(T.order).items())), len(T.center()),
+            tuple(sorted(len(c) for c in T.classes)),
+            G.order // len(T.commutator))
+
+
 def unpruned_find_isomorphism(G1, G2):
-    """The search before the per-image invariant check, kept verbatim as an
-    oracle (its two-part `_element_invariants` is `two_part_invariants`
-    here): candidates bucketed by (order, class size) only, and a new image
-    refused only when it clashes or is already used."""
-    from nilcount.errors import PropertyViolated, require
-    if G1.order != G2.order:
-        return None
-    require("isomorphism order", G1.order)
-    if fingerprint(G1) != fingerprint(G2):
+    """Explicit isomorphism G1 -> G2 as a dict of permutations, or None: a
+    backtracking search, kept as the oracle of the extension checks.
+    Fingerprints first; then images of a greedy generating sequence, each
+    candidate bucketed by (order, class size) and refused only when it
+    clashes or is already used, the map extended along the Cayley graph.
+    The first witness in canonical order is returned."""
+    from nilcount.errors import PropertyViolated
+    if G1.order != G2.order or fingerprint(G1) != fingerprint(G2):
         return None
     m1, m2 = G1.table.mul, G2.table.mul
     gens = G1.table.generating_set()
@@ -380,40 +294,6 @@ def unpruned_find_isomorphism(G1, G2):
     return {g: G2.elements[f] for g, f in zip(G1.elements, phi)}
 
 
-def test_pruned_search_returns_the_unpruned_witness(monkeypatch):
-    # the searches of the earlier suites 4.5 and 4.7, over the same groups
-    calls = []
-    real = extension.find_isomorphism
-
-    def record(G1, G2):
-        out = real(G1, G2)
-        calls.append((G1, G2, out))
-        return out
-    monkeypatch.setattr(extension, "find_isomorphism", record)
-    counts = []
-    for sid in ("4.5", "4.7"):
-        run_reference_suite(sid)
-        counts.append(len(calls) - sum(counts))
-    assert counts == [92, 217]
-    assert sum(out is None for _, _, out in calls) == 36
-    for G1, G2, out in calls:
-        assert out == unpruned_find_isomorphism(G1, G2)
-
-
-def test_pruned_search_on_the_heis27_fiber_product():
-    # G x_H G against G x_H (A x| H) for the centre of Heis27: order 81,
-    # exponent 3, where the first two generators of G1 span the centre
-    ext = center_extension(resolve("Heis27").group())
-    sd = semidirect(kernel_group(ext), ext.quotient, conjugation_action(ext))
-    kappa_sd = [h for _, h in sd.pairs]
-    G1 = fiber_product(ext, ext).group
-    G2 = extension.fiber_product_maps(ext.group, ext.kappa, sd.group,
-                                      kappa_sd, ext.quotient).group
-    assert G1.order == G2.order == 81 and G1.table.exponent == 3
-    phi = find_isomorphism(G1, G2)
-    assert phi is not None and phi == unpruned_find_isomorphism(G1, G2)
-
-
 def test_pair_product_classes_are_one():
     from nilcount.extension import PairProduct
     A, H = cyclic(3), cyclic(2)
@@ -458,7 +338,7 @@ def semidirect_reference(A, H, act):
 def test_regular_realizations_match_translation_reference(monkeypatch):
     from nilcount import catalog
     realized, products, cyclic_products = [], [], []
-    real = extension.regular_permutation_group
+    real = catalog.regular_permutation_group
     cyclic_product = extension._cyclic_product
 
     def record(items, mul):
@@ -721,11 +601,11 @@ def reference_pullback_identity(E):
     fp_gg = extension.fiber_product(E, E)
     fp_gs = extension.fiber_product_maps(E.group, E.kappa, sd.group, kappa_sd,
                                          E.quotient)
-    if not extension.is_isomorphic(fp_gg.group, fp_gs.group):
+    if unpruned_find_isomorphism(fp_gg.group, fp_gs.group) is None:
         return False
     diagonal = [k for k, (x, y) in enumerate(fp_gg.pairs) if x == y and x in pos]
     quot = permcore.quotient(fp_gg.group, diagonal)
-    return extension.is_isomorphic(quot, sd.group)
+    return unpruned_find_isomorphism(quot, sd.group) is not None
 
 
 def reference_double_quotients(E):
@@ -741,13 +621,13 @@ def reference_double_quotients(E):
     d_set = {i * G.order + a for i in range(ell) for a in E.kernel}
     subgroups = {frozenset(T.cyclic(x)) for x in d_set if T.order[x] == ell}
     split = extension._cyclic_product(ell, E.quotient)
-    group_is_split = extension.is_isomorphic(G, split)
+    group_is_split = unpruned_find_isomorphism(G, split) is not None
     pattern = []
     for U in sorted(subgroups, key=sorted):
         Q = permcore.quotient(big, U)
-        if extension.is_isomorphic(Q, G):
+        if unpruned_find_isomorphism(Q, G) is not None:
             pattern.append("G")
-        elif extension.is_isomorphic(Q, split):
+        elif unpruned_find_isomorphism(Q, split) is not None:
             pattern.append("CxH")
         else:
             pattern.append("?")
@@ -778,18 +658,62 @@ def test_explicit_maps_agree_with_the_references_on_every_case():
     from nilcount.suites import _extension_cases
     cases = _extension_cases()
     assert len(cases) == 47
-    seen = Counter()
+    seen, splits = Counter(), Counter()
     for label, E in cases:
         assert verify_semidirect_decomposition(E) is True, label
         assert reference_semidirect_decomposition(E) is True, label
         got = outcome(verify_pullback_identity, E)
         assert got == outcome(reference_pullback_identity, E), label
         rep = outcome(central_double_quotients, E)
+        # the reference labels each quotient by search, so the split label
+        # of the rank criterion is checked against a search here
         assert rep == outcome(reference_double_quotients, E), label
         seen[got, rep if isinstance(rep, type) else rep.passed] += 1
+        if not isinstance(rep, type):
+            splits[rep.copies_of_split == 0] += 1
     # 45 central prime cases, the non-central C3 in S3, the Q8 kernel
     assert seen == {(True, True): 45, (True, ValueError): 1,
                     (NotAction, ValueError): 1}
+    assert splits == {True: 27, False: 18}
+
+
+# G = C_ell x H exactly when r(G) = r(H) + 1, r the ell-rank of the
+# abelianization: split and non-split central C2 and C3 kernels, by index
+SPLIT_CRITERION_CASES = [
+    ("C4xC2", 5, True),  # z = (2, 1): C4 x C2 / <z> = C4
+    ("C6", 3, True),  # z of order 2: C6 = C2 x C3
+    ("C4xC2", 4, False),  # z = (2, 0): C4 x C2 / <z> = C2 x C2
+    ("Q8", 4, False),  # the centre
+    ("D4_S8", 4, False),  # the centre
+]
+
+
+@pytest.mark.parametrize("name, z, splits", SPLIT_CRITERION_CASES)
+def test_split_criterion_pinned_cases(name, z, splits):
+    G = resolve(name).group()
+    assert z in G.table.center() and G.table.order[z] == 2
+    E = ExtensionData.from_kernel(G, G.table.cyclic(z))
+    H = E.quotient
+    assert (abelianization_rank(G, 2) == abelianization_rank(H, 2) + 1) is splits
+    split = extension._cyclic_product(2, H)
+    assert (unpruned_find_isomorphism(G, split) is not None) is splits
+    rep = central_double_quotients(E)
+    assert rep.passed and rep.pattern.count("CxH") == (0 if splits else 1)
+    assert rep == reference_double_quotients(E)
+
+
+def test_split_criterion_without_the_plus_one_fails_the_agreement(
+        monkeypatch):
+    # r(G) == r(H) in place of r(G) == r(H) + 1: the rank of the quotient
+    # read one lower.  The pattern check passes for either label, so only
+    # the search of the reference catches the mutant, at the first case.
+    from nilcount.suites import _extension_cases
+    quotients = {id(E.quotient) for _, E in _extension_cases()}
+    real = extension.abelianization_rank
+    monkeypatch.setattr(extension, "abelianization_rank", lambda X, ell: (
+        real(X, ell) - (id(X) in quotients)))
+    with pytest.raises(AssertionError, match="Q8/z0"):
+        test_explicit_maps_agree_with_the_references_on_every_case()
 
 
 def frobenius20_extension():

@@ -10,7 +10,6 @@ from nilcount.cli import cmd_count
 from nilcount.counting import enumerate_v4
 from nilcount.dirichlet import FactorSpec, multi_factor_sum, prime_sieve
 from nilcount.errors import LIMITS, BudgetExceeded
-from nilcount.extension import find_isomorphism
 from nilcount.malle import BaseFieldData
 from nilcount.series import enumerate_refinements, optimize_d
 
@@ -23,8 +22,6 @@ CASES = {
     "listed chains": (100, lambda: enumerate_refinements(
         abelian(2, 2, 2, 2, 2)), 101),
     "search nodes": (1, lambda: optimize_d(resolve("D4_S8").group(), Q), 2),
-    "isomorphism order": (4, lambda: find_isomorphism(abelian(4, 2),
-                                                      abelian(2, 2, 2)), 8),
     "sieve entries": (99, lambda: prime_sieve(100), 100),
     "sweep entries": (999, lambda: multi_factor_sum(
         [FactorSpec(1009, 1, 2)], 1000), 1000),
