@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import require
 from .malle import BaseFieldData
-from .dirichlet import (FactorSpec, _omega_sieve, _support_sums,
-                        prime_sieve, squarefree_sieve)
+from .dirichlet import (FactorSpec, _check_sizes, _omega_sieve,
+                        _support_sums, prime_sieve, squarefree_sieve)
 from .intmath import iroot, is_prime, omega, prime_factors, valuation
 
 # an odd prime ramified in a V4 field divides its discriminant this often:
@@ -103,14 +103,9 @@ def exact_ramified_bounds(ell: int, S: Iterable[int], T: Iterable[int],
 # quadratic fields: fundamental discriminants
 
 
-def count_quadratic(x: int) -> int:
-    """Z(Q, C2; x): fundamental discriminants d with |d| <= x, both signs."""
-    return count_quadratic_at([x])[0]
-
-
 def count_quadratic_at(xs: Sequence[int]) -> list[int]:
-    """count_quadratic(x) for every x in xs, from one Moebius sieve to
-    sqrt(max(xs)).
+    """Z(Q, C2; x), the fundamental discriminants d with |d| <= x of both
+    signs, for every x in xs, from one Moebius sieve to sqrt(max(xs)).
 
     The squarefree m <= y with m = r mod 4 (r = 1, 2, 3) number
     Q_r(y) = sum_{odd d <= sqrt y} mu(d) #{k <= y // d^2 : k = r mod 4}: an
@@ -195,23 +190,25 @@ def count_cyclic_ell_at(ell: int, xs: Sequence[int]) -> list[int]:
     t = ell^-s), so S is the factor's prefix sums over the support of
     (1 + w t^2)/(1 + w t) = (1 + w t^2) sum_k (-w t)^k at the powers of ell.
     Every query is F // ell^j, a floor value of F, so one floor-set pass
-    answers every checkpoint.
+    answers every checkpoint.  The largest F is rooted first and checked
+    against the size limits alone, before the other checkpoints are rooted.
     """
     if ell == 2 or not is_prime(ell):
         raise ValueError("need an odd prime")
-    w = ell - 1
+    spec, w = FactorSpec(ell, 1, ell - 1), ell - 1
+    f_max = iroot(max(xs, default=0), w)
+    support: dict[int, int] = {}
+    q, c = 1, 1  # c = (-w)^k at q = ell^k
+    while q <= f_max:
+        for key, coeff in ((q, c), (q * ell * ell, w * c)):
+            support[key] = support.get(key, 0) + coeff
+        q, c = q * ell, -w * c
+    _check_sizes(spec, [f_max], support)
     fs = [iroot(x, w) for x in xs]
     checkpoints = sorted(set(fs) - {0})
     if not checkpoints:
         return [0] * len(fs)
-    support: dict[int, int] = {}
-    q, c = 1, 1  # c = (-w)^k at q = ell^k
-    while q <= checkpoints[-1]:
-        for key, coeff in ((q, c), (q * ell * ell, w * c)):
-            support[key] = support.get(key, 0) + coeff
-        q, c = q * ell, -w * c
-    sums = dict(zip(checkpoints, _support_sums(FactorSpec(ell, 1, w),
-                                               checkpoints, support)))
+    sums = dict(zip(checkpoints, _support_sums(spec, checkpoints, support)))
     return [(sums[f] - 1) // w if f else 0 for f in fs]
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import isqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -119,17 +119,6 @@ def _predicted(specs: Sequence[FactorSpec]) -> tuple[Fraction, Fraction]:
     return Fraction(1, d), e - 1
 
 
-def coefficient_sieve(spec: FactorSpec, limit: int) -> np.ndarray:
-    """c[n] = m^omega(n) for squarefree n supported on B, else 0, n <= limit.
-
-    An int64 array while m^omega fits, else an array of Python ints.
-    """
-    omega = _omega_sieve(spec, limit)
-    # index -1 (not counted) picks the trailing 0
-    weights = [spec.m ** k for k in range(int(omega.max()) + 1)] + [0]
-    return np.array(weights)[omega]
-
-
 def _omega_sieve(spec: FactorSpec, limit: int) -> np.ndarray:
     """w[n] = omega(n) for squarefree n <= limit supported on B, else -1."""
     require("sieve entries", limit, "omega sieve to")
@@ -183,24 +172,44 @@ def _support_sums(spec: FactorSpec, checkpoints: Sequence[int],
     """sum_{P <= x} w_P C(iroot(x // P, d)) at every checkpoint x, for the
     weighted support {P: w_P} and the prefix sums C(q) = sum_{n <= q} c[n].
 
-    The queries are a generator: the floor-set count consumes it only after
-    checking its table sizes, so a huge checkpoint is refused before they
-    are built.
+    The queries are a generator, consumed only after the size checks, so a
+    huge checkpoint is refused before they are built.
     """
-    limit = max(checkpoints)
+    floor = _check_sizes(spec, checkpoints, support)
     queries = (iroot(x // p, spec.d) for x in checkpoints
                for p in support if p <= x)
-    # The one rule between the two ways.  The floor-set count makes one pass
-    # over the union of the checkpoints' floor sets, which costs about
-    # (ell - 1) limit^(3/4) operations (a prime count per class of
-    # (Z/ell)^x), the sweep about limit; so the count answers for d = 1
-    # while (ell - 1)^4 <= limit, and refuses by the size of its own arrays.
-    if spec.d == 1 and (spec.ell - 1) ** 4 <= limit:
+    if floor:
         prefix = _floor_prefix_sums(spec, checkpoints, queries)
     else:
         prefix = _sweep_prefix_sums(spec, queries)
     return [sum(w * prefix[iroot(x // p, spec.d)]
                 for p, w in support.items() if p <= x) for x in checkpoints]
+
+
+def _check_sizes(spec: FactorSpec, checkpoints: Sequence[int],
+                 support: dict[int, int]) -> bool:
+    """The one rule between the two ways: whether `_support_sums` takes the
+    floor-set count, one pass over the union of the checkpoints' floor sets
+    in about (ell - 1) limit^(3/4) operations (a prime count per class of
+    (Z/ell)^x), or the sweep, about limit.  So the count answers for d = 1
+    while (ell - 1)^4 <= limit.  Either way is refused here by the size of
+    its first table, before any work; no size shrinks with more checkpoints.
+    """
+    limit = max(checkpoints)
+    if spec.d == 1 and (spec.ell - 1) ** 4 <= limit:
+        require("sieve entries", (spec.ell - 1) * _floor_set_size(checkpoints),
+                "floor-set class entries")
+        return True
+    least = min((p for p in support if p <= limit), default=0)
+    require("sweep entries", iroot(limit // least, spec.d) if least else 0,
+            "integer sweep to")
+    return False
+
+
+def _floor_set_size(checkpoints: Sequence[int]) -> int:
+    """|V| <= size, the length of the concatenation that builds `vals`."""
+    r = isqrt(max(checkpoints))
+    return r + 1 + sum(isqrt(c) for c in checkpoints if c > r)
 
 
 def _weighted(spec: FactorSpec, counts: Sequence[int]) -> int:
@@ -238,9 +247,7 @@ def _floor_prefix_sums(spec: FactorSpec, checkpoints: Sequence[int],
     """
     ell, x = spec.ell, max(checkpoints)
     r, t = isqrt(x), iroot(x, 3)
-    # |V| <= size, the length of the concatenation that builds `vals`
-    size = r + 1 + sum(isqrt(c) for c in checkpoints if c > r)
-    require("sieve entries", (ell - 1) * size, "floor-set class entries")
+    size = _floor_set_size(checkpoints)  # (ell - 1) size checked by the caller
     primes = np.flatnonzero(prime_sieve(r))
     b_primes = primes[(primes % ell == 1) | (primes == ell)]
     # omega(u) <= kmax for u <= x: the B-primes above r are at least r + 1
@@ -354,15 +361,13 @@ def _sweep_prefix_sums(spec: FactorSpec,
     One segmented sweep keeps N[k], the number of squarefree B-supported
     n <= q with omega(n) = k, advanced by a tally of the omega values between
     consecutive query points; each sum sum_k m^k N[k] is formed in Python
-    ints.  A sweep past the "sweep entries" limit is refused before its
-    first segment.
+    ints.  `_check_sizes` has bounded the sweep.
     """
     queries = sorted(set(int(q) for q in queries))
     out = {q: 0 for q in queries if q < 1}
     pending = [q for q in queries if q >= 1]
     if not pending:
         return out
-    require("sweep entries", pending[-1], "integer sweep to")
     counts = np.zeros(OMEGA_MAX + 1, dtype=np.int64)
     qi = 0
     for lo, hi, w in _segments(spec, pending[-1]):
@@ -511,100 +516,6 @@ def _beta_fit(xs, vals, alpha: float, n: int):
     llx = np.log(lx)
     slope, intercept = np.polyfit(llx, y, 1)
     return slope, intercept, y - (slope * llx + intercept)
-
-
-def factor_identity_check(m: int, n_terms: int = 64) -> bool:
-    """Verify the per-prime polynomial identity behind the factorization:
-    (1 + m t)(1 - t)^m has constant term 1, no linear term, second coefficient
-    -C(m+1, 2), degree m + 1, and leading coefficient (-1)^m m.
-
-    The vanishing linear term is the point (it is what makes the leftover
-    product converge on the critical line); the tail signs alternate with m.
-    The expansion is cross-checked against direct convolution of the two
-    factors up to n_terms coefficients.
-    """
-    if m < 1:
-        raise ValueError("m must be positive")
-    binom = [comb(m, j) * (-1) ** j for j in range(m + 1)]  # (1 - t)^m
-    poly = _local_factor(m)
-
-    a = [1, m]  # 1 + m t
-    upto = min(n_terms, m + 2)
-    for k in range(upto):
-        conv = sum(a[i] * binom[k - i]
-                   for i in range(max(0, k - m), min(k, 1) + 1))
-        if conv != poly[k]:
-            return False
-
-    return (len(poly) == m + 2
-            and poly[0] == 1
-            and poly[1] == 0
-            and poly[2] == -comb(m + 1, 2)
-            and poly[m + 1] == (-1) ** m * m)
-
-
-def _local_factor(m: int) -> list[int]:
-    """The coefficients of (1 + m t)(1 - t)^m, constant term first."""
-    poly = [0] * (m + 2)
-    for j in range(m + 1):
-        c = comb(m, j) * (-1) ** j
-        poly[j] += c
-        poly[j + 1] += m * c
-    return poly
-
-
-def euler_factorization_check(spec: FactorSpec, n_terms: int = 10_000) -> bool:
-    """Coefficient-exact check of the restricted-product factorization.
-
-    Over the rationals the zeta-side factors at the primes outside B cancel
-    exactly against the complementary product (both carry the exponent m/f at
-    inertia degree f, with opposite signs), so the identity reduces to
-
-        prod_{p in B} (1 + m p^{-ds})
-          = g(s) * g0(s) * prod_{p = 1 mod ell} (1 - p^{-ds})^{-m},
-
-    with g the product of the expanded polynomials (1 + m t)(1 - t)^m over
-    p in B (t = p^{-ds}) and g0 = (1 - ell^{-ds})^{-m} the wild factor.  Both
-    sides are expanded to n_terms Dirichlet coefficients in exact integer
-    arithmetic and compared entrywise.
-    """
-    ell, d, m = spec.ell, spec.d, spec.m
-    reach = iroot(n_terms, d)
-    lhs = [0] * (n_terms + 1)
-    for n, k in enumerate(_omega_sieve(spec, reach).tolist()):
-        if k >= 0:
-            lhs[n ** d] = m ** k
-
-    rhs = [0] * (n_terms + 1)
-    rhs[1] = 1
-    w = _local_factor(m)
-    # (1 - t)^{-m}; p^d >= 2, so t^j with j > log2(n_terms) never reaches n_terms
-    neg_binom = [comb(j + m - 1, m - 1)
-                 for j in range(n_terms.bit_length() + 1)]
-
-    def mul_local(coeffs: list[int], p: int, local: list[int]) -> list[int]:
-        """Multiply a Dirichlet series by sum_j local[j] p^(-j d s)."""
-        pd = p ** d
-        out = coeffs[:]
-        power = pd
-        for j in range(1, len(local)):
-            if power > n_terms:
-                break
-            cj = local[j]
-            if cj:
-                for n in range(1, n_terms // power + 1):
-                    if coeffs[n]:
-                        out[n * power] += cj * coeffs[n]
-            power *= pd
-        return out
-
-    # at every p in B the g factor, then g0 at p = ell and the split-prime
-    # zeta part (1 - p^{-ds})^{-m} at p = 1 mod ell: the same local factor
-    for p in np.nonzero(prime_sieve(reach))[0].tolist():
-        if p == ell or p % ell == 1:
-            rhs = mul_local(mul_local(rhs, p, w), p, neg_binom)
-
-    return lhs[1:] == rhs[1:]
 
 
 def series_csv_rows(series: SumSeries) -> list[tuple]:

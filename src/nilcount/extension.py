@@ -12,8 +12,8 @@ catalog's cyclic group and the other, numbered the same way.
 
 The structure identities of the embedding problem (suites 4.4, 4.5 and 4.7)
 are proved through their canonical maps; the module has no isomorphism
-search.  Whether a central extension by C_ell splits, which labels 4.7's
-last quotient, is read off the ell-ranks of the abelianizations
+search.  A central extension by C_ell splits (4.7's last quotient) exactly
+when its kernel misses G'G^ell, the kernel of every map G -> C_ell
 (`central_double_quotients`).  A map phi is a homomorphism by the
 generator lemma: phi(s y) = phi(s) phi(y) for every generator s and every
 y suffices, |S| n lookups instead of n^2 (`_check_on_generators`).  A
@@ -304,13 +304,13 @@ def central_double_quotients(E: ExtensionData) -> DoubleQuotientReport:
     index pair (i, g) * (i', g') where it fails.
 
     The last quotient is labeled "G" when G splits, G = C_ell x H, which
-    holds exactly when r(G) = r(H) + 1 for r(X) the ell-rank of
-    X/X'X^ell (`abelianization_rank`).  Proof, with Z = <z> and N = G'G^ell,
-    the common kernel of all maps G -> C_ell: H'H^ell = NZ/Z, so
-    r(H) = r(G) - [z not in N].  If z is not in N, some chi: G -> C_ell has
-    chi(z) != 1; its kernel M is normal of index ell and misses the central
-    Z, so G = Z x M = C_ell x H.  If z is in N, then r(G) = r(H), while
-    C_ell x H has rank r(H) + 1, so G is not C_ell x H.
+    holds exactly when z is not in N = G'G^ell, the common kernel of all
+    maps G -> C_ell (`GroupTable.ell_kernel`).  Proof, with Z = <z>: if z is
+    not in N, some chi: G -> C_ell has chi(z) != 1; its kernel M is normal
+    of index ell and misses the central Z, so G = Z x M = C_ell x H.
+    Conversely, with r(X) the ell-rank of X/X'X^ell, H'H^ell = NZ/Z gives
+    r(H) = r(G) - [z not in N]; G = C_ell x H has r(G) = r(H) + 1, so z is
+    not in N.
     """
     ell = len(E.kernel)
     if not E.central or not is_prime(ell):
@@ -332,8 +332,7 @@ def central_double_quotients(E: ExtensionData) -> DoubleQuotientReport:
             f"expected {ell + 1} order-{ell} subgroups, found {len(subgroups)}")
 
     split = _cyclic_product(ell, H)
-    group_is_split = (abelianization_rank(G, ell)
-                      == abelianization_rank(H, ell) + 1)
+    group_is_split = E.kernel[1] not in G.table.ell_kernel(ell)
     z = G.table.cyclic(E.kernel[1])  # z[k] is z^k
     items = [(i, g) for i in range(ell) for g in range(n)]  # (i, g) is i n + g
     generators = [(s, T.mul[s]) for s in T.gens]

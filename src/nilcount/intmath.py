@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from math import exp, isqrt, log, prod
+from math import exp, isqrt, log
 
 # Miller-Rabin with the first 13 prime bases is exact below this bound
 # (Sorenson and Webster, Math. Comp. 86 (2017))
@@ -59,11 +59,6 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def radical(n: int) -> int:
-    """The product of the distinct primes dividing n != 0."""
-    return prod(prime_factors(abs(n)))
 
 
 def omega(n: int) -> int:

@@ -408,6 +408,13 @@ class GroupTable:
             mul[mul[inv[a]][inv[b]]][mul[a][b]]
             for a in self.gens for b in self.gens))
 
+    def ell_kernel(self, ell: int) -> set[int]:
+        """G'G^ell, the common kernel of every map G -> C_ell: the commutator
+        subgroup closed under the ell-th powers, which generate the normal
+        subgroup G^ell."""
+        powers = {self.power(g, ell) for g in range(len(self.mul))}
+        return self.closure(powers, self.commutator)
+
     def subset(self, idx: Iterable[int]) -> frozenset[Permutation]:
         return frozenset(map(self.elements.__getitem__, idx))
 
@@ -592,17 +599,12 @@ def quotient_with_map(G: PermGroup, N: Iterable[int]
     return Q, coset
 
 
-def quotient(G: PermGroup, N: Iterable[int]) -> PermGroup:
-    return quotient_with_map(G, N)[0]
-
-
 def abelianization_rank(G: PermGroup, ell: int) -> int:
-    """ell-rank of the maximal abelian quotient G/[G,G]."""
+    """ell-rank of the maximal abelian quotient G/[G,G]: the r with
+    [G : G'G^ell] = ell^r (`GroupTable.ell_kernel`)."""
     if not is_prime(ell):
         raise NotPrime(f"{ell} is not prime")
-    Q = quotient(G, G.table.commutator)
-    powers = {Q.table.power(q, ell) for q in range(Q.order)}
-    rank, rest = valuation(Q.order // len(powers), ell)
+    rank, rest = valuation(G.order // len(G.table.ell_kernel(ell)), ell)
     if rest != 1:
         raise PropertyViolated(f"ell-power index expected, got residue {rest}")
     return rank

@@ -353,7 +353,3 @@ def get_suite(suite_id: str) -> Callable[..., SuiteResult]:
         raise UnknownTheorem(f"unknown suite id {suite_id!r}; "
                              f"known: {', '.join(sorted(SUITES))}")
     return SUITES[suite_id]
-
-
-def run_suite(suite_id: str, seed: int = 42) -> SuiteResult:
-    return get_suite(suite_id)(seed=seed)

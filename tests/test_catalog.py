@@ -12,7 +12,7 @@ from nilcount.nilpotent import is_nilpotent, natural_product
 from nilcount.permcore import PermGroup, cycle_string
 from nilcount.series import (all_min_index_central, d_constant,
                              enumerate_refinements, optimize_d)
-from nilcount.suites import run_suite
+from nilcount.suites import get_suite
 
 Q = BaseFieldData.rationals()
 
@@ -138,7 +138,7 @@ def test_cyclic_products_of_suite_4_7_match_the_reference_table(monkeypatch):
         built.append((ell, K, cyclic_product(ell, K)))
         return built[-1][2]
     monkeypatch.setattr(extension, "_cyclic_product", record)
-    assert run_suite("4.7", seed=1).passed
+    assert get_suite("4.7")(seed=1).passed
     assert len(built) == 90
     for ell, K, G in built:
         ref = PermGroup.regular(product_rows(cyclic(ell).table.mul, K.table.mul))

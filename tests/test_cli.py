@@ -510,7 +510,7 @@ def test_dseries_past_the_floor_count_is_typed_error(capsys):
 def test_count_quadratic_sieves_once(capsys, monkeypatch):
     from nilcount import counting
     from nilcount.dirichlet import default_checkpoints
-    expected = [[cp, counting.count_quadratic(cp)]
+    expected = [[cp, counting.count_quadratic_at([cp])[0]]
                 for cp in default_checkpoints(100000)]
     calls = []
     mobius = counting._mobius

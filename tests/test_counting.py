@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from nilcount.counting import (character_rank,
                                count_cyclic_ell_at,
                                count_exactly_ramified,
-                               count_quadratic, count_quadratic_at,
+                               count_quadratic_at,
                                count_unramified_outside,
                                enumerate_cyclic_ell, enumerate_quadratic,
                                enumerate_v4, exact_ramified_bounds,
@@ -19,8 +19,9 @@ from nilcount.cli import main
 from nilcount.dirichlet import (default_checkpoints, prime_sieve,
                                 squarefree_sieve)
 from nilcount.errors import BudgetExceeded
-from nilcount.intmath import iroot, is_prime, radical
+from nilcount.intmath import iroot, is_prime
 from nilcount.malle import BaseFieldData
+from oracles import radical
 
 Q = BaseFieldData.rationals()
 
@@ -108,17 +109,17 @@ def test_fundamental_discriminants_match_loop():
 
 
 def test_count_quadratic_examples():
-    assert count_quadratic(2) == 0
-    assert count_quadratic(10) == 6
+    assert count_quadratic_at([2])[0] == 0
+    assert count_quadratic_at([10])[0] == 6
     assert list(enumerate_quadratic(10)) == [
         (3, 3, 3), (4, 4, 2), (5, 5, 5), (7, 7, 7), (8, 8, 2), (8, 8, 2)]
     for x in (50, 400, 1234):
-        assert count_quadratic(x) == len(fundamental_discriminants(x))
+        assert count_quadratic_at([x])[0] == len(fundamental_discriminants(x))
 
 
 def test_quadratic_density():
     x = 10 ** 6
-    count = count_quadratic(x)
+    count = count_quadratic_at([x])[0]
     assert abs(count / x - 6 / np.pi ** 2) / (6 / np.pi ** 2) < 0.02
 
 
@@ -163,7 +164,7 @@ def test_quadratic_count_budget():
 
 def test_quadratic_count_at_1e8():
     # perfbench/references.json, computed apart from the program
-    assert count_quadratic(10 ** 8) == 60792709
+    assert count_quadratic_at([10 ** 8])[0] == 60792709
 
 
 def test_character_rank_and_unramified_counts():
@@ -439,6 +440,25 @@ def test_cyclic_count_refused_before_its_queries(monkeypatch):
     monkeypatch.setattr(dirichlet, "iroot", recorded)
     with pytest.raises(BudgetExceeded, match="floor-set class"):
         count_cyclic_ell_at(3, default_checkpoints(10 ** 320))
+
+
+@pytest.mark.parametrize("ell, x, refusal", [
+    (5, 10 ** 4299, "floor-set class"),  # 14,273 checkpoints
+    (191, 1_200_000_000 ** 190, "integer sweep to 1200000000 ")],
+    ids=["cyclic5-floor", "cyclic191-sweep"])
+def test_cyclic_count_refused_on_its_largest_checkpoint(monkeypatch, ell, x,
+                                                        refusal):
+    from nilcount import counting
+    root, rooted = counting.iroot, []
+
+    def recorded(y, d):
+        rooted.append(y)
+        return root(y, d)
+    monkeypatch.setattr(counting, "iroot", recorded)
+    xs = default_checkpoints(x)
+    with pytest.raises(BudgetExceeded, match=refusal):
+        count_cyclic_ell_at(ell, xs)
+    assert rooted == [xs[-1]]
 
 
 def test_v4_enumeration_smallest_fields():

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 from nilcount import dirichlet
-from nilcount.dirichlet import (FactorSpec, coefficient_sieve,
-                                default_checkpoints, euler_factorization_check,
-                                factor_identity_check, multi_factor_sum,
-                                prime_sieve, running_beta, series_csv_rows,
-                                slope_estimate, squarefree_sieve)
+from nilcount.dirichlet import (FactorSpec, default_checkpoints,
+                                multi_factor_sum, prime_sieve, running_beta,
+                                series_csv_rows, slope_estimate,
+                                squarefree_sieve)
 from nilcount.errors import LIMITS, BudgetExceeded, InsufficientData
 from nilcount.intmath import iroot
+from oracles import (coefficient_sieve, euler_factorization_check,
+                     factor_identity_check)
 
 
 def is_squarefree(n):

@@ -18,8 +18,9 @@ from nilcount.extension import (DoubleQuotientReport, ExtensionData,
                                 verify_pullback_identity,
                                 verify_semidirect_decomposition)
 from nilcount.intmath import is_prime
-from nilcount.permcore import (PermGroup, abelianization_rank, center,
-                               quotient_with_map)
+from nilcount.permcore import (GroupTable, PermGroup, abelianization_rank,
+                               center, quotient_with_map)
+from oracles import quotient_rank
 
 
 def center_extension(G):
@@ -604,7 +605,7 @@ def reference_pullback_identity(E):
     if unpruned_find_isomorphism(fp_gg.group, fp_gs.group) is None:
         return False
     diagonal = [k for k, (x, y) in enumerate(fp_gg.pairs) if x == y and x in pos]
-    quot = permcore.quotient(fp_gg.group, diagonal)
+    quot = permcore.quotient_with_map(fp_gg.group, diagonal)[0]
     return unpruned_find_isomorphism(quot, sd.group) is not None
 
 
@@ -624,7 +625,7 @@ def reference_double_quotients(E):
     group_is_split = unpruned_find_isomorphism(G, split) is not None
     pattern = []
     for U in sorted(subgroups, key=sorted):
-        Q = permcore.quotient(big, U)
+        Q = permcore.quotient_with_map(big, U)[0]
         if unpruned_find_isomorphism(Q, G) is not None:
             pattern.append("G")
         elif unpruned_find_isomorphism(Q, split) is not None:
@@ -677,8 +678,9 @@ def test_explicit_maps_agree_with_the_references_on_every_case():
     assert splits == {True: 27, False: 18}
 
 
-# G = C_ell x H exactly when r(G) = r(H) + 1, r the ell-rank of the
-# abelianization: split and non-split central C2 and C3 kernels, by index
+# G = C_ell x H exactly when z is outside G'G^ell, and so exactly when
+# r(G) = r(H) + 1, r the ell-rank of the abelianization: split and
+# non-split central C2 and C3 kernels, by index
 SPLIT_CRITERION_CASES = [
     ("C4xC2", 5, True),  # z = (2, 1): C4 x C2 / <z> = C4
     ("C6", 3, True),  # z of order 2: C6 = C2 x C3
@@ -694,6 +696,7 @@ def test_split_criterion_pinned_cases(name, z, splits):
     assert z in G.table.center() and G.table.order[z] == 2
     E = ExtensionData.from_kernel(G, G.table.cyclic(z))
     H = E.quotient
+    assert (z not in G.table.ell_kernel(2)) is splits
     assert (abelianization_rank(G, 2) == abelianization_rank(H, 2) + 1) is splits
     split = extension._cyclic_product(2, H)
     assert (unpruned_find_isomorphism(G, split) is not None) is splits
@@ -704,16 +707,36 @@ def test_split_criterion_pinned_cases(name, z, splits):
 
 def test_split_criterion_without_the_plus_one_fails_the_agreement(
         monkeypatch):
-    # r(G) == r(H) in place of r(G) == r(H) + 1: the rank of the quotient
-    # read one lower.  The pattern check passes for either label, so only
+    # z in G'G^ell in place of z not in it, the label of r(G) == r(H) in
+    # place of r(G) == r(H) + 1: the complement of the kernel flips every
+    # membership test.  The pattern check passes for either label, so only
     # the search of the reference catches the mutant, at the first case.
-    from nilcount.suites import _extension_cases
-    quotients = {id(E.quotient) for _, E in _extension_cases()}
-    real = extension.abelianization_rank
-    monkeypatch.setattr(extension, "abelianization_rank", lambda X, ell: (
-        real(X, ell) - (id(X) in quotients)))
+    real = GroupTable.ell_kernel
+    monkeypatch.setattr(GroupTable, "ell_kernel", lambda T, ell: (
+        set(range(len(T.mul))) - real(T, ell)))
     with pytest.raises(AssertionError, match="Q8/z0"):
         test_explicit_maps_agree_with_the_references_on_every_case()
+
+
+def test_closure_rank_matches_the_quotient_oracle_on_4_7():
+    # the 90 groups of 4.7, each G and its H = G/<z>; the split label of
+    # the closure, z outside G'G^ell, is the label of the ranks of the
+    # quotient groups, r(G) = r(H) + 1
+    from nilcount.suites import _extension_cases
+    cases = [(label, E) for label, E in _extension_cases()
+             if E.central and is_prime(len(E.kernel))]
+    assert len(cases) == 45
+    splits = Counter()
+    for label, E in cases:
+        ell, G, H = len(E.kernel), E.group, E.quotient
+        for X in (G, H):
+            for p in sorted({2, 3, 5, ell}):
+                assert abelianization_rank(X, p) == quotient_rank(X, p), \
+                    (label, p)
+        split = E.kernel[1] not in G.table.ell_kernel(ell)
+        assert split is (quotient_rank(G, ell) == quotient_rank(H, ell) + 1)
+        splits[split] += 1
+    assert splits == {True: 27, False: 18}
 
 
 def frobenius20_extension():

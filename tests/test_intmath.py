@@ -3,8 +3,8 @@ from math import prod
 
 import pytest
 
-from nilcount.intmath import (iroot, is_prime, omega, prime_factors, radical,
-                              valuation)
+from nilcount.intmath import iroot, is_prime, omega, prime_factors, valuation
+from oracles import radical
 
 
 def check_root(x, d):

@@ -16,8 +16,10 @@ from nilcount.permcore import (GroupTable, PermGroup, Permutation,
                                abelianization_rank,
                                center, conjugacy_classes, cycle_string,
                                parse_generators,
-                               parse_permutation, quotient, quotient_with_map)
-from nilcount.catalog import abelian, generalized_quaternion
+                               parse_permutation, quotient_with_map)
+from nilcount.catalog import (CATALOG, abelian, generalized_quaternion,
+                              nilpotent_catalog, resolve)
+from oracles import quotient_rank
 
 
 def brute_closure(gens):
@@ -127,7 +129,7 @@ def test_center():
 
 def test_quotient_q8_by_center_is_v4():
     q8 = generalized_quaternion(4)
-    Q = quotient(q8, q8.table.center())
+    Q = quotient_with_map(q8, q8.table.center())[0]
     assert Q.order == 4
     assert all(g.order() in (1, 2) for g in Q.elements)
     # oracle: coset multiplication table has four cosets
@@ -138,13 +140,13 @@ def test_quotient_q8_by_center_is_v4():
 
 def test_quotient_examples():
     G = abelian(4, 2)
-    whole = quotient(G, range(G.order))
+    whole = quotient_with_map(G, range(G.order))[0]
     assert whole.order == 1
     a_sq = next(i for i, g in enumerate(G.elements) if g.order() == 2
                 and g in {h * h for h in G.elements})
-    Q = quotient(G, {0, a_sq})
+    Q = quotient_with_map(G, {0, a_sq})[0]
     assert Q.order == 4
-    trivial_quot = quotient(G, {0})
+    trivial_quot = quotient_with_map(G, {0})[0]
     assert trivial_quot.order == G.order
     assert sorted(g.order() for g in trivial_quot.elements) == \
         sorted(g.order() for g in G.elements)
@@ -165,13 +167,13 @@ def test_quotient_not_normal():
     refl = d4.table.idx[parse_permutation("(1,3)", degree=4)]
     rot = d4.table.idx[parse_permutation("(1,2,3,4)", degree=4)]
     with pytest.raises(NotNormal, match="not normal"):
-        quotient(d4, {0, refl})
+        quotient_with_map(d4, {0, refl})
     with pytest.raises(NotNormal, match="not a subgroup"):
-        quotient(d4, {0, rot})
+        quotient_with_map(d4, {0, rot})
     with pytest.raises(NotNormal, match="not a subgroup"):  # no element 8
-        quotient(d4, {0, 8})
+        quotient_with_map(d4, {0, 8})
     with pytest.raises(NotNormal, match="identity"):
-        quotient(d4, d4.table.cyclic(rot)[1:])
+        quotient_with_map(d4, d4.table.cyclic(rot)[1:])
 
 
 def test_element_order_exponent_rank():
@@ -189,6 +191,22 @@ def test_element_order_exponent_rank():
     assert abelianization_rank(G, 3) == 0
     with pytest.raises(NotPrime):
         abelianization_rank(G, 4)
+
+
+def test_closure_rank_matches_the_quotient_oracle():
+    # every catalog group, and the abelian spread of the nilpotent catalog
+    names = [*CATALOG, *(name for name, _ in nilpotent_catalog())]
+    for name in dict.fromkeys(names):
+        G = resolve(name).group()
+        T = G.table
+        for ell in (2, 3, 5):
+            N = T.ell_kernel(ell)
+            assert T.commutator <= N and T.is_subgroup(N) and T.is_normal(N)
+            assert {T.power(g, ell) for g in range(G.order)} <= N
+            assert abelianization_rank(G, ell) == quotient_rank(G, ell), \
+                (name, ell)
+        with pytest.raises(NotPrime):
+            abelianization_rank(G, 4)
 
 
 def test_order_divides_exponent_divides_group_order():

@@ -9,7 +9,7 @@ from nilcount.counting import V4FiberReport, count_unramified_outside
 from nilcount.errors import PropertyViolated, UnknownTheorem
 from nilcount.malle import BaseFieldData, b_constant, min_index
 from nilcount.series import all_min_index_central, optimize_d
-from nilcount.suites import SUITES, run_suite
+from nilcount.suites import SUITES, get_suite
 
 
 def test_catalog_size_and_scope():
@@ -21,7 +21,7 @@ def test_catalog_size_and_scope():
 
 def test_unknown_suite_id():
     with pytest.raises(UnknownTheorem):
-        run_suite("9.9")
+        get_suite("9.9")
 
 
 def test_all_suite_ids_registered():
@@ -31,13 +31,13 @@ def test_all_suite_ids_registered():
 
 @pytest.mark.parametrize("sid", sorted(SUITES))
 def test_suite_passes(sid):
-    result = run_suite(sid, seed=42)
+    result = get_suite(sid)(seed=42)
     assert result.passed, result.details
 
 
 def test_results_are_json_ready():
     import json
-    for r in [run_suite(sid, seed=1) for sid in sorted(SUITES)]:
+    for r in [get_suite(sid)(seed=1) for sid in sorted(SUITES)]:
         json.dumps(r.to_json())
         assert r.passed
 
@@ -58,7 +58,7 @@ ELL, S = 5, [29, 31, 79, 89, 97, 113]  # the first profile of seed 42
 
 def _falsified(monkeypatch, sid, name, fake) -> dict:
     monkeypatch.setattr(suites, name, fake)
-    result = run_suite(sid, seed=42)
+    result = get_suite(sid)(seed=42)
     assert result.suite == sid and result.title == TITLES[sid]
     assert result.passed is False
     return result.details
@@ -205,6 +205,6 @@ def test_catalog_expectation_falsified(monkeypatch):
 
 def test_error_in_one_suite_keeps_the_others(monkeypatch):
     monkeypatch.setattr(suites, "optimize_d", _boom)
-    results = [run_suite(sid, seed=42) for sid in sorted(SUITES)]
+    results = [get_suite(sid)(seed=42) for sid in sorted(SUITES)]
     assert [(r.suite, r.title) for r in results] == sorted(TITLES.items())
     assert {r.suite for r in results if not r.passed} == {"5.12", "5.13"}
