@@ -35,13 +35,18 @@ from .intmath import iroot, is_prime, omega, prime_factors, valuation
 TAME_INDEX = 2
 
 
+def prime_rank(ell: int, p: int) -> int:
+    """ell-rank of the characters of conductor a power of p: one for
+    p = 1 mod ell, and the wild rank at p = ell (2 at ell = 2, from
+    conductors 4 and 8, else 1)."""
+    if p == ell:
+        return 2 if ell == 2 else 1
+    return int(p % ell == 1)
+
+
 def character_rank(ell: int, S: Iterable[int]) -> int:
     """ell-rank t of the character group with conductor support in S."""
-    S = set(S)
-    t = sum(1 for p in S if p % ell == 1)
-    if ell in S:
-        t += 2 if ell == 2 else 1
-    return t
+    return sum(prime_rank(ell, p) for p in set(S))
 
 
 def count_unramified_outside(ell: int, S: Iterable[int]) -> int:
@@ -74,11 +79,11 @@ def count_exactly_ramified(ell: int, S: Iterable[int], T: Iterable[int]) -> int:
     (ell^t(T) prod_{p in S} (ell^t(p) - 1) - [S empty]) / (ell - 1).
     """
     S, T = set(S), set(T)
-    if S & T:
+    if not S.isdisjoint(T):
         raise ValueError("S and T must be disjoint")
     total = ell ** character_rank(ell, T)
     for p in S:
-        total *= ell ** character_rank(ell, {p}) - 1
+        total *= ell ** prime_rank(ell, p) - 1
     return (total - int(not S)) // (ell - 1)
 
 

@@ -8,7 +8,11 @@ products) are built on pairs of element indices, multiplied through the
 factors' tables, and realized as the regular action of that table
 (`PermGroup.regular`), so the pair in canonical position i is element i.
 Direct products with a cyclic factor are `PermGroup.product` of the
-catalog's cyclic group and the other, numbered the same way.
+catalog's cyclic group and the other, numbered the same way.  The suites
+realize only the groups whose tables their checks read: A x| H in 4.5 and
+C_ell x G in 4.7.  G x_H G (4.5) and C_ell x H (4.7) are only the domain
+or the target of a map checked on generators, so the rows the check reads
+come from G's and H's tables and neither is built.
 
 The structure identities of the embedding problem (suites 4.4, 4.5 and 4.7)
 are proved through their canonical maps; the module has no isomorphism
@@ -26,6 +30,7 @@ the identity, the generator and the index pair where the law fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add
 from typing import Iterable, Sequence
 
@@ -189,9 +194,10 @@ def _check_on_generators(identity: str,
     `generators` gives each generator s with its row, the index of s y for
     y = 0, 1, ...  phi lands in a direct product: images[c][y] is component
     c of phi(y), in the group with Cayley table tables[c], and the product
-    is taken componentwise.  VerificationFailed names the identity, the
-    generator and the index pair s * y where the law fails, each element
-    by its `labels` entry."""
+    is taken componentwise.  Only the rows tables[c][images[c][s]] are read,
+    so a mapping that holds those rows serves as well as the full table.
+    VerificationFailed names the identity, the generator and the index pair
+    s * y where the law fails, each element by its `labels` entry."""
     for s, row in generators:
         for image, mul in zip(images, tables):
             want = list(map(mul[image[s]].__getitem__, image))
@@ -241,32 +247,60 @@ def verify_pullback_identity(E: ExtensionData) -> bool:
     the diagonal (the first isomorphism theorem).  A failure names the
     identity, and for the homomorphism law the generator and the index
     pair (g1, g2) * (g1', g2') where it fails.
+
+    G x_H G is never built as a group.  Its fiber pairs, in canonical
+    order, number its elements, and its generators are (g, g) for the
+    generators g of G and (1, u) for the greedy generators u of the kernel:
+    they generate it, as (g1, g2) = (g1, g1)(1, g1^-1 g2) with g1^-1 g2 in
+    the kernel.  A generator's row, the number of (s1 y1, s2 y2) for each
+    pair (y1, y2), is read off G's table, and the rows must stay in the
+    pairs and reach all of them from (1, 1) before the lemma is applied,
+    so generation is checked, not assumed.  A x| H is built (`semidirect`),
+    which checks its action's laws and gives the target's table.
     """
     kernel, T, kappa = E.kernel, E.group.table, E.kappa
     mul = T.mul
     pos = {a: i for i, a in enumerate(kernel)}  # A's table: the kernel's rows
     A = PermGroup.regular([[pos[mul[a][b]] for b in kernel] for a in kernel])
     sd = semidirect(A, E.quotient, conjugation_action(E))
-    fp_gg = fiber_product(E, E)
+    pairs = _fiber_pairs(kappa, kappa)  # G x_H G: pair k is element k
 
     number = {p: k for k, p in enumerate(sd.pairs)}
-    firsts = [g1 for g1, _ in fp_gg.pairs]
+    firsts = [g1 for g1, _ in pairs]
     # psi is phi's second component: kappa(g1) = kappa(g2) on a fiber pair;
     # -1 where g2 g1^-1 is not in A (the kernel is not kappa's)
     psi = [number.get((pos.get(mul[g2][T.inv[g1]]), kappa[g1]), -1)
-           for g1, g2 in fp_gg.pairs]
+           for g1, g2 in pairs]
     if sorted(zip(firsts, psi)) != _fiber_pairs(kappa, [h for _, h in sd.pairs]):
         raise VerificationFailed("G x_H G = G x_H (A x| H): phi is not a "
                                  "bijection onto the pairs")
-    fmul = fp_gg.group.table.mul
+
+    # the generators' rows: s y = (s1 y1, s2 y2), -1 off the pairs
+    at = {p: k for k, p in enumerate(pairs)}
+    rows = [[at.get((mul[s1][y1], mul[s2][y2]), -1) for y1, y2 in pairs]
+            for s1, s2 in [(g, g) for g in T.gens]
+            + [(0, u) for u in T.generating_set(kernel)]]
+    reached, todo = [False] * len(pairs), [0]
+    reached[0] = True
+    for x in todo:  # grows while it is scanned
+        for row in rows:
+            y = row[x]
+            if y < 0:
+                raise VerificationFailed("G x_H G: a generator leaves the pairs")
+            if not reached[y]:
+                reached[y] = True
+                todo.append(y)
+    if len(todo) != len(pairs):
+        raise VerificationFailed(f"G x_H G: the generators reach {len(todo)} "
+                                 f"of the {len(pairs)} pairs")
     _check_on_generators(
         "G x_H G = G x_H (A x| H) by (g1, g2) -> (g1, (g2 g1^-1, kappa(g2)))",
-        [(s, fmul[s]) for s in fp_gg.group.table.gens], (firsts, psi),
-        (mul, sd.group.table.mul), fp_gg.pairs)
+        [(row[0], row) for row in rows], (firsts, psi),
+        (mul, sd.group.table.mul), pairs)
 
     if len(set(psi)) != sd.group.order:
         raise VerificationFailed("(G x_H G)/diagonal(A) = A x| H: psi is not onto")
-    diagonal = [k for k, (x, y) in enumerate(fp_gg.pairs) if x == y and x in pos]
+    diagonal = [k for k, (x, y) in enumerate(pairs) if x == y and x in pos]
     if [k for k, x in enumerate(psi) if x == 0] != diagonal:
         raise VerificationFailed("(G x_H G)/diagonal(A) = A x| H: the kernel "
                                  "of psi is not the diagonal")
@@ -282,11 +316,24 @@ class DoubleQuotientReport:
     passed: bool
 
 
+@lru_cache(maxsize=1)
 def _cyclic_product(ell: int, K: PermGroup) -> PermGroup:
     """C_ell x K from K's table: element i |K| + g is (i, K.elements[g]),
     C_ell the catalog's, generated by the rotation x -> x + 1 on ell
-    points."""
+    points.  The last product is kept (K by identity): suite 4.7 meets a
+    group's extensions in a row, so it builds C_ell x G once per (ell, G)."""
     return PermGroup.product(cyclic(ell), K)
+
+
+def _cyclic_product_rows(ell: int, K: PermGroup, xs: Iterable[int]
+                         ) -> dict[int, list[int]]:
+    """Rows x of C_ell x K's Cayley table, numbered as in `_cyclic_product`,
+    by index arithmetic on K's table alone: (i, h)(j, k) = ((i + j) mod ell,
+    h k).  C_ell x K is a group because its factors are, which is
+    `PermGroup.product`'s own argument, so it is not built."""
+    n, mul = K.order, K.table.mul
+    return {x: [(x // n + j) % ell * n + k for j in range(ell)
+                for k in mul[x % n]] for x in xs}
 
 
 def central_double_quotients(E: ExtensionData) -> DoubleQuotientReport:
@@ -302,6 +349,11 @@ def central_double_quotients(E: ExtensionData) -> DoubleQuotientReport:
     |C_ell x G| / ell elements, all of the target.  A failure names the
     subgroup's identity, and for the homomorphism law the generator and the
     index pair (i, g) * (i', g') where it fails.
+
+    C_ell x G is built: its table gives the centrality, order, subgroup and
+    normality checks.  C_ell x H is only the lemma's target, of which the
+    lemma reads the rows at the generators' images alone; those come from
+    H's table (`_cyclic_product_rows`).
 
     The last quotient is labeled "G" when G splits, G = C_ell x H, which
     holds exactly when z is not in N = G'G^ell, the common kernel of all
@@ -331,7 +383,6 @@ def central_double_quotients(E: ExtensionData) -> DoubleQuotientReport:
         raise VerificationFailed(
             f"expected {ell + 1} order-{ell} subgroups, found {len(subgroups)}")
 
-    split = _cyclic_product(ell, H)
     group_is_split = E.kernel[1] not in G.table.ell_kernel(ell)
     z = G.table.cyclic(E.kernel[1])  # z[k] is z^k
     items = [(i, g) for i in range(ell) for g in range(n)]  # (i, g) is i n + g
@@ -345,13 +396,13 @@ def central_double_quotients(E: ExtensionData) -> DoubleQuotientReport:
             j = z.index(top[0])
             identity = f"(C_ell x G)/<(1, z^{j})> = G by (i, g) -> g z^(-{j}i)"
             image = [mul[g][z[-i * j % ell]] for i, g in items]
-            target, label = G, "G"
+            table, label = mul, "G"
         else:
             identity = "(C_ell x G)/({0} x <z>) = C_ell x H by (i, g) -> (i, kappa(g))"
             image = [i * H.order + E.kappa[g] for i, g in items]
-            target, label = split, "G" if group_is_split else "CxH"
-        _check_on_generators(identity, generators, (image,),
-                             (target.table.mul,), items)
+            table = _cyclic_product_rows(ell, H, {image[s] for s in T.gens})
+            label = "G" if group_is_split else "CxH"
+        _check_on_generators(identity, generators, (image,), (table,), items)
         if {x for x, y in enumerate(image) if y == 0} != U:
             raise VerificationFailed(f"{identity}: the kernel is not the subgroup")
         pattern.append(label)

@@ -13,6 +13,7 @@ import random
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import cache, wraps
+from itertools import combinations
 from typing import Callable, Iterator
 
 from .catalog import abelian, nilpotent_catalog, resolve
@@ -148,10 +149,10 @@ def suite_exact_bound(seed: int) -> dict:
             # the single term S' = R n S, so the exact counts over subsets of
             # S with the SAME optional set T tile the unramified-outside count
             union = count_unramified_outside(ell, set(S) | set(T))
-            split = 0
-            for mask in range(1 << len(S)):
-                sub = {S[i] for i in range(len(S)) if (mask >> i) & 1}
-                split += count_exactly_ramified(ell, sub, set(T))
+            optional = set(T)
+            split = sum(count_exactly_ramified(ell, sub, optional)
+                        for r in range(len(S) + 1)
+                        for sub in combinations(S, r))
         if split != union:
             raise Falsified(ell=ell, S=S, T=T,
                             sum_over_subsets=split, union_count=union)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilcount.counting import (character_rank,
+from nilcount.counting import (character_rank, prime_rank,
                                count_cyclic_ell_at,
                                count_exactly_ramified,
                                count_quadratic_at,
@@ -202,6 +202,25 @@ def test_unramified_count_against_torsion_oracle():
         S = set(rng.sample(primes, rng.randint(0, 4)))
         t = ell_torsion_rank(ell, support_parts(ell, S))
         assert count_unramified_outside(ell, S) == (ell ** t - 1) // (ell - 1)
+
+
+def test_prime_rank_against_torsion_oracle():
+    # one prime's rank, wild at p = ell; character_rank sums it over a set
+    primes = [p for p in range(2, 200) if _prime_factors(p) == [p]]
+    for ell in (2, 3, 5, 7):
+        for p in primes:
+            assert prime_rank(ell, p) == ell_torsion_rank(
+                ell, support_parts(ell, {p})), (ell, p)
+        assert character_rank(ell, primes + primes[:5]) == sum(
+            prime_rank(ell, p) for p in primes)
+
+
+def test_exactly_ramified_reads_an_optional_set_given_once():
+    # T as a one-shot iterator: the disjointness check must not use it up
+    assert count_exactly_ramified(2, {5}, iter([3, 7])) == \
+        count_exactly_ramified(2, {5}, {3, 7}) == 4
+    with pytest.raises(ValueError, match="disjoint"):
+        count_exactly_ramified(3, (7,), iter([13, 7]))
 
 
 def test_exactly_ramified_examples():

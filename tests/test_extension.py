@@ -837,6 +837,95 @@ def test_a_kernel_other_than_kappas_fails_at_the_named_check():
         central_double_quotients(bad)
 
 
+def pullback_cases():
+    from nilcount.suites import _extension_cases
+    return [(label, E) for label, E in _extension_cases()
+            if not label.endswith("/Q8")]
+
+
+def test_pullback_builds_only_the_semidirect_product(monkeypatch):
+    # G x_H G is numbered by its fiber pairs and never built: the one pair
+    # product of each case is A x| H
+    built, fibers = [], []
+    real = extension._pair_product
+
+    def record(X, Y, pairs, left):
+        built.append((X.order, Y, pairs))
+        return real(X, Y, pairs, left)
+    monkeypatch.setattr(extension, "_pair_product", record)
+    monkeypatch.setattr(extension, "fiber_product_maps",
+                        lambda *args: fibers.append(args))
+    cases = pullback_cases()
+    for label, E in cases:
+        before = len(built)
+        assert verify_pullback_identity(E), label
+        assert len(built) == before + 1, label
+        n, H, pairs = built[-1]
+        assert (n, H) == (len(E.kernel), E.quotient), label
+        assert pairs == [(a, h) for a in range(n) for h in range(H.order)]
+    assert len(built) == len(cases) == 46 and not fibers
+
+
+def test_pullback_generator_rows_are_the_fiber_products_rows(monkeypatch):
+    # the rows the generator lemma reads are the rows of the regular
+    # G x_H G at its generators (g, g) and (1, u), numbered as its pairs
+    seen = []
+    real = extension._check_on_generators
+
+    def record(identity, generators, images, tables, labels):
+        seen.append((identity, list(generators), labels))
+        return real(identity, generators, images, tables, labels)
+    monkeypatch.setattr(extension, "_check_on_generators", record)
+    for label, E in pullback_cases():
+        del seen[:]
+        assert verify_pullback_identity(E), label
+        (identity, generators, labels), = seen
+        assert identity.startswith("G x_H G = G x_H (A x| H)")
+        fp = fiber_product(E, E)
+        assert list(labels) == list(fp.pairs), label
+        T = E.group.table
+        gens = [(g, g) for g in T.gens] + [(0, u)
+                                           for u in T.generating_set(E.kernel)]
+        assert [labels[s] for s, _ in generators] == gens, label
+        mul = fp.group.table.mul
+        assert all(list(mul[s]) == row for s, row in generators), label
+
+
+def test_pullback_refuses_generators_that_miss_the_pairs(monkeypatch):
+    # a kernel generator dropped: (g, g) and the rest generate a proper
+    # subgroup, which the generator lemma alone would pass
+    real = GroupTable.generating_set
+
+    def drop_last(T, members=None):
+        gens = real(T, members)
+        return gens if members is None else gens[:-1]
+    monkeypatch.setattr(GroupTable, "generating_set", drop_last)
+    for label, E in pullback_cases():
+        with pytest.raises(VerificationFailed,
+                           match=r"^G x_H G: the generators reach \d+ of "
+                                 r"the \d+ pairs$"):
+            verify_pullback_identity(E)
+
+
+def test_pullback_refuses_a_generator_outside_the_pairs(monkeypatch):
+    # an element outside the kernel as a kernel generator: (1, u) is no
+    # fiber pair
+    real = GroupTable.generating_set
+
+    def outside(T, members=None):
+        gens = real(T, members)
+        if members is None:
+            return gens
+        return gens + [min(set(range(len(T.mul))) - set(members))]
+    monkeypatch.setattr(GroupTable, "generating_set", outside)
+    for label, E in pullback_cases():
+        if E.quotient.order == 1:
+            continue
+        with pytest.raises(VerificationFailed,
+                           match=r"^G x_H G: a generator leaves the pairs$"):
+            verify_pullback_identity(E)
+
+
 def small_catalog():
     return [(name, G) for name, G in nilpotent_catalog() if G.order <= 32]
 
