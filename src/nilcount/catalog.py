@@ -27,8 +27,7 @@ def regular_permutation_group(items: list, mul: Callable
     """Realize an explicitly listed group through left translation: item i
     of the sorted `items` maps to element i.  `items` must be a group under
     `mul` with the least item as its identity, or PropertyViolated.  Used
-    for the presentations below; pair products build their table by index
-    arithmetic (`extension._pair_product`)."""
+    for the presentations below."""
     items = sorted(items)
     index = {x: i for i, x in enumerate(items)}
     group = PermGroup.regular([[index.get(mul(x, y), -1) for y in items]
@@ -105,7 +104,7 @@ def abelian(*orders: int) -> PermGroup:
     if len(groups) == 1:
         return groups[0]
     if min(orders) < 2:
-        raise ValueError("natural product needs degrees > 1")
+        raise ValueError("every cyclic factor needs order at least 2")
     gens = [prod(orders[i + 1:]) for i in range(len(orders))]  # C_n by 1
     return PermGroup.product(*groups, generators=gens)
 

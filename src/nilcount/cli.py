@@ -122,7 +122,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ids = sorted(SUITES) if args.ids == ["all"] else args.ids
+    ids = list(SUITES) if args.ids == ["all"] else args.ids
     suites = [get_suite(sid) for sid in ids]  # every id, before any suite runs
     results = [suite(seed=args.seed) for suite in suites]
     report = {

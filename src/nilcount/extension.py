@@ -1,42 +1,28 @@
-"""Group extensions, fiber products, and embedding-problem verification.
+"""Group extensions and embedding-problem verification.
 
 Everything here is index arithmetic over the groups' Cayley tables: a kernel
 is a sorted tuple of element indices, a quotient map lists per element the
 index of its image, and an action is a table over kernel positions.
-Constructions with no natural permutation action (fiber products, semidirect
-products) are built on pairs of element indices, multiplied through the
-factors' tables, and realized as the regular action of that table
-(`PermGroup.regular`), so the pair in canonical position i is element i.
-Direct products with a cyclic factor are `PermGroup.product` of the
-catalog's cyclic group and the other, numbered the same way.  The suites
-realize only the groups whose tables their checks read: A x| H in 4.5 and
-C_ell x G in 4.7.  G x_H G (4.5) and C_ell x H (4.7) are only the domain
-or the target of a map checked on generators, so the rows the check reads
-come from G's and H's tables and neither is built.
 
 The structure identities of the embedding problem (suites 4.4, 4.5 and 4.7)
-are proved through their canonical maps; the module has no isomorphism
-search.  A central extension by C_ell splits (4.7's last quotient) exactly
-when its kernel misses G'G^ell, the kernel of every map G -> C_ell
-(`central_double_quotients`).  A map phi is a homomorphism by the
-generator lemma: phi(s y) = phi(s) phi(y) for every generator s and every
-y suffices, |S| n lookups instead of n^2 (`_check_on_generators`).  A
-bijection onto the target, or a map onto it with the expected kernel, then
-gives the isomorphism.  A map that fails raises VerificationFailed naming
-the identity, the generator and the index pair where the law fails.
-`semidirect` checks its action's laws by the same lemma.
+are proved through their canonical maps, with no isomorphism search.  A map
+is a homomorphism by the generator lemma, once its generators are checked
+to generate its domain (`_check_on_generators`); a bijection onto the
+target, or a map onto it with the expected kernel, then gives the
+isomorphism.  Only the kernel A (4.5) and C_ell x G (4.7) are built as
+groups.  A product that is only a map's domain or target is read row by
+row: the domain's rows at its generators off the factors' tables, the
+target's rows at their images from `_pair_rows` (A x| H, C_ell x H).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import add
-from typing import Iterable, Sequence
+from functools import lru_cache, partial
+from typing import Callable, Iterable, Sequence
 
 from .catalog import cyclic
-from .errors import (NotAction, PropertyViolated, QuotientMismatch,
-                     VerificationFailed)
+from .errors import NotAction, VerificationFailed
 from .intmath import is_prime
 from .permcore import PermGroup, abelianization_rank, quotient_with_map
 from .series import _children
@@ -62,43 +48,6 @@ class ExtensionData:
                    set(kernel) <= set(G.table.center()))
 
 
-@dataclass(frozen=True)
-class PairProduct:
-    """A fiber or semidirect product on index pairs (x, y) of its two
-    factors, with its regular permutation realization: `pairs[i]` is
-    `group.elements[i]`."""
-
-    pairs: tuple[tuple[int, int], ...]
-    group: PermGroup
-
-
-def _pair_product(X: PermGroup, Y: PermGroup, pairs: list[tuple[int, int]],
-                  left: Sequence[Sequence[int]]) -> PairProduct:
-    """Realize index pairs of X and Y as a pair product.  `pairs` are in
-    canonical order, (0, 0) first, and pairs[k] = (i, j) times (x, y) is
-    (left[k][x], j y): `left[k]` is the row of X that gives the first
-    component, and the second multiplies in Y's table.
-
-    The Cayley table is index arithmetic: pair (x, y) is number
-    pos[x |Y| + y], or -1 outside the pairs (a table `PermGroup.regular`
-    refuses).  Row k maps `pos` over the sums of left[k] gathered at the
-    pairs' first components and scaled by |Y|, and of Y's row j gathered at
-    their second components; consecutive pairs that share a row of `left`
-    (a fiber product's) gather it once."""
-    n = Y.order
-    pos = [-1] * (X.order * n)
-    for k, (i, j) in enumerate(pairs):
-        pos[i * n + j] = k
-    xs, ys = [i for i, _ in pairs], [j for _, j in pairs]
-    ygot = [list(map(row.__getitem__, ys)) for row in Y.table.mul]
-    rows, last, xgot = [], None, ()
-    for j, row in zip(ys, left):
-        if row is not last:
-            last, xgot = row, list(map(n.__mul__, map(row.__getitem__, xs)))
-        rows.append(tuple(map(pos.__getitem__, map(add, xgot, ygot[j]))))
-    return PairProduct(tuple(pairs), PermGroup.regular(rows))
-
-
 def _fiber_pairs(kappa1: Sequence[int], kappa2: Sequence[int]
                  ) -> list[tuple[int, int]]:
     """Index pairs (g1, g2) with kappa1[g1] == kappa2[g2], in canonical order."""
@@ -108,22 +57,16 @@ def _fiber_pairs(kappa1: Sequence[int], kappa2: Sequence[int]
     return [(i, j) for i, h in enumerate(kappa1) for j in fiber.get(h, ())]
 
 
-def fiber_product_maps(G1: PermGroup, kappa1: Sequence[int], G2: PermGroup,
-                       kappa2: Sequence[int], H: PermGroup) -> PairProduct:
-    """G1 x_H G2 over the maps kappa_i: G_i -> H, given per element index as
-    the index of its image in H."""
-    pairs = _fiber_pairs(kappa1, kappa2)
-    if len(pairs) * H.order != G1.order * G2.order:
-        raise PropertyViolated("fiber product order is off; maps not onto H?")
-    m1 = G1.table.mul
-    return _pair_product(G1, G2, pairs, [m1[i] for i, _ in pairs])
-
-
-def fiber_product(E1: ExtensionData, E2: ExtensionData) -> PairProduct:
-    """Subdirect product over the shared quotient; order |G1||G2|/|H|."""
-    if E1.quotient.elements != E2.quotient.elements:
-        raise QuotientMismatch("extensions do not share the same quotient group")
-    return fiber_product_maps(E1.group, E1.kappa, E2.group, E2.kappa, E1.quotient)
+def _pair_rows(n: int, left: Callable[[int], Sequence[int]],
+               mul: Sequence[Sequence[int]], ks: Iterable[int]
+               ) -> dict[int, list[int]]:
+    """Rows k in ks of the Cayley table of a product on all pairs (i, j),
+    with j in the group of order n and table `mul`, and (i, j) numbered
+    i n + j: pair k = (i, j) times (x, y) is (left(k)[x], j y), so `left(k)`
+    is the row that gives the first component.  That the pairs form a group
+    is the caller's argument (`semidirect`'s checks, or a direct product's
+    factors)."""
+    return {k: [a * n + b for a in left(k) for b in mul[k % n]] for k in ks}
 
 
 def conjugation_action(E: ExtensionData) -> list[list[int]]:
@@ -150,17 +93,20 @@ def conjugation_action(E: ExtensionData) -> list[list[int]]:
 
 
 def semidirect(A: PermGroup, H: PermGroup, act: Sequence[Sequence[int]]
-               ) -> PairProduct:
+               ) -> Callable[[Iterable[int]], dict[int, list[int]]]:
     """Semidirect product A x| H with multiplication
-    (a1, h1)(a2, h2) = (a1 * act[h1][a2], h1 * h2), over element indices.
+    (a1, h1)(a2, h2) = (a1 * act[h1][a2], h1 * h2), over element indices,
+    (a, h) numbered a |H| + h.
 
     `act` must send each h to an automorphism of A, multiplicatively in h
-    (NotAction otherwise).  A must be abelian.
+    (NotAction otherwise).  A must be abelian.  These checks prove A x| H a
+    group, so it is not built: the result maps ks to the rows k in ks of its
+    Cayley table (`_pair_rows`).
     """
     TA, mA, mH = A.table, A.table.mul, H.table.mul
     if any(mA[a][b] != mA[b][a] for a in TA.gens for b in TA.gens):
         raise NotAction("kernel of a semidirect product must be abelian here")
-    n, points = A.order, list(range(A.order))
+    points = list(range(A.order))
     if len(act) != H.order:
         raise NotAction(f"{len(act)} actions for the {H.order} elements of H")
     # both laws by the generator lemma: on A's generators against all of A,
@@ -174,14 +120,12 @@ def semidirect(A: PermGroup, H: PermGroup, act: Sequence[Sequence[int]]
            for h2 in range(H.order) for a in points):
         raise NotAction("act is not multiplicative in h")
 
-    # (a1, h1)(a2, h2) has first component mA[a1][act[h1][a2]]
-    pairs = [(a, h) for a in range(n) for h in range(H.order)]
-    return _pair_product(A, H, pairs, [tuple(map(mA[a].__getitem__, act[h]))
-                                       for a, h in pairs])
+    m = H.order  # (a1, h1)(a2, h2) has first component mA[a1][act[h1][a2]]
+    return partial(_pair_rows, m, lambda k: [mA[k // m][b] for b in act[k % m]], mH)
 
 
-def _check_on_generators(identity: str,
-                         generators: Iterable[tuple[int, Sequence[int]]],
+def _check_on_generators(identity: str, domain: tuple[str, str],
+                         generators: Sequence[tuple[int, Sequence[int]]],
                          images: Sequence[Sequence[int]],
                          tables: Sequence[Sequence[Sequence[int]]],
                          labels: Sequence) -> None:
@@ -189,15 +133,33 @@ def _check_on_generators(identity: str,
     phi(s) phi(y) for every generator s and every y.  The x with
     phi(x y) = phi(x) phi(y) for all y are closed under products and hold
     the generators, so they are the whole finite group: |S| n lookups, not
-    n^2.
+    n^2.  That the generators generate is checked first: their rows must
+    stay in the domain and reach all of it from the identity 0.
 
     `generators` gives each generator s with its row, the index of s y for
-    y = 0, 1, ...  phi lands in a direct product: images[c][y] is component
-    c of phi(y), in the group with Cayley table tables[c], and the product
-    is taken componentwise.  Only the rows tables[c][images[c][s]] are read,
-    so a mapping that holds those rows serves as well as the full table.
-    VerificationFailed names the identity, the generator and the index pair
-    s * y where the law fails, each element by its `labels` entry."""
+    y = 0, 1, ..., or -1 where s y leaves the domain.  `labels` has one
+    entry per element of the domain, and `domain` names it and its elements
+    for VerificationFailed, such as ("G x_H G", "pairs").  phi lands in a
+    direct product: images[c][y] is component c of phi(y), in the group with
+    Cayley table tables[c], and the product is taken componentwise.  Only
+    the rows tables[c][images[c][s]] are read, so a mapping that holds those
+    rows serves as well as the full table.  VerificationFailed names the
+    identity, the generator and the index pair s * y where the law fails,
+    each element by its `labels` entry."""
+    name, noun = domain
+    reached, todo = [False] * len(labels), [0]
+    reached[0] = True
+    for x in todo:  # grows while it is scanned
+        for _, row in generators:
+            y = row[x]
+            if y < 0:
+                raise VerificationFailed(f"{name}: a generator leaves the {noun}")
+            if not reached[y]:
+                reached[y] = True
+                todo.append(y)
+    if len(todo) != len(labels):
+        raise VerificationFailed(f"{name}: the generators reach {len(todo)} "
+                                 f"of the {len(labels)} {noun}")
     for s, row in generators:
         for image, mul in zip(images, tables):
             want = list(map(mul[image[s]].__getitem__, image))
@@ -216,8 +178,9 @@ def verify_semidirect_decomposition(E: ExtensionData) -> bool:
     conjugation, so (u1, g1)(u2, g2) = (u1 g1 u2 g1^-1, g1 g2).  The map must
     be a bijection onto the fiber pairs, and a homomorphism into G x G by
     the generator lemma over (u, 1) for the greedy generators u of U and
-    (1, g) for the generators g of G.  A failure names the generator and
-    the index pair (u, g) * (u', g') where the law fails.
+    (1, g) for the generators g of G, which must generate U x| G.  A failure
+    names the generator and the index pair (u, g) * (u', g') where the law
+    fails.
     """
     G, kernel = E.group, E.kernel
     T, mul, n = G.table, G.table.mul, G.order
@@ -231,7 +194,8 @@ def verify_semidirect_decomposition(E: ExtensionData) -> bool:
                   for u in T.generating_set(kernel)]
     generators += [(g, [start[T.conj(g, v)] + mul[g][h] for v, h in items])
                    for g in T.gens]
-    _check_on_generators("G x_H G = U x| G by (u, g) -> (g, ug)", generators,
+    _check_on_generators("G x_H G = U x| G by (u, g) -> (g, ug)",
+                         ("U x| G", "elements"), generators,
                          (firsts, seconds), (mul, mul), items)
     return True
 
@@ -248,30 +212,27 @@ def verify_pullback_identity(E: ExtensionData) -> bool:
     identity, and for the homomorphism law the generator and the index
     pair (g1, g2) * (g1', g2') where it fails.
 
-    G x_H G is never built as a group.  Its fiber pairs, in canonical
-    order, number its elements, and its generators are (g, g) for the
-    generators g of G and (1, u) for the greedy generators u of the kernel:
-    they generate it, as (g1, g2) = (g1, g1)(1, g1^-1 g2) with g1^-1 g2 in
-    the kernel.  A generator's row, the number of (s1 y1, s2 y2) for each
-    pair (y1, y2), is read off G's table, and the rows must stay in the
-    pairs and reach all of them from (1, 1) before the lemma is applied,
-    so generation is checked, not assumed.  A x| H is built (`semidirect`),
-    which checks its action's laws and gives the target's table.
+    Only A is built as a group.  G x_H G's fiber pairs, in canonical order,
+    number its elements; its generators are (g, g) for the generators g of
+    G and (1, u) for the greedy generators u of the kernel, as (g1, g2) =
+    (g1, g1)(1, g1^-1 g2), and their rows are read off G's table.
+    `semidirect` checks the action's laws and gives A x| H's rows, (a, h)
+    numbered a |H| + h.
     """
     kernel, T, kappa = E.kernel, E.group.table, E.kappa
-    mul = T.mul
+    mul, m = T.mul, E.quotient.order
     pos = {a: i for i, a in enumerate(kernel)}  # A's table: the kernel's rows
     A = PermGroup.regular([[pos[mul[a][b]] for b in kernel] for a in kernel])
-    sd = semidirect(A, E.quotient, conjugation_action(E))
+    target = semidirect(A, E.quotient, conjugation_action(E))
     pairs = _fiber_pairs(kappa, kappa)  # G x_H G: pair k is element k
 
-    number = {p: k for k, p in enumerate(sd.pairs)}
     firsts = [g1 for g1, _ in pairs]
     # psi is phi's second component: kappa(g1) = kappa(g2) on a fiber pair;
     # -1 where g2 g1^-1 is not in A (the kernel is not kappa's)
-    psi = [number.get((pos.get(mul[g2][T.inv[g1]]), kappa[g1]), -1)
+    psi = [pos[a] * m + kappa[g1] if (a := mul[g2][T.inv[g1]]) in pos else -1
            for g1, g2 in pairs]
-    if sorted(zip(firsts, psi)) != _fiber_pairs(kappa, [h for _, h in sd.pairs]):
+    order = len(kernel) * m
+    if sorted(zip(firsts, psi)) != _fiber_pairs(kappa, [k % m for k in range(order)]):
         raise VerificationFailed("G x_H G = G x_H (A x| H): phi is not a "
                                  "bijection onto the pairs")
 
@@ -280,25 +241,12 @@ def verify_pullback_identity(E: ExtensionData) -> bool:
     rows = [[at.get((mul[s1][y1], mul[s2][y2]), -1) for y1, y2 in pairs]
             for s1, s2 in [(g, g) for g in T.gens]
             + [(0, u) for u in T.generating_set(kernel)]]
-    reached, todo = [False] * len(pairs), [0]
-    reached[0] = True
-    for x in todo:  # grows while it is scanned
-        for row in rows:
-            y = row[x]
-            if y < 0:
-                raise VerificationFailed("G x_H G: a generator leaves the pairs")
-            if not reached[y]:
-                reached[y] = True
-                todo.append(y)
-    if len(todo) != len(pairs):
-        raise VerificationFailed(f"G x_H G: the generators reach {len(todo)} "
-                                 f"of the {len(pairs)} pairs")
     _check_on_generators(
         "G x_H G = G x_H (A x| H) by (g1, g2) -> (g1, (g2 g1^-1, kappa(g2)))",
-        [(row[0], row) for row in rows], (firsts, psi),
-        (mul, sd.group.table.mul), pairs)
+        ("G x_H G", "pairs"), [(row[0], row) for row in rows], (firsts, psi),
+        (mul, target({psi[row[0]] for row in rows if row[0] >= 0})), pairs)
 
-    if len(set(psi)) != sd.group.order:
+    if len(set(psi)) != order:
         raise VerificationFailed("(G x_H G)/diagonal(A) = A x| H: psi is not onto")
     diagonal = [k for k, (x, y) in enumerate(pairs) if x == y and x in pos]
     if [k for k, x in enumerate(psi) if x == 0] != diagonal:
@@ -325,17 +273,6 @@ def _cyclic_product(ell: int, K: PermGroup) -> PermGroup:
     return PermGroup.product(cyclic(ell), K)
 
 
-def _cyclic_product_rows(ell: int, K: PermGroup, xs: Iterable[int]
-                         ) -> dict[int, list[int]]:
-    """Rows x of C_ell x K's Cayley table, numbered as in `_cyclic_product`,
-    by index arithmetic on K's table alone: (i, h)(j, k) = ((i + j) mod ell,
-    h k).  C_ell x K is a group because its factors are, which is
-    `PermGroup.product`'s own argument, so it is not built."""
-    n, mul = K.order, K.table.mul
-    return {x: [(x // n + j) % ell * n + k for j in range(ell)
-                for k in mul[x % n]] for x in xs}
-
-
 def central_double_quotients(E: ExtensionData) -> DoubleQuotientReport:
     """For a central prime-kernel extension with kernel <z>, form C_ell x G,
     locate the central C_ell x C_ell spanned by the two kernel copies, and
@@ -353,7 +290,7 @@ def central_double_quotients(E: ExtensionData) -> DoubleQuotientReport:
     C_ell x G is built: its table gives the centrality, order, subgroup and
     normality checks.  C_ell x H is only the lemma's target, of which the
     lemma reads the rows at the generators' images alone; those come from
-    H's table (`_cyclic_product_rows`).
+    H's table (`_pair_rows`, (i, h) numbered i |H| + h).
 
     The last quotient is labeled "G" when G splits, G = C_ell x H, which
     holds exactly when z is not in N = G'G^ell, the common kernel of all
@@ -368,7 +305,7 @@ def central_double_quotients(E: ExtensionData) -> DoubleQuotientReport:
     if not E.central or not is_prime(ell):
         raise ValueError("needs a central extension with kernel of prime order")
     G, H = E.group, E.quotient
-    n, mul = G.order, G.table.mul
+    n, m, mul = G.order, H.order, G.table.mul
     big = _cyclic_product(ell, G)
     T = big.table
 
@@ -399,10 +336,13 @@ def central_double_quotients(E: ExtensionData) -> DoubleQuotientReport:
             table, label = mul, "G"
         else:
             identity = "(C_ell x G)/({0} x <z>) = C_ell x H by (i, g) -> (i, kappa(g))"
-            image = [i * H.order + E.kappa[g] for i, g in items]
-            table = _cyclic_product_rows(ell, H, {image[s] for s in T.gens})
+            image = [i * m + E.kappa[g] for i, g in items]
+            table = _pair_rows(m, lambda k: [(k // m + j) % ell
+                                             for j in range(ell)],
+                               H.table.mul, {image[s] for s in T.gens})
             label = "G" if group_is_split else "CxH"
-        _check_on_generators(identity, generators, (image,), (table,), items)
+        _check_on_generators(identity, ("C_ell x G", "elements"), generators,
+                             (image,), (table,), items)
         if {x for x, y in enumerate(image) if y == 0} != U:
             raise VerificationFailed(f"{identity}: the kernel is not the subgroup")
         pattern.append(label)

@@ -5,10 +5,10 @@ first; that canonical order breaks every tie downstream.  Every group
 algorithm runs on the group's `GroupTable`, cached on the instance: the same
 elements in the same order with integer product and inverse tables.  A group
 given by its Cayley table is that table's regular action, and the table is
-its `mul`: `PermGroup.regular` checks a table it is handed (quotients, pair
-products, presentations), and `PermGroup.product` joins the tables of built
-groups into their direct product (abelian groups, C_ell x G), a group because
-its factors are, so checked through them.  Any other group is generated
+its `mul`: `PermGroup.regular` checks a table it is handed (quotients,
+presentations, a kernel on its own rows), and `PermGroup.product` joins the
+tables of built groups into their direct product (abelian groups,
+C_ell x G), a group because its factors are, so checked through them.  Any other group is generated
 (`PermGroup.generate`): `mulclose`, the only code forming full-degree
 products, closes it, and `mul` is gathered along the closure's walk, by
 index arithmetic, on first use.

@@ -2,18 +2,20 @@
 
 Each is the plain, slow way to the same answer: coefficients of an Euler
 factor by its own sieve, the factorization identities expanded term by
-term, radicals by factoring, and ell-ranks read off the built quotient
-group G/G'.
+term, radicals by factoring, ell-ranks read off the built quotient group
+G/G', and fiber and semidirect products built as groups on their pairs,
+where the library reads only the rows its proofs need.
 """
 
 from __future__ import annotations
 
 from math import comb, prod
+from types import SimpleNamespace
 
 import numpy as np
 
 from nilcount.dirichlet import FactorSpec, _omega_sieve, prime_sieve
-from nilcount.errors import NotPrime, PropertyViolated
+from nilcount.errors import NotPrime, PropertyViolated, QuotientMismatch
 from nilcount.intmath import iroot, is_prime, prime_factors, valuation
 from nilcount.permcore import PermGroup, quotient_with_map
 
@@ -34,6 +36,52 @@ def quotient_rank(G: PermGroup, ell: int) -> int:
     if rest != 1:
         raise PropertyViolated(f"ell-power index expected, got residue {rest}")
     return rank
+
+
+def pair_group(pairs: list, mul) -> PermGroup:
+    """The group on the listed pairs under `mul`, pair k as element k:
+    `PermGroup.regular` of its Cayley table, which checks that it is a
+    group, with -1 where a product leaves the pairs.  pairs[0] must be the
+    identity and the pairs in canonical order."""
+    at = {p: k for k, p in enumerate(pairs)}
+    return PermGroup.regular([[at.get(mul(p, q), -1) for q in pairs]
+                              for p in pairs])
+
+
+def fiber_product_maps(G1: PermGroup, kappa1, G2: PermGroup, kappa2,
+                       H: PermGroup) -> SimpleNamespace:
+    """G1 x_H G2 over the maps kappa_i: G_i -> H, given per element index as
+    the index of its image in H: its `pairs` (g1, g2) in canonical order and
+    its `group`, pair k as element k."""
+    pairs = [(i, j) for i in range(G1.order) for j in range(G2.order)
+             if kappa1[i] == kappa2[j]]
+    if len(pairs) * H.order != G1.order * G2.order:
+        raise PropertyViolated("fiber product order is off; maps not onto H?")
+    m1, m2 = G1.table.mul, G2.table.mul
+    return SimpleNamespace(pairs=tuple(pairs), group=pair_group(
+        pairs, lambda p, q: (m1[p[0]][q[0]], m2[p[1]][q[1]])))
+
+
+def fiber_product(E1, E2) -> SimpleNamespace:
+    """The fiber product of two extensions over their shared quotient, of
+    order |G1||G2|/|H|."""
+    if E1.quotient.elements != E2.quotient.elements:
+        raise QuotientMismatch("extensions do not share the same quotient group")
+    return fiber_product_maps(E1.group, E1.kappa, E2.group, E2.kappa, E1.quotient)
+
+
+def semidirect_reference(A: PermGroup, H: PermGroup, act):
+    """The pairs (a, h) of A x| H in canonical order, and its multiplication
+    (a1, h1)(a2, h2) = (a1 act[h1][a2], h1 h2)."""
+    mA, mH = A.table.mul, H.table.mul
+    pairs = [(a, h) for a in range(A.order) for h in range(H.order)]
+    return pairs, lambda p, q: (mA[p[0]][act[p[1]][q[0]]], mH[p[1]][q[1]])
+
+
+def semidirect_product(A: PermGroup, H: PermGroup, act) -> SimpleNamespace:
+    """A x| H as its `pairs` and its `group`, pair k as element k."""
+    pairs, mul = semidirect_reference(A, H, act)
+    return SimpleNamespace(pairs=tuple(pairs), group=pair_group(pairs, mul))
 
 
 def coefficient_sieve(spec: FactorSpec, limit: int) -> np.ndarray:

@@ -133,17 +133,17 @@ def test_product_of_c2_to_the_10_matches_the_reference_table():
 def test_cyclic_products_of_suite_4_7_match_the_reference_table(monkeypatch):
     built, rows = [], []
     cyclic_product = extension._cyclic_product
-    cyclic_product_rows = extension._cyclic_product_rows
+    pair_rows = extension._pair_rows
 
     def record(ell, K):
         built.append((ell, K, cyclic_product(ell, K)))
         return built[-1][2]
 
-    def record_rows(ell, K, xs):
-        rows.append((ell, K, cyclic_product_rows(ell, K, xs)))
+    def record_rows(n, left, mul, ks):
+        rows.append((len(left(0)), mul, pair_rows(n, left, mul, ks)))
         return rows[-1][2]
     monkeypatch.setattr(extension, "_cyclic_product", record)
-    monkeypatch.setattr(extension, "_cyclic_product_rows", record_rows)
+    monkeypatch.setattr(extension, "_pair_rows", record_rows)
     assert get_suite("4.7")(seed=1).passed
     # C_ell x G once per case, built once per (ell, G): the 45 cases hold
     # 27 such pairs over 23 groups, each pair's cases in a row
@@ -156,8 +156,8 @@ def test_cyclic_products_of_suite_4_7_match_the_reference_table(monkeypatch):
     # C_ell x H is never built: the rows the generator lemma reads, at the
     # generators' images, are those of the product of the built factors
     assert len(rows) == 45
-    for ell, H, got in rows:
-        mul = PermGroup.product(cyclic(ell), H).table.mul
+    for ell, mulH, got in rows:
+        mul = PermGroup.product(cyclic(ell), PermGroup.regular(mulH)).table.mul
         assert got and all(row == list(mul[x]) for x, row in got.items())
 
 

@@ -81,12 +81,16 @@ def test_verify_single_and_all_ids(capsys):
     code, rep = run_cli(capsys, "verify", "5.12", "--seed", "42")
     assert code == 0 and rep["passed"]
     assert rep["results"][0]["suite"] == "5.12"
+    # the order of the README's suite table, not string order (5.11 < 5.2)
+    ids = ["3.1", "3.2", "4.4", "4.5", "4.7", "4.8iii", "5.1", "5.2", "5.3",
+           "5.7", "5.11", "5.12", "5.13"]
     code, rep = run_cli(capsys, "verify", "nope")
     assert code == 2 and "error" in rep
     assert rep["error"].startswith("UnknownTheorem: unknown suite id 'nope'")
+    assert rep["error"].endswith("known: " + ", ".join(ids))
     code, rep = run_cli(capsys, "verify", "all", "--seed", "42")
     assert code == 0 and rep["passed"]
-    assert [r["suite"] for r in rep["results"]] == sorted(SUITES)
+    assert [r["suite"] for r in rep["results"]] == ids
 
 
 def test_verify_checks_every_id_before_running(capsys, monkeypatch):
@@ -663,7 +667,7 @@ def test_long_orbit_raw_cycles_refused_before_closing(capsys):
 def test_degree_one_factor_is_value_error(capsys):
     code, rep = run_cli(capsys, "invariants", "--group", "C1xC2")
     assert code == 2
-    assert rep["error"] == "ValueError: natural product needs degrees > 1"
+    assert rep["error"] == "ValueError: every cyclic factor needs order at least 2"
 
 
 @pytest.mark.parametrize("text,error", [

@@ -13,14 +13,15 @@ from nilcount.errors import (NotAction, NotNormal, QuotientMismatch,
                              VerificationFailed)
 from nilcount.extension import (DoubleQuotientReport, ExtensionData,
                                 central_double_quotients,
-                                conjugation_action, fiber_product,
-                                semidirect, solution_class_counts,
+                                conjugation_action, semidirect,
+                                solution_class_counts,
                                 verify_pullback_identity,
                                 verify_semidirect_decomposition)
 from nilcount.intmath import is_prime
 from nilcount.permcore import (GroupTable, PermGroup, abelianization_rank,
                                center, quotient_with_map)
-from oracles import quotient_rank
+import oracles
+from oracles import fiber_product, quotient_rank
 
 
 def center_extension(G):
@@ -40,6 +41,13 @@ def s3_extension():
 def kernel_group(ext):
     """The kernel as a group of its own, its elements in kernel order."""
     return PermGroup.from_elements(ext.group.elements[a] for a in ext.kernel)
+
+
+def semidirect_group(A, H, act):
+    """A x| H as a group: `PermGroup.regular` of every row that `semidirect`
+    gives, (a, h) as element a |H| + h."""
+    rows = semidirect(A, H, act)(range(A.order * H.order))
+    return PermGroup.regular([rows[k] for k in range(A.order * H.order)])
 
 
 def test_extension_from_kernel():
@@ -80,7 +88,7 @@ def test_fiber_product_refuses_maps_that_are_not_homomorphisms():
     # both maps have fibers of size 2, so the order test passes; the
     # product (0, 1)(0, 1) = (0, 2) of pairs has kappa values e and h
     with pytest.raises(PropertyViolated, match="Cayley table"):
-        extension.fiber_product_maps(G, parity, G, halves, H)
+        oracles.fiber_product_maps(G, parity, G, halves, H)
 
 
 def test_fiber_product_quotient_mismatch():
@@ -91,18 +99,17 @@ def test_fiber_product_quotient_mismatch():
 
 def test_semidirect_trivial_action_is_direct_product():
     A, H = cyclic(3), cyclic(2)
-    sd = semidirect(A, H, [[0, 1, 2]] * 2)
-    assert sd.group.order == 6
-    assert sorted(g.order() for g in sd.group.elements) == [1, 2, 3, 3, 6, 6]
+    sd = semidirect_group(A, H, [[0, 1, 2]] * 2)
+    assert sd.order == 6
+    assert sorted(g.order() for g in sd.elements) == [1, 2, 3, 3, 6, 6]
 
 
 def test_semidirect_inversion_gives_s3():
     A, H = cyclic(3), cyclic(2)
-    sd = semidirect(A, H, [[0, 1, 2], A.table.inv])
+    sd = semidirect_group(A, H, [[0, 1, 2], A.table.inv])
     # order profile: one identity, three involutions, two of order 3
-    assert sorted(g.order() for g in sd.group.elements) == [1, 2, 2, 2, 3, 3]
-    assert unpruned_find_isomorphism(sd.group,
-                                     resolve("S3").group()) is not None
+    assert sorted(g.order() for g in sd.elements) == [1, 2, 2, 2, 3, 3]
+    assert unpruned_find_isomorphism(sd, resolve("S3").group()) is not None
 
 
 def test_semidirect_rejects_non_action():
@@ -140,9 +147,10 @@ def test_lemma_semidirect_central_kernel_gives_direct_product():
     # central kernel: conjugation is trivial, so A x| H = A x H
     d4 = dihedral4_regular()
     ext = center_extension(d4)
-    sd = semidirect(kernel_group(ext), ext.quotient, conjugation_action(ext))
-    assert sd.group.order == 8
-    assert all(g.order() in (1, 2) for g in sd.group.elements)  # C2 x V4
+    sd = semidirect_group(kernel_group(ext), ext.quotient,
+                          conjugation_action(ext))
+    assert sd.order == 8
+    assert all(g.order() in (1, 2) for g in sd.elements)  # C2 x V4
 
 
 def test_semidirect_decomposition_for_nonabelian_kernel():
@@ -295,13 +303,6 @@ def unpruned_find_isomorphism(G1, G2):
     return {g: G2.elements[f] for g, f in zip(G1.elements, phi)}
 
 
-def test_pair_product_classes_are_one():
-    from nilcount.extension import PairProduct
-    A, H = cyclic(3), cyclic(2)
-    sd = semidirect(A, H, [[0, 1, 2]] * 2)
-    assert isinstance(sd, PairProduct) and len(sd.pairs) == 6
-
-
 def reference_regular_permutation_group(items, mul):
     """The earlier realization, kept as a reference: each item's left
     translation as a permutation of the sorted items, then `from_elements`
@@ -323,17 +324,10 @@ def assert_same_group(G, R):
 
 
 def fiber_reference(G1, kappa1, G2, kappa2, H):
-    """The pairs and the multiplication of the earlier fiber product."""
+    """The pairs and the multiplication of the fiber product."""
     m1, m2 = G1.table.mul, G2.table.mul
     pairs = extension._fiber_pairs(kappa1, kappa2)
     return pairs, lambda p, q: (m1[p[0]][q[0]], m2[p[1]][q[1]])
-
-
-def semidirect_reference(A, H, act):
-    """The pairs and the multiplication of the earlier semidirect product."""
-    mA, mH = A.table.mul, H.table.mul
-    pairs = [(a, h) for a in range(A.order) for h in range(H.order)]
-    return pairs, lambda p, q: (mA[p[0]][act[p[1]][q[0]]], mH[p[1]][q[1]])
 
 
 def test_regular_realizations_match_translation_reference(monkeypatch):
@@ -363,12 +357,12 @@ def test_regular_realizations_match_translation_reference(monkeypatch):
     for name in ("Q8", "Q16", "Q32", "D4_S8", "Heis27"):
         resolve(name).group()
     assert len(realized) == 5
-    # pair products are tables of index arithmetic, not realized items:
-    # record them where they are built
-    monkeypatch.setattr(extension, "fiber_product_maps", recorder(
-        extension.fiber_product_maps, fiber_reference, 2))
-    monkeypatch.setattr(extension, "semidirect", recorder(
-        extension.semidirect, semidirect_reference, 1))
+    # the reference suites build pair products from their pairs, not from
+    # realized items: record them where the oracles build them
+    monkeypatch.setattr(oracles, "fiber_product_maps", recorder(
+        oracles.fiber_product_maps, fiber_reference, 2))
+    monkeypatch.setattr(oracles, "semidirect_product", recorder(
+        oracles.semidirect_product, oracles.semidirect_reference, 1))
     monkeypatch.setattr(extension, "_cyclic_product", record_cyclic)
     for sid in ("4.5", "4.7"):  # the products the earlier suites built
         run_reference_suite(sid)
@@ -503,10 +497,10 @@ def test_suite_4_5_pair_products_match_the_permutation_reference(monkeypatch):
     record_quotient = recorder(permcore.quotient_with_map, quotients)
     monkeypatch.setattr(permcore, "quotient_with_map", record_quotient)
     monkeypatch.setattr(extension, "quotient_with_map", record_quotient)
-    monkeypatch.setattr(extension, "fiber_product_maps", recorder(
-        extension.fiber_product_maps, fibers))
-    monkeypatch.setattr(extension, "semidirect", recorder(
-        extension.semidirect, semidirects))
+    monkeypatch.setattr(oracles, "fiber_product_maps", recorder(
+        oracles.fiber_product_maps, fibers))
+    monkeypatch.setattr(oracles, "semidirect_product", recorder(
+        oracles.semidirect_product, semidirects))
     run_reference_suite("4.5")  # the products the earlier suite built
     assert (len(quotients), len(fibers), len(semidirects)) == (46, 92, 46)
     # the diagonal quotient of G x_H G, one per case
@@ -528,6 +522,48 @@ def test_suite_4_5_pair_products_match_the_permutation_reference(monkeypatch):
                    for h, row in enumerate(act) for a, b in enumerate(row))
         assert product.pairs == tuple((a, h) for a in range(A.order)
                                       for h in range(H.order))
+
+
+def test_pair_rows_match_the_reference_groups_on_every_row(monkeypatch):
+    # every row of A x| H (4.5) and of C_ell x H (4.7), not only the rows
+    # the generator lemma reads, against the oracle's group: A x| H built
+    # from the semidirect reference's pairs, C_ell x H as the product of
+    # its factors
+    from nilcount.suites import _extension_cases
+    calls, actions = [], []
+    real_rows, real_semidirect = extension._pair_rows, extension.semidirect
+
+    def record_rows(n, left, mul, ks):
+        calls.append((n, left, mul))
+        return real_rows(n, left, mul, ks)
+
+    def record_semidirect(*args):
+        actions.append(args)
+        return real_semidirect(*args)
+    monkeypatch.setattr(extension, "_pair_rows", record_rows)
+    monkeypatch.setattr(extension, "semidirect", record_semidirect)
+
+    def all_rows(call, ref):
+        n, left, mul = call
+        assert real_rows(n, left, mul, range(len(ref))) == {
+            k: list(row) for k, row in enumerate(ref)}
+    checked = Counter()
+    for label, E in _extension_cases():
+        if not label.endswith("/Q8"):
+            del calls[:], actions[:]
+            assert verify_pullback_identity(E), label
+            (A, H, act), = actions
+            assert H is E.quotient and len(calls) == 1, label
+            all_rows(calls[0], oracles.semidirect_product(A, H, act).group.table.mul)
+            checked["4.5"] += 1
+        if E.central and is_prime(len(E.kernel)):
+            del calls[:]
+            assert central_double_quotients(E).passed, label
+            assert len(calls) == 1, label
+            ref = PermGroup.product(cyclic(len(E.kernel)), E.quotient)
+            all_rows(calls[0], ref.table.mul)
+            checked["4.7"] += 1
+    assert checked == {"4.5": 46, "4.7": 45}
 
 
 LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
@@ -597,11 +633,12 @@ def reference_pullback_identity(E):
     kernel, mul = E.kernel, E.group.table.mul
     pos = {a: i for i, a in enumerate(kernel)}
     A = PermGroup.regular([[pos[mul[a][b]] for b in kernel] for a in kernel])
-    sd = extension.semidirect(A, E.quotient, extension.conjugation_action(E))
+    sd = oracles.semidirect_product(A, E.quotient,
+                                    extension.conjugation_action(E))
     kappa_sd = [h for _, h in sd.pairs]
-    fp_gg = extension.fiber_product(E, E)
-    fp_gs = extension.fiber_product_maps(E.group, E.kappa, sd.group, kappa_sd,
-                                         E.quotient)
+    fp_gg = oracles.fiber_product(E, E)
+    fp_gs = oracles.fiber_product_maps(E.group, E.kappa, sd.group, kappa_sd,
+                                       E.quotient)
     if unpruned_find_isomorphism(fp_gg.group, fp_gs.group) is None:
         return False
     diagonal = [k for k, (x, y) in enumerate(fp_gg.pairs) if x == y and x in pos]
@@ -745,9 +782,8 @@ def frobenius20_extension():
     own inverses."""
     A, H = cyclic(5), cyclic(4)
     act = [[A.table.power(a, 2 ** h) for a in range(5)] for h in range(4)]
-    sd = semidirect(A, H, act)
-    return ExtensionData.from_kernel(
-        sd.group, [k for k, (a, h) in enumerate(sd.pairs) if h == 0])
+    return ExtensionData.from_kernel(semidirect_group(A, H, act),
+                                     range(0, 20, 4))  # the pairs (a, 0)
 
 
 def test_an_inverted_automorphism_is_not_an_action(monkeypatch):
@@ -798,17 +834,22 @@ def test_swapped_fibers_fail_at_the_named_map():
 
 
 def test_a_permuted_semidirect_pair_table_fails_at_the_named_map(monkeypatch):
-    from nilcount.extension import PairProduct
     from nilcount.suites import _extension_cases
     real = extension.semidirect
 
+    def swap(x):
+        return {0: 1, 1: 0}.get(x, x)
+
     def permuted(*args):
-        """A x| H with rows 0 and 1 of its pair table swapped: the pairs
-        no longer name the table's elements."""
-        sd = real(*args)
-        pairs = list(sd.pairs)
-        pairs[0], pairs[1] = pairs[1], pairs[0]
-        return PairProduct(tuple(pairs), sd.group)
+        """A x| H's rows with the pairs numbered 0 and 1 swapped: the
+        numbers no longer name the table's elements."""
+        rows = real(*args)
+
+        def swapped(ks):
+            got = {k: rows([swap(k)])[swap(k)] for k in ks}
+            return {k: [swap(row[swap(y)]) for y in range(len(row))]
+                    for k, row in got.items()}
+        return swapped
     monkeypatch.setattr(extension, "semidirect", permuted)
     cases = [(label, E) for label, E in _extension_cases()
              if not label.endswith("/Q8")]
@@ -843,27 +884,27 @@ def pullback_cases():
             if not label.endswith("/Q8")]
 
 
-def test_pullback_builds_only_the_semidirect_product(monkeypatch):
-    # G x_H G is numbered by its fiber pairs and never built: the one pair
-    # product of each case is A x| H
-    built, fibers = [], []
-    real = extension._pair_product
+def test_pullback_builds_only_the_kernel_group(monkeypatch):
+    # G x_H G is numbered by its fiber pairs and A x| H read row by row:
+    # the one group each case builds is A, on the kernel's rows of G
+    built = []
 
-    def record(X, Y, pairs, left):
-        built.append((X.order, Y, pairs))
-        return real(X, Y, pairs, left)
-    monkeypatch.setattr(extension, "_pair_product", record)
-    monkeypatch.setattr(extension, "fiber_product_maps",
-                        lambda *args: fibers.append(args))
+    def recorder(name, real):
+        def run(cls, *args, **kwargs):
+            built.append((name, args))
+            return real(*args, **kwargs)
+        return classmethod(run)
+    for name in ("regular", "product", "generate", "from_elements"):
+        monkeypatch.setattr(PermGroup, name,
+                            recorder(name, getattr(PermGroup, name)))
     cases = pullback_cases()
     for label, E in cases:
-        before = len(built)
+        del built[:]
         assert verify_pullback_identity(E), label
-        assert len(built) == before + 1, label
-        n, H, pairs = built[-1]
-        assert (n, H) == (len(E.kernel), E.quotient), label
-        assert pairs == [(a, h) for a in range(n) for h in range(H.order)]
-    assert len(built) == len(cases) == 46 and not fibers
+        mul, pos = E.group.table.mul, {a: i for i, a in enumerate(E.kernel)}
+        assert built == [("regular", ([[pos[mul[a][b]] for b in E.kernel]
+                                       for a in E.kernel],))], label
+    assert len(cases) == 46
 
 
 def test_pullback_generator_rows_are_the_fiber_products_rows(monkeypatch):
@@ -872,9 +913,9 @@ def test_pullback_generator_rows_are_the_fiber_products_rows(monkeypatch):
     seen = []
     real = extension._check_on_generators
 
-    def record(identity, generators, images, tables, labels):
+    def record(identity, domain, generators, images, tables, labels):
         seen.append((identity, list(generators), labels))
-        return real(identity, generators, images, tables, labels)
+        return real(identity, domain, generators, images, tables, labels)
     monkeypatch.setattr(extension, "_check_on_generators", record)
     for label, E in pullback_cases():
         del seen[:]
@@ -891,20 +932,41 @@ def test_pullback_generator_rows_are_the_fiber_products_rows(monkeypatch):
         assert all(list(mul[s]) == row for s, row in generators), label
 
 
-def test_pullback_refuses_generators_that_miss_the_pairs(monkeypatch):
-    # a kernel generator dropped: (g, g) and the rest generate a proper
-    # subgroup, which the generator lemma alone would pass
+def drop_last_kernel_generator(monkeypatch):
+    """Patch `GroupTable.generating_set` to drop the last generator of every
+    subset it is asked to generate, such as a kernel."""
     real = GroupTable.generating_set
 
     def drop_last(T, members=None):
         gens = real(T, members)
         return gens if members is None else gens[:-1]
     monkeypatch.setattr(GroupTable, "generating_set", drop_last)
+
+
+def test_pullback_refuses_generators_that_miss_the_pairs(monkeypatch):
+    # a kernel generator dropped: (g, g) and the rest generate a proper
+    # subgroup, which the generator lemma alone would pass
+    drop_last_kernel_generator(monkeypatch)
     for label, E in pullback_cases():
         with pytest.raises(VerificationFailed,
                            match=r"^G x_H G: the generators reach \d+ of "
                                  r"the \d+ pairs$"):
             verify_pullback_identity(E)
+
+
+def test_semidirect_decomposition_refuses_generators_that_miss_the_kernel(
+        monkeypatch):
+    # without its last kernel generator, (u, 1) and (1, g) generate a
+    # proper subgroup of U x| G, which the lemma alone would pass
+    from nilcount.suites import _extension_cases
+    drop_last_kernel_generator(monkeypatch)
+    cases = _extension_cases()
+    for label, E in cases:
+        with pytest.raises(VerificationFailed,
+                           match=r"^U x\| G: the generators reach \d+ of "
+                                 r"the \d+ elements$"):
+            verify_semidirect_decomposition(E)
+    assert len(cases) == 47
 
 
 def test_pullback_refuses_a_generator_outside_the_pairs(monkeypatch):
@@ -965,7 +1027,8 @@ def test_generator_lemma_agrees_with_the_pointwise_test(data):
                     for a in range(n) for b in range(n))
     try:
         extension._check_on_generators(
-            name, [(s, mul[s]) for s in T.gens], (phi,), (mul,), range(n))
+            name, (name, "elements"), [(s, mul[s]) for s in T.gens], (phi,),
+            (mul,), range(n))
         lemma = True
     except VerificationFailed:
         lemma = False
